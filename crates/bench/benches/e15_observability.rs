@@ -18,6 +18,7 @@
 use criterion::{criterion_group, Criterion};
 use jaap_bench::{standard_coalition, table_header};
 use jaap_coalition::scenario::Coalition;
+use jaap_coalition::server::CapacityConfig;
 use jaap_core::protocol::Operation;
 use jaap_core::syntax::Time;
 use jaap_crypto::session::SessionConfig;
@@ -95,7 +96,10 @@ fn observed_scenario(bits: usize) -> String {
     let registry = c.enable_metrics();
     c.server_mut().set_replay_protection(true).expect("config");
     c.server_mut()
-        .set_replay_protection_capacity(4)
+        .apply_capacity_config(&CapacityConfig {
+            replay: 4,
+            ..CapacityConfig::default()
+        })
         .expect("config");
     c.set_verification_cache(true).expect("config");
 

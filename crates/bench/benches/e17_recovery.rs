@@ -25,7 +25,7 @@ use criterion::{criterion_group, Criterion};
 use jaap_bench::table_header;
 use jaap_coalition::request::JointAccessRequest;
 use jaap_coalition::scenario::{Coalition, CoalitionBuilder};
-use jaap_coalition::server::{CoalitionServer, ServerDecision};
+use jaap_coalition::server::{CapacityConfig, CoalitionServer, ServerDecision};
 use jaap_core::protocol::Operation;
 use jaap_core::syntax::Time;
 use jaap_wal::MemStore;
@@ -104,10 +104,14 @@ fn assert_probe(
 }
 
 fn measure_cell(c: &mut Coalition, requests: &[JointAccessRequest], audit_cap: usize) -> Cell {
+    let audit_sized = CapacityConfig {
+        audit: audit_cap,
+        ..CapacityConfig::default()
+    };
     // Reference pass: no journal.
     c.reset_server();
     c.server_mut()
-        .set_audit_capacity(audit_cap)
+        .apply_capacity_config(&audit_sized)
         .expect("config");
     let (plain_rps, plain_grants) = run_pass(c, requests);
     let probe = &requests[0];
@@ -116,7 +120,7 @@ fn measure_cell(c: &mut Coalition, requests: &[JointAccessRequest], audit_cap: u
     // Journaled pass: identical workload, WAL-before-effect.
     c.reset_server();
     c.server_mut()
-        .set_audit_capacity(audit_cap)
+        .apply_capacity_config(&audit_sized)
         .expect("config");
     let store = MemStore::new();
     let handle = store.clone();

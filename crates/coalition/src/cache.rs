@@ -27,16 +27,18 @@
 //!
 //! **Bounded.** The cache holds at most its capacity
 //! ([`DEFAULT_CACHE_CAPACITY`] unless overridden via
-//! [`VerifyCache::with_capacity`]); inserting past the bound evicts the
-//! oldest entries by insertion order. Eviction is sound for the same reason
+//! [`VerifyCache::with_capacity`], or on a server through
+//! [`crate::server::CoalitionServer::apply_capacity_config`]); inserting
+//! past the bound evicts the oldest entries by insertion order
+//! ([`jaap_obs::bounded::FifoMap`]). Eviction is sound for the same reason
 //! memoization is: an evicted certificate is simply re-verified on its next
 //! presentation, so decisions never change — only the hit/miss split does.
 
-use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use jaap_core::syntax::{Message, Time};
 use jaap_crypto::sha256::{hex, Sha256};
+use jaap_obs::bounded::FifoMap;
 use jaap_obs::{Counter, MetricsRegistry};
 use jaap_pki::attribute::{AttributeCertificate, ThresholdAttributeCertificate};
 use jaap_pki::IdentityCertificate;
@@ -65,13 +67,13 @@ struct CachedEntry {
 }
 
 /// Registry handles, pre-resolved once when a registry is attached so the
-/// hot path only touches atomics.
+/// hot path only touches atomics. Evictions are mirrored by the entry map
+/// itself.
 #[derive(Debug, Clone)]
 struct CacheCounters {
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     invalidations: Arc<Counter>,
-    evictions: Arc<Counter>,
 }
 
 impl CacheCounters {
@@ -80,57 +82,54 @@ impl CacheCounters {
             hits: registry.counter("server.cache.hits"),
             misses: registry.counter("server.cache.misses"),
             invalidations: registry.counter("server.cache.invalidations"),
-            evictions: registry.counter("server.cache.evictions"),
         }
     }
 }
 
 #[derive(Debug)]
 struct Inner {
-    entries: HashMap<CacheKey, CachedEntry>,
-    /// Keys in insertion order, for capacity eviction. May hold keys whose
-    /// entries were already invalidated; those are skipped when popped.
-    order: VecDeque<CacheKey>,
-    /// Maximum live entries; `None` means unbounded (comparison baseline).
-    capacity: Option<usize>,
+    /// Live entries, bounded oldest-first (`None` capacity is the
+    /// unbounded comparison baseline).
+    entries: FifoMap<CacheKey, CachedEntry>,
     hits: u64,
     misses: u64,
     invalidations: u64,
-    evictions: u64,
     metrics: Option<CacheCounters>,
 }
 
 impl Default for Inner {
     fn default() -> Self {
         Inner {
-            entries: HashMap::new(),
-            order: VecDeque::new(),
-            capacity: Some(DEFAULT_CACHE_CAPACITY),
+            entries: FifoMap::new(Some(DEFAULT_CACHE_CAPACITY)),
             hits: 0,
             misses: 0,
             invalidations: 0,
-            evictions: 0,
             metrics: None,
         }
     }
 }
 
 impl Inner {
-    /// Pops insertion-order keys until the live-entry count fits the
-    /// capacity. Stale keys (already invalidated) are skipped uncounted.
-    fn enforce_capacity(&mut self) {
-        let Some(cap) = self.capacity else { return };
-        while self.entries.len() > cap {
-            let Some(old) = self.order.pop_front() else {
-                break;
-            };
-            if self.entries.remove(&old).is_some() {
-                self.evictions += 1;
-                if let Some(m) = &self.metrics {
-                    m.evictions.inc();
-                }
-            }
+    fn count_hit(&mut self) {
+        self.hits += 1;
+        if let Some(m) = &self.metrics {
+            m.hits.inc();
         }
+    }
+
+    fn count_miss(&mut self) {
+        self.misses += 1;
+        if let Some(m) = &self.metrics {
+            m.misses.inc();
+        }
+    }
+
+    fn count_invalidations(&mut self, dropped: usize) -> usize {
+        self.invalidations += dropped as u64;
+        if let Some(m) = &self.metrics {
+            m.invalidations.add(dropped as u64);
+        }
+        dropped
     }
 }
 
@@ -167,29 +166,32 @@ impl VerifyCache {
     #[must_use]
     pub fn with_capacity(capacity: Option<usize>) -> Self {
         let cache = VerifyCache::default();
-        cache.inner.lock().capacity = capacity;
+        cache.set_capacity(capacity);
         cache
     }
 
     /// The configured capacity (`None` = unbounded).
     #[must_use]
     pub fn capacity(&self) -> Option<usize> {
-        self.inner.lock().capacity
+        self.inner.lock().entries.capacity()
     }
 
     /// Re-bounds the cache, evicting oldest entries immediately if the new
-    /// capacity is already exceeded.
-    pub fn set_capacity(&self, capacity: Option<usize>) {
-        let mut inner = self.inner.lock();
-        inner.capacity = capacity;
-        inner.enforce_capacity();
+    /// capacity is already exceeded. Only the server's capacity
+    /// configuration resizes a live cache.
+    pub(crate) fn set_capacity(&self, capacity: Option<usize>) {
+        self.inner.lock().entries.set_capacity(capacity);
     }
 
     /// Mirrors the cache counters into `registry` (pre-resolved handles:
     /// `server.cache.{hits,misses,invalidations,evictions}`). Pass `None`
     /// to detach.
     pub fn set_metrics(&self, registry: Option<&MetricsRegistry>) {
-        self.inner.lock().metrics = registry.map(CacheCounters::resolve);
+        let mut inner = self.inner.lock();
+        inner.metrics = registry.map(CacheCounters::resolve);
+        inner
+            .entries
+            .set_eviction_mirror(registry.map(|r| r.counter("server.cache.evictions")));
     }
 
     /// Looks up a memoized idealization. Counts a hit or a miss; an entry
@@ -198,33 +200,24 @@ impl VerifyCache {
     #[must_use]
     pub fn lookup(&self, key: &CacheKey, now: Time) -> Option<Message> {
         let mut inner = self.inner.lock();
-        if let Some(entry) = inner.entries.get(key) {
-            if now.0 > entry.expires.0 {
-                inner.entries.remove(key);
-                inner.invalidations += 1;
-                inner.misses += 1;
-                if let Some(m) = &inner.metrics {
-                    m.invalidations.inc();
-                    m.misses.inc();
-                }
-                return None;
-            }
-            inner.hits += 1;
-            if let Some(m) = &inner.metrics {
-                m.hits.inc();
-            }
-            return Some(inner.entries[key].message.clone());
+        let Some(entry) = inner.entries.get(key) else {
+            inner.count_miss();
+            return None;
+        };
+        if now.0 <= entry.expires.0 {
+            let message = entry.message.clone();
+            inner.count_hit();
+            return Some(message);
         }
-        inner.misses += 1;
-        if let Some(m) = &inner.metrics {
-            m.misses.inc();
-        }
+        inner.entries.remove(key);
+        inner.count_invalidations(1);
+        inner.count_miss();
         None
     }
 
     /// Memoizes a verified certificate's idealization. Past the capacity
-    /// bound, the oldest entries (by first insertion) are evicted to make
-    /// room.
+    /// bound, the oldest entries are evicted to make room; re-inserting a
+    /// live key refreshes it in place without moving its slot.
     pub fn insert(
         &self,
         key: CacheKey,
@@ -233,70 +226,43 @@ impl VerifyCache {
         subjects: Vec<String>,
         group: Option<String>,
     ) {
-        let mut inner = self.inner.lock();
-        let fresh = inner
-            .entries
-            .insert(
-                key.clone(),
-                CachedEntry {
-                    message,
-                    expires,
-                    subjects,
-                    group,
-                },
-            )
-            .is_none();
-        if fresh {
-            // Re-inserting an existing key keeps its original order slot;
-            // only first insertions enter the queue, so it never holds
-            // duplicate live keys.
-            inner.order.push_back(key);
-        }
-        inner.enforce_capacity();
+        self.inner.lock().entries.insert(
+            key,
+            CachedEntry {
+                message,
+                expires,
+                subjects,
+                group,
+            },
+        );
     }
 
     /// Drops every entry naming `subject` (identity revocation). Returns
     /// how many entries were dropped.
     pub fn invalidate_subject(&self, subject: &str) -> usize {
         let mut inner = self.inner.lock();
-        let before = inner.entries.len();
-        inner
+        let dropped = inner
             .entries
             .retain(|_, e| !e.subjects.iter().any(|s| s == subject));
-        let dropped = before - inner.entries.len();
-        inner.invalidations += dropped as u64;
-        if let Some(m) = &inner.metrics {
-            m.invalidations.add(dropped as u64);
-        }
-        dropped
+        inner.count_invalidations(dropped)
     }
 
     /// Drops every entry granting `group` (attribute revocation / CRL
     /// entry). Returns how many entries were dropped.
     pub fn invalidate_group(&self, group: &str) -> usize {
         let mut inner = self.inner.lock();
-        let before = inner.entries.len();
-        inner
+        let dropped = inner
             .entries
             .retain(|_, e| e.group.as_deref() != Some(group));
-        let dropped = before - inner.entries.len();
-        inner.invalidations += dropped as u64;
-        if let Some(m) = &inner.metrics {
-            m.invalidations.add(dropped as u64);
-        }
-        dropped
+        inner.count_invalidations(dropped)
     }
 
     /// Drops everything.
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
-        let dropped = inner.entries.len() as u64;
+        let dropped = inner.entries.len();
         inner.entries.clear();
-        inner.order.clear();
-        inner.invalidations += dropped;
-        if let Some(m) = &inner.metrics {
-            m.invalidations.add(dropped);
-        }
+        inner.count_invalidations(dropped);
     }
 
     /// Current counters.
@@ -307,7 +273,7 @@ impl VerifyCache {
             hits: inner.hits,
             misses: inner.misses,
             invalidations: inner.invalidations,
-            evictions: inner.evictions,
+            evictions: inner.entries.evictions(),
             entries: inner.entries.len(),
         }
     }
@@ -466,6 +432,40 @@ mod tests {
         assert_eq!(stats.entries, 3);
         assert_eq!(stats.evictions, 7);
         assert_eq!(cache.lookup(&key("k9"), Time(0)), Some(msg("m")));
+    }
+
+    /// Invalidated entries must not leave their queue slots behind
+    /// forever: a small cache churned through many insert + invalidate
+    /// cycles keeps its internal order queue within a fixed multiple of
+    /// its capacity.
+    #[test]
+    fn order_queue_stays_bounded_under_invalidation_churn() {
+        let cache = VerifyCache::with_capacity(Some(4));
+        for i in 0..10_000 {
+            cache.insert(
+                key(&format!("k{i}")),
+                msg("m"),
+                Time(100),
+                vec!["U".into()],
+                None,
+            );
+            assert_eq!(cache.invalidate_subject("U"), 1);
+        }
+        assert_eq!(cache.stats().entries, 0);
+        assert!(cache.inner.lock().entries.queue_len() <= 2 * 4);
+    }
+
+    /// The same bound through the expiry-removal path of `lookup`.
+    #[test]
+    fn order_queue_stays_bounded_under_expiry_churn() {
+        let cache = VerifyCache::with_capacity(Some(4));
+        for i in 0..10_000 {
+            cache.insert(key(&format!("k{i}")), msg("m"), Time(10), vec![], None);
+            assert_eq!(cache.lookup(&key(&format!("k{i}")), Time(11)), None);
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.invalidations), (0, 10_000));
+        assert!(cache.inner.lock().entries.queue_len() <= 2 * 4);
     }
 
     #[test]

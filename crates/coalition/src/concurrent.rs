@@ -29,12 +29,12 @@
 //! against travels *inside* the immutable snapshot `Arc` it evaluates, not
 //! in a separate cell that could be observed mid-publish.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use jaap_core::syntax::Time;
+use jaap_obs::bounded::Ring;
 use jaap_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use jaap_pki::TrustStore;
 use jaap_store::CertStore;
@@ -265,7 +265,7 @@ pub struct ConcurrentServer {
     /// Volatile bounded audit ring for decisions shed off the writer lock —
     /// the serial audit log cannot record them without taking the very
     /// lock the shed path exists to avoid.
-    shed_audit: Mutex<VecDeque<AuditEntry>>,
+    shed_audit: Mutex<Ring<AuditEntry>>,
 }
 
 impl ConcurrentServer {
@@ -279,7 +279,7 @@ impl ConcurrentServer {
             inflight: AtomicUsize::new(0),
             inflight_limit: AtomicUsize::new(0),
             gate_metrics: Mutex::new(None),
-            shed_audit: Mutex::new(VecDeque::new()),
+            shed_audit: Mutex::new(Ring::new(SHED_AUDIT_CAPACITY)),
         }
     }
 
@@ -322,7 +322,7 @@ impl ConcurrentServer {
     /// policy denials in the serial audit log.
     #[must_use]
     pub fn shed_audit(&self) -> Vec<AuditEntry> {
-        self.shed_audit.lock().iter().cloned().collect()
+        self.shed_audit.lock().as_deque().iter().cloned().collect()
     }
 
     /// Takes (and holds, until the permit drops) one admission-gate slot
@@ -374,13 +374,7 @@ impl ConcurrentServer {
             retry_trace: None,
             shed: Some(reason),
         };
-        {
-            let mut ring = self.shed_audit.lock();
-            if ring.len() == SHED_AUDIT_CAPACITY {
-                ring.pop_front();
-            }
-            ring.push_back(entry);
-        }
+        self.shed_audit.lock().push(entry);
         if let Some(m) = instruments {
             match reason {
                 ShedReason::Overloaded => m.shed_overloaded.inc(),

@@ -50,9 +50,9 @@ pub enum ConfigKind {
     LogicChecking,
     /// [`crate::server::CoalitionServer::set_replay_protection`].
     ReplayProtection,
-    /// [`crate::server::CoalitionServer::set_replay_protection_capacity`].
+    /// [`crate::server::CapacityConfig::replay`].
     ReplayCapacity,
-    /// [`crate::server::CoalitionServer::set_audit_capacity`].
+    /// [`crate::server::CapacityConfig::audit`].
     AuditCapacity,
     /// [`crate::server::CoalitionServer::set_verification_cache`].
     VerifyCache,
@@ -60,13 +60,13 @@ pub enum ConfigKind {
     DerivationMemo,
     /// [`crate::server::CoalitionServer::set_revocation_recency`].
     RecencyWindow,
-    /// [`crate::server::CoalitionServer::set_derivation_memo_capacity`].
+    /// [`crate::server::CapacityConfig::derivation_memo`].
     DerivationMemoCapacity,
     /// [`crate::server::CoalitionServer::set_crypto_precomp`].
     CryptoPrecomp,
     /// [`crate::server::CoalitionServer::set_batch_verify`].
     BatchVerify,
-    /// [`crate::server::CoalitionServer::set_verify_cache_capacity`].
+    /// [`crate::server::CapacityConfig::verify_cache`].
     VerifyCacheCapacity,
 }
 

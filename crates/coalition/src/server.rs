@@ -32,6 +32,7 @@ use jaap_core::syntax::Time;
 use jaap_core::{Derivation, MemoStats};
 use jaap_crypto::batch;
 use jaap_crypto::rsa::{RsaCiphertext, RsaPublicKey, RsaSignature};
+use jaap_obs::bounded::{FifoMap, Ring};
 use jaap_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use jaap_pki::attribute::AttributeRevocation;
 use jaap_pki::{key_name, IdentityRevocation, TrustStore};
@@ -211,32 +212,38 @@ pub(crate) struct CryptoPrecheck {
 /// Default bound on the replay-protection `seen` map: enough to absorb any
 /// realistic retry window while keeping a long-running server's memory flat
 /// on an unbounded request stream. Override with
-/// [`CoalitionServer::set_replay_protection_capacity`].
+/// [`CapacityConfig::replay`] through
+/// [`CoalitionServer::apply_capacity_config`].
 pub const DEFAULT_REPLAY_CAPACITY: usize = 1024;
 
 /// Default bound on the audit log: old entries rotate out oldest-first once
 /// the log exceeds this many lines, so an unbounded request stream cannot
 /// grow the server's memory without bound. Override with
-/// [`CoalitionServer::set_audit_capacity`].
+/// [`CapacityConfig::audit`] through
+/// [`CoalitionServer::apply_capacity_config`].
 pub const DEFAULT_AUDIT_CAPACITY: usize = 8192;
 
 /// One coherent sizing of every bounded structure the server owns —
 /// replay window, audit log, verification cache, derivation memo, and the
-/// persistent store's cold-tier page budget. The scattered per-structure
-/// setters remain, but population-scale runs should size everything
-/// through one of these so no single bound silently becomes the
-/// working-set bottleneck. [`CapacityConfig::default`] reproduces the
-/// historical defaults exactly.
+/// persistent store's cold-tier page budget. The only way to size a
+/// server is [`CoalitionServer::apply_capacity_config`], which journals
+/// each bound so recovery rebuilds the same sizing; no single bound can
+/// then silently become the working-set bottleneck.
+/// [`CapacityConfig::default`] reproduces the historical defaults
+/// exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CapacityConfig {
-    /// Replay-protection `seen` bound ([`DEFAULT_REPLAY_CAPACITY`]).
+    /// Replay-protection `seen` bound, at least 1
+    /// ([`DEFAULT_REPLAY_CAPACITY`]).
     pub replay: usize,
-    /// Audit-log bound ([`DEFAULT_AUDIT_CAPACITY`]).
+    /// Audit-log bound, at least 1 ([`DEFAULT_AUDIT_CAPACITY`]).
     pub audit: usize,
     /// Verification-cache bound; `None` keeps the crate default
-    /// ([`cache::DEFAULT_CACHE_CAPACITY`]).
+    /// ([`cache::DEFAULT_CACHE_CAPACITY`]), `Some(usize::MAX)` is
+    /// effectively unbounded.
     pub verify_cache: Option<usize>,
-    /// Derivation-memo bound; `None` keeps the engine default (1024).
+    /// Derivation-memo bound; `None` leaves the memo's bound as it is
+    /// (the engine default is 1024).
     pub derivation_memo: Option<usize>,
     /// Cold-tier page budget for an attached [`CertStore`]; `None` keeps
     /// the store's configured budget.
@@ -271,6 +278,16 @@ impl CapacityConfig {
     }
 }
 
+/// Journal encoding of a capacity bound (saturating at `i64::MAX`).
+fn encode_bound(capacity: usize) -> i64 {
+    i64::try_from(capacity).unwrap_or(i64::MAX)
+}
+
+/// Journal encoding of an optional capacity bound: `-1` for `None`.
+fn encode_optional_bound(capacity: Option<usize>) -> i64 {
+    capacity.map_or(-1, encode_bound)
+}
+
 /// Registry handles for the §4.3 pipeline, pre-resolved once when a
 /// registry is attached ([`CoalitionServer::set_metrics`]) so the per-request
 /// path touches atomics only. With no registry attached the server performs
@@ -289,7 +306,6 @@ struct ServerMetrics {
     granted: Arc<Counter>,
     denied: Arc<Counter>,
     replay_hits: Arc<Counter>,
-    replay_evictions: Arc<Counter>,
     memo_hits: Arc<Counter>,
     memo_misses: Arc<Counter>,
     memo_evictions: Arc<Counter>,
@@ -303,7 +319,6 @@ struct ServerMetrics {
     journal_bytes: Arc<Counter>,
     journal_snapshots: Arc<Counter>,
     journal_append_ns: Arc<Histogram>,
-    audit_evictions: Arc<Counter>,
     crypto_precomp_hits: Arc<Counter>,
     crypto_batch_verifies: Arc<Counter>,
     crypto_batch_fallbacks: Arc<Counter>,
@@ -326,7 +341,6 @@ impl ServerMetrics {
             granted: registry.counter("server.granted"),
             denied: registry.counter("server.denied"),
             replay_hits: registry.counter("server.replay.hits"),
-            replay_evictions: registry.counter("server.replay.evictions"),
             memo_hits: registry.counter("server.memo.hits"),
             memo_misses: registry.counter("server.memo.misses"),
             memo_evictions: registry.counter("server.memo.evictions"),
@@ -340,7 +354,6 @@ impl ServerMetrics {
             journal_bytes: registry.counter("server.journal.bytes"),
             journal_snapshots: registry.counter("server.journal.snapshots"),
             journal_append_ns: registry.histogram("server.journal.append_ns"),
-            audit_evictions: registry.counter("server.audit.evictions"),
             crypto_precomp_hits: registry.counter("server.crypto.precomp_hits"),
             crypto_batch_verifies: registry.counter("server.crypto.batch_verifies"),
             crypto_batch_fallbacks: registry.counter("server.crypto.batch_fallbacks"),
@@ -364,14 +377,12 @@ pub struct CoalitionServer {
     store: Arc<TrustStore>,
     engine: Engine,
     objects: Vec<CoalitionObject>,
-    /// The audit log, bounded at `audit_capacity` (oldest lines rotate out
-    /// first).
-    audit: VecDeque<AuditEntry>,
-    /// Bound on retained audit lines ([`DEFAULT_AUDIT_CAPACITY`] unless
-    /// overridden).
-    audit_capacity: usize,
-    /// Audit lines rotated out so far.
-    audit_evicted: u64,
+    /// The audit log, bounded at `capacities.audit` (oldest lines rotate
+    /// out first).
+    audit: Ring<AuditEntry>,
+    /// The journaled sizing of every bounded structure (the cert-store
+    /// page budget is forwarded, not kept).
+    capacities: CapacityConfig,
     logic_checking: bool,
     /// Recency policy for revocation information (Stubblebine–Wright):
     /// when set, requests are refused unless a CRL no older than the window
@@ -382,19 +393,11 @@ pub struct CoalitionServer {
     /// digest) return the original decision instead of being re-processed.
     replay_protection: bool,
     /// Digest → decision cache backing replay protection, bounded at
-    /// `seen_capacity` (oldest decisions evicted by insertion order).
-    seen: std::collections::HashMap<String, ServerDecision>,
-    /// Request digests in insertion order, for `seen` eviction.
-    seen_order: VecDeque<String>,
-    /// Bound on remembered decisions ([`DEFAULT_REPLAY_CAPACITY`] unless
-    /// overridden).
-    seen_capacity: usize,
+    /// `capacities.replay` (oldest decisions evicted by insertion order).
+    seen: FifoMap<String, ServerDecision>,
     /// Optional certificate-verification memoization (off by default so
     /// benchmarks measure real verification work).
     verify_cache: Option<VerifyCache>,
-    /// Capacity the verification cache is (re)created with; `None` keeps
-    /// the crate default. Journaled so recovery rebuilds the same bound.
-    verify_cache_capacity: Option<usize>,
     /// Optional persistent, indexed cert/CRL/ACL store
     /// ([`CoalitionServer::attach_cert_store`]). When attached, every
     /// admission writes its row to the store *before* the in-memory
@@ -446,9 +449,6 @@ pub struct CoalitionServer {
     /// in-memory effects were not yet applied; the snapshot runs right
     /// before the *next* append, when the state is consistent again.
     snapshot_pending: bool,
-    /// The derivation-memo capacity last configured (engine has no getter;
-    /// snapshots re-emit it).
-    memo_capacity: Option<usize>,
     /// Server-local state revision: bumped on every mutation the engine's
     /// own [`Engine::state_version`] cannot see (object/ACL/content edits,
     /// CRL recency anchors, configuration flips). The sum of the two is
@@ -494,18 +494,14 @@ impl CoalitionServer {
             store: Arc::new(store),
             engine,
             objects: Vec::new(),
-            audit: VecDeque::new(),
-            audit_capacity: DEFAULT_AUDIT_CAPACITY,
-            audit_evicted: 0,
+            audit: Ring::new(DEFAULT_AUDIT_CAPACITY),
+            capacities: CapacityConfig::default(),
             logic_checking: true,
             revocation_recency: None,
             last_crl: None,
             replay_protection: false,
-            seen: std::collections::HashMap::new(),
-            seen_order: VecDeque::new(),
-            seen_capacity: DEFAULT_REPLAY_CAPACITY,
+            seen: FifoMap::new(Some(DEFAULT_REPLAY_CAPACITY)),
             verify_cache: None,
-            verify_cache_capacity: None,
             cert_store: None,
             crypto_precomp: false,
             batch_verify: false,
@@ -516,7 +512,6 @@ impl CoalitionServer {
             journal: None,
             snapshot_threshold: None,
             snapshot_pending: false,
-            memo_capacity: None,
             local_rev: 0,
             poisoned: None,
             rng: StdRng::seed_from_u64(0x5EC5EC),
@@ -750,6 +745,78 @@ impl CoalitionServer {
         self.engine.now()
     }
 
+    /// Journals one configuration record, then applies it. Every feature
+    /// toggle and every capacity bound goes through here, and recovery
+    /// replays the same records through it (no journal is attached during
+    /// replay, so nothing is re-journaled).
+    fn configure(&mut self, kind: ConfigKind, value: i64) -> Result<(), CoalitionError> {
+        self.touch();
+        self.journal_append(&JournalRecord::Config(kind, value))?;
+        self.apply_config(kind, value);
+        Ok(())
+    }
+
+    /// The in-memory effect of one configuration record.
+    fn apply_config(&mut self, kind: ConfigKind, value: i64) {
+        let on = value != 0;
+        let bound = || usize::try_from(value).unwrap_or(usize::MAX).max(1);
+        let optional_bound = || (value >= 0).then(|| usize::try_from(value).unwrap_or(usize::MAX));
+        match kind {
+            ConfigKind::LogicChecking => self.logic_checking = on,
+            ConfigKind::ReplayProtection => self.replay_protection = on,
+            ConfigKind::ReplayCapacity => {
+                self.capacities.replay = bound();
+                self.seen.set_capacity(Some(self.capacities.replay));
+            }
+            ConfigKind::AuditCapacity => {
+                self.capacities.audit = bound();
+                self.audit.set_capacity(self.capacities.audit);
+            }
+            ConfigKind::VerifyCache if !on => self.verify_cache = None,
+            ConfigKind::VerifyCache => {
+                if self.verify_cache.is_none() {
+                    self.verify_cache = Some(self.fresh_verify_cache());
+                }
+            }
+            ConfigKind::VerifyCacheCapacity => {
+                self.capacities.verify_cache = optional_bound();
+                if let Some(cache) = &self.verify_cache {
+                    cache.set_capacity(Some(self.verify_cache_bound()));
+                }
+            }
+            ConfigKind::DerivationMemo => {
+                self.engine.set_derivation_memo(on);
+                self.memo_mirrored = MemoStats::default();
+            }
+            ConfigKind::DerivationMemoCapacity => {
+                self.capacities.derivation_memo = optional_bound();
+                self.engine
+                    .set_derivation_memo_capacity(self.capacities.derivation_memo);
+            }
+            ConfigKind::RecencyWindow => self.revocation_recency = Some(value),
+            ConfigKind::CryptoPrecomp => self.crypto_precomp = on,
+            ConfigKind::BatchVerify => self.batch_verify = on,
+        }
+    }
+
+    /// The configured verification-cache bound, with `None` resolved to
+    /// the crate default.
+    fn verify_cache_bound(&self) -> usize {
+        self.capacities
+            .verify_cache
+            .unwrap_or(cache::DEFAULT_CACHE_CAPACITY)
+    }
+
+    /// An empty verification cache at the configured bound, wired to the
+    /// attached registry.
+    fn fresh_verify_cache(&self) -> VerifyCache {
+        let cache = VerifyCache::with_capacity(Some(self.verify_cache_bound()));
+        if let Some(m) = &self.metrics {
+            cache.set_metrics(Some(&m.registry));
+        }
+        cache
+    }
+
     /// Enables/disables the logic layer (D3 ablation).
     ///
     /// # Errors
@@ -757,76 +824,19 @@ impl CoalitionServer {
     /// [`CoalitionError::JournalPoisoned`] when the journal append fails
     /// (the server fail-stops) or the server was already poisoned.
     pub fn set_logic_checking(&mut self, on: bool) -> Result<(), CoalitionError> {
-        self.touch();
-        self.journal_append(&JournalRecord::Config(
-            ConfigKind::LogicChecking,
-            i64::from(on),
-        ))?;
-        self.logic_checking = on;
-        Ok(())
+        self.configure(ConfigKind::LogicChecking, i64::from(on))
     }
 
     /// Enables/disables the certificate-verification cache. Turning it off
-    /// drops all memoized entries.
+    /// drops all memoized entries; turning it on creates an empty cache at
+    /// the configured bound ([`CapacityConfig::verify_cache`]).
     ///
     /// # Errors
     ///
     /// [`CoalitionError::JournalPoisoned`] when the journal append fails
     /// (the server fail-stops) or the server was already poisoned.
     pub fn set_verification_cache(&mut self, on: bool) -> Result<(), CoalitionError> {
-        self.touch();
-        self.journal_append(&JournalRecord::Config(
-            ConfigKind::VerifyCache,
-            i64::from(on),
-        ))?;
-        if on {
-            if self.verify_cache.is_none() {
-                let cache = match self.verify_cache_capacity {
-                    Some(capacity) => VerifyCache::with_capacity(Some(capacity)),
-                    None => VerifyCache::new(),
-                };
-                if let Some(m) = &self.metrics {
-                    cache.set_metrics(Some(&m.registry));
-                }
-                self.verify_cache = Some(cache);
-            }
-        } else {
-            self.verify_cache = None;
-        }
-        Ok(())
-    }
-
-    /// Sizes the certificate-verification cache (`None` restores the
-    /// crate default, [`cache::DEFAULT_CACHE_CAPACITY`]). Applies to the
-    /// live cache immediately, evicting oldest entries if the new bound
-    /// is already exceeded, and to any cache created later by
-    /// [`CoalitionServer::set_verification_cache`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoalitionError::JournalPoisoned`] when the journal append fails
-    /// (the server fail-stops) or the server was already poisoned.
-    pub fn set_verify_cache_capacity(
-        &mut self,
-        capacity: Option<usize>,
-    ) -> Result<(), CoalitionError> {
-        self.touch();
-        let encoded = capacity.and_then(|c| i64::try_from(c).ok()).unwrap_or(-1);
-        self.journal_append(&JournalRecord::Config(
-            ConfigKind::VerifyCacheCapacity,
-            encoded,
-        ))?;
-        self.verify_cache_capacity = capacity;
-        if let Some(cache) = &self.verify_cache {
-            cache.set_capacity(Some(capacity.unwrap_or(cache::DEFAULT_CACHE_CAPACITY)));
-        }
-        Ok(())
-    }
-
-    /// The configured verification-cache bound (`None` = crate default).
-    #[must_use]
-    pub fn verify_cache_capacity(&self) -> Option<usize> {
-        self.verify_cache_capacity
+        self.configure(ConfigKind::VerifyCache, i64::from(on))
     }
 
     /// Enables/disables fixed-base window precomputation in the crypto
@@ -839,13 +849,7 @@ impl CoalitionServer {
     /// [`CoalitionError::JournalPoisoned`] when the journal append fails
     /// (the server fail-stops) or the server was already poisoned.
     pub fn set_crypto_precomp(&mut self, on: bool) -> Result<(), CoalitionError> {
-        self.touch();
-        self.journal_append(&JournalRecord::Config(
-            ConfigKind::CryptoPrecomp,
-            i64::from(on),
-        ))?;
-        self.crypto_precomp = on;
-        Ok(())
+        self.configure(ConfigKind::CryptoPrecomp, i64::from(on))
     }
 
     /// Whether fixed-base precomputation is on (decision snapshots capture
@@ -868,13 +872,7 @@ impl CoalitionServer {
     /// [`CoalitionError::JournalPoisoned`] when the journal append fails
     /// (the server fail-stops) or the server was already poisoned.
     pub fn set_batch_verify(&mut self, on: bool) -> Result<(), CoalitionError> {
-        self.touch();
-        self.journal_append(&JournalRecord::Config(
-            ConfigKind::BatchVerify,
-            i64::from(on),
-        ))?;
-        self.batch_verify = on;
-        Ok(())
+        self.configure(ConfigKind::BatchVerify, i64::from(on))
     }
 
     /// Whether batch signature verification is on.
@@ -886,7 +884,8 @@ impl CoalitionServer {
     /// Attaches a metrics registry: per-phase decision latencies
     /// (`server.phase.*_ns`, `server.decision_ns`), decision counters
     /// (`server.{decisions,granted,denied}`), replay-dedup counters
-    /// (`server.replay.{hits,evictions}`), derivation-memo counters and
+    /// (`server.replay.{hits,evictions}`), audit rotation
+    /// (`server.audit.evictions`), derivation-memo counters and
     /// size (`server.memo.{hits,misses,evictions,invalidations,entries}`),
     /// interner table sizes (`server.interner.*`) and — when the
     /// verification cache is on —
@@ -895,6 +894,10 @@ impl CoalitionServer {
     /// request path with zero metrics work.
     pub fn set_metrics(&mut self, registry: Option<&MetricsRegistry>) {
         self.metrics = registry.map(ServerMetrics::resolve);
+        self.seen
+            .set_eviction_mirror(registry.map(|r| r.counter("server.replay.evictions")));
+        self.audit
+            .set_eviction_mirror(registry.map(|r| r.counter("server.audit.evictions")));
         // Counters in a fresh registry start at zero; mirror only activity
         // from this point on.
         self.memo_mirrored = self.engine.derivation_memo_stats().unwrap_or_default();
@@ -916,35 +919,7 @@ impl CoalitionServer {
     /// [`CoalitionError::JournalPoisoned`] when the journal append fails
     /// (the server fail-stops) or the server was already poisoned.
     pub fn set_derivation_memo(&mut self, on: bool) -> Result<(), CoalitionError> {
-        self.touch();
-        self.journal_append(&JournalRecord::Config(
-            ConfigKind::DerivationMemo,
-            i64::from(on),
-        ))?;
-        self.engine.set_derivation_memo(on);
-        self.memo_mirrored = MemoStats::default();
-        Ok(())
-    }
-
-    /// Bounds the derivation memo (`None` = unbounded); no-op when off.
-    ///
-    /// # Errors
-    ///
-    /// [`CoalitionError::JournalPoisoned`] when the journal append fails
-    /// (the server fail-stops) or the server was already poisoned.
-    pub fn set_derivation_memo_capacity(
-        &mut self,
-        capacity: Option<usize>,
-    ) -> Result<(), CoalitionError> {
-        self.touch();
-        let encoded = capacity.and_then(|c| i64::try_from(c).ok()).unwrap_or(-1);
-        self.journal_append(&JournalRecord::Config(
-            ConfigKind::DerivationMemoCapacity,
-            encoded,
-        ))?;
-        self.memo_capacity = capacity;
-        self.engine.set_derivation_memo_capacity(capacity);
-        Ok(())
+        self.configure(ConfigKind::DerivationMemo, i64::from(on))
     }
 
     /// Derivation-memo statistics, `None` when the memo is off.
@@ -959,44 +934,30 @@ impl CoalitionServer {
         self.engine.interner_stats()
     }
 
-    /// Re-bounds the replay-protection `seen` map (default
-    /// [`DEFAULT_REPLAY_CAPACITY`]), evicting oldest decisions immediately
-    /// if the new bound is already exceeded.
-    ///
-    /// # Errors
-    ///
-    /// [`CoalitionError::JournalPoisoned`] when the journal append fails
-    /// (the server fail-stops) or the server was already poisoned.
-    pub fn set_replay_protection_capacity(
-        &mut self,
-        capacity: usize,
-    ) -> Result<(), CoalitionError> {
-        self.touch();
-        self.journal_append(&JournalRecord::Config(
-            ConfigKind::ReplayCapacity,
-            i64::try_from(capacity).unwrap_or(i64::MAX),
-        ))?;
-        self.seen_capacity = capacity.max(1);
-        self.trim_seen();
-        Ok(())
-    }
-
-    /// Applies one [`CapacityConfig`] across every bounded structure: the
-    /// replay window, audit log, verification cache, derivation memo, and
-    /// (when a [`CertStore`] is attached) the cold-tier page budget. Each
-    /// bound goes through its journaled setter, so recovery rebuilds the
-    /// same sizing.
+    /// Sizes every bounded structure from one [`CapacityConfig`] — the only
+    /// way to size a server: the replay window and audit log (oldest first
+    /// past the bound), the verification cache (`None` = crate default,
+    /// applied to the live cache at once and to any cache created later),
+    /// the derivation memo (only when `Some`), and, when a [`CertStore`] is
+    /// attached, its cold-tier page budget. Each journaled bound is its own
+    /// `Config` record, so recovery rebuilds the same sizing.
     ///
     /// # Errors
     ///
     /// [`CoalitionError::JournalPoisoned`] when a journal append fails
     /// (the server fail-stops) or the server was already poisoned.
     pub fn apply_capacity_config(&mut self, config: &CapacityConfig) -> Result<(), CoalitionError> {
-        self.set_replay_protection_capacity(config.replay)?;
-        self.set_audit_capacity(config.audit)?;
-        self.set_verify_cache_capacity(config.verify_cache)?;
+        self.configure(ConfigKind::ReplayCapacity, encode_bound(config.replay))?;
+        self.configure(ConfigKind::AuditCapacity, encode_bound(config.audit))?;
+        self.configure(
+            ConfigKind::VerifyCacheCapacity,
+            encode_optional_bound(config.verify_cache),
+        )?;
         if config.derivation_memo.is_some() {
-            self.set_derivation_memo_capacity(config.derivation_memo)?;
+            self.configure(
+                ConfigKind::DerivationMemoCapacity,
+                encode_optional_bound(config.derivation_memo),
+            )?;
         }
         if let (Some(pages), Some(cs)) = (config.store_cache_pages, &self.cert_store) {
             cs.set_cache_pages(pages);
@@ -1004,30 +965,18 @@ impl CoalitionServer {
         Ok(())
     }
 
-    /// Re-bounds the audit log (default [`DEFAULT_AUDIT_CAPACITY`]),
-    /// rotating out oldest lines immediately if the new bound is already
-    /// exceeded.
-    ///
-    /// # Errors
-    ///
-    /// [`CoalitionError::JournalPoisoned`] when the journal append fails
-    /// (the server fail-stops) or the server was already poisoned.
-    pub fn set_audit_capacity(&mut self, capacity: usize) -> Result<(), CoalitionError> {
-        self.touch();
-        self.journal_append(&JournalRecord::Config(
-            ConfigKind::AuditCapacity,
-            i64::try_from(capacity).unwrap_or(i64::MAX),
-        ))?;
-        self.audit_capacity = capacity.max(1);
-        self.trim_audit();
-        Ok(())
+    /// The journaled sizing in force (`store_cache_pages` is forwarded to
+    /// the attached store, not kept, so it reads `None`).
+    #[must_use]
+    pub fn capacity_config(&self) -> CapacityConfig {
+        self.capacities
     }
 
-    /// Audit lines rotated out so far (the log is bounded; see
-    /// [`CoalitionServer::set_audit_capacity`]).
+    /// Audit lines rotated out so far (the log is bounded at
+    /// [`CapacityConfig::audit`]).
     #[must_use]
     pub fn audit_evictions(&self) -> u64 {
-        self.audit_evicted
+        self.audit.evictions()
     }
 
     /// Remembered replay decisions (for capacity tests).
@@ -1053,13 +1002,7 @@ impl CoalitionServer {
     /// [`CoalitionError::JournalPoisoned`] when the journal append fails
     /// (the server fail-stops) or the server was already poisoned.
     pub fn set_replay_protection(&mut self, on: bool) -> Result<(), CoalitionError> {
-        self.touch();
-        self.journal_append(&JournalRecord::Config(
-            ConfigKind::ReplayProtection,
-            i64::from(on),
-        ))?;
-        self.replay_protection = on;
-        Ok(())
+        self.configure(ConfigKind::ReplayProtection, i64::from(on))
     }
 
     /// Requires revocation information (a CRL) no older than `window`
@@ -1072,10 +1015,7 @@ impl CoalitionServer {
     /// [`CoalitionError::JournalPoisoned`] when the journal append fails
     /// (the server fail-stops) or the server was already poisoned.
     pub fn set_revocation_recency(&mut self, window: i64) -> Result<(), CoalitionError> {
-        self.touch();
-        self.journal_append(&JournalRecord::Config(ConfigKind::RecencyWindow, window))?;
-        self.revocation_recency = Some(window);
-        Ok(())
+        self.configure(ConfigKind::RecencyWindow, window)
     }
 
     /// Admits a CRL: verifies it, rejects sequence rollback, feeds every
@@ -1124,7 +1064,7 @@ impl CoalitionServer {
     /// The audit log (most recent entries; bounded, oldest rotate out).
     #[must_use]
     pub fn audit_log(&self) -> &VecDeque<AuditEntry> {
-        &self.audit
+        self.audit.as_deque()
     }
 
     /// Direct engine access (used by soundness integration tests).
@@ -1218,7 +1158,7 @@ impl CoalitionServer {
             // already poisoned): fail-stop and shed instead of recording.
             return self.shed_decision(principals, operation, ShedReason::JournalPoisoned, e);
         }
-        self.push_audit(AuditEntry {
+        self.audit.push(AuditEntry {
             at: self.engine.now(),
             principals,
             operation,
@@ -1252,7 +1192,7 @@ impl CoalitionServer {
         detail: impl core::fmt::Display,
     ) -> ServerDecision {
         let detail = detail.to_string();
-        self.push_audit(AuditEntry {
+        self.audit.push(AuditEntry {
             at: self.engine.now(),
             principals,
             operation,
@@ -1660,7 +1600,7 @@ impl CoalitionServer {
         // Pre-logic deadline gate: runs before `authorize_verified` touches
         // the belief engine, so a shed decision structurally cannot
         // populate the derivation memo, admit certificates, or bump the
-        // epoch — and below, before `insert_seen`, so it is never replayed.
+        // epoch — and below, before the replay window insert, so it is never replayed.
         if req.deadline.is_some_and(|d| Instant::now() >= d) {
             return self.shed_request(
                 req,
@@ -1780,7 +1720,7 @@ impl CoalitionServer {
                 response = key.encrypt(&mut self.rng, &obj.content).ok();
             }
         }
-        self.push_audit(AuditEntry {
+        self.audit.push(AuditEntry {
             at: self.engine.now(),
             principals: req.statements.iter().map(|s| s.principal.clone()).collect(),
             operation: req.operation.clone(),
@@ -1811,10 +1751,7 @@ impl CoalitionServer {
         }
         self.mirror_logic_instruments();
         if let Some(digest) = digest {
-            if self.seen.insert(digest.clone(), decision.clone()).is_none() {
-                self.seen_order.push_back(digest);
-            }
-            self.trim_seen();
+            self.seen.insert(digest, decision.clone());
         }
         decision
     }
@@ -1851,49 +1788,6 @@ impl CoalitionServer {
         m.interner_subjects.set(as_i64(interner.subjects));
         m.interner_messages.set(as_i64(interner.messages));
         m.interner_formulas.set(as_i64(interner.formulas));
-    }
-
-    /// Evicts oldest remembered decisions past the replay capacity. A
-    /// dropped digest makes that request *re-processable* (it gets a fresh,
-    /// identical decision and a second audit line), never wrongly replayed
-    /// — the bound trades a little duplicate work for flat memory.
-    fn trim_seen(&mut self) {
-        while self.seen.len() > self.seen_capacity {
-            let Some(old) = self.seen_order.pop_front() else {
-                break;
-            };
-            if self.seen.remove(&old).is_some() {
-                if let Some(m) = &self.metrics {
-                    m.replay_evictions.inc();
-                }
-            }
-        }
-    }
-
-    /// Remembers a replay-protection decision under its digest, evicting
-    /// past capacity.
-    fn insert_seen(&mut self, digest: String, decision: ServerDecision) {
-        if self.seen.insert(digest.clone(), decision).is_none() {
-            self.seen_order.push_back(digest);
-        }
-        self.trim_seen();
-    }
-
-    /// Appends an audit line, rotating out the oldest past capacity.
-    fn push_audit(&mut self, entry: AuditEntry) {
-        self.audit.push_back(entry);
-        self.trim_audit();
-    }
-
-    /// Rotates out oldest audit lines past the capacity bound.
-    fn trim_audit(&mut self) {
-        while self.audit.len() > self.audit_capacity {
-            self.audit.pop_front();
-            self.audit_evicted += 1;
-            if let Some(m) = &self.metrics {
-                m.audit_evictions.inc();
-            }
-        }
     }
 
     /// The write-ahead step of every belief-changing mutation: encodes and
@@ -2048,11 +1942,11 @@ impl CoalitionServer {
             ),
             JournalRecord::Config(
                 ConfigKind::ReplayCapacity,
-                i64::try_from(self.seen_capacity).unwrap_or(i64::MAX),
+                encode_bound(self.capacities.replay),
             ),
             JournalRecord::Config(
                 ConfigKind::AuditCapacity,
-                i64::try_from(self.audit_capacity).unwrap_or(i64::MAX),
+                encode_bound(self.capacities.audit),
             ),
             JournalRecord::Config(
                 ConfigKind::VerifyCache,
@@ -2065,17 +1959,13 @@ impl CoalitionServer {
         if memo_on {
             records.push(JournalRecord::Config(
                 ConfigKind::DerivationMemoCapacity,
-                self.memo_capacity
-                    .and_then(|c| i64::try_from(c).ok())
-                    .unwrap_or(-1),
+                encode_optional_bound(self.capacities.derivation_memo),
             ));
         }
         if self.verify_cache.is_some() {
             records.push(JournalRecord::Config(
                 ConfigKind::VerifyCacheCapacity,
-                self.verify_cache_capacity
-                    .and_then(|c| i64::try_from(c).ok())
-                    .unwrap_or(-1),
+                encode_optional_bound(self.capacities.verify_cache),
             ));
         }
         if let Some(window) = self.revocation_recency {
@@ -2101,7 +1991,7 @@ impl CoalitionServer {
         // bumps they caused are already folded into the object states).
         // Shed lines are volatile Indeterminate outcomes — journal-cheap by
         // contract — and do not survive compaction.
-        for entry in self.audit.iter().filter(|e| e.shed.is_none()) {
+        for entry in self.audit.as_deque().iter().filter(|e| e.shed.is_none()) {
             records.push(JournalRecord::Decision(DecisionRecord {
                 at: entry.at,
                 principals: entry.principals.clone(),
@@ -2117,18 +2007,16 @@ impl CoalitionServer {
                 replay_digest: None,
             }));
         }
-        for digest in &self.seen_order {
-            if let Some(d) = self.seen.get(digest) {
-                records.push(JournalRecord::ReplaySeen(ReplayRecord {
-                    digest: digest.clone(),
-                    granted: d.granted,
-                    detail: d.detail.clone(),
-                    axioms: d.axiom_applications,
-                    signature_checks: d.signature_checks,
-                    cached_signature_checks: d.cached_signature_checks,
-                    unavailable: d.unavailable,
-                }));
-            }
+        for (digest, d) in self.seen.iter() {
+            records.push(JournalRecord::ReplaySeen(ReplayRecord {
+                digest: digest.clone(),
+                granted: d.granted,
+                detail: d.detail.clone(),
+                axioms: d.axiom_applications,
+                signature_checks: d.signature_checks,
+                cached_signature_checks: d.cached_signature_checks,
+                unavailable: d.unavailable,
+            }));
         }
         if let Err(e) = self
             .journal
@@ -2187,14 +2075,7 @@ impl CoalitionServer {
         server.engine.invalidate_derived_state();
         if server.verify_cache.is_some() {
             // Restart empty, but at the journaled capacity bound.
-            let cache = match server.verify_cache_capacity {
-                Some(capacity) => VerifyCache::with_capacity(Some(capacity)),
-                None => VerifyCache::new(),
-            };
-            if let Some(m) = &server.metrics {
-                cache.set_metrics(Some(&m.registry));
-            }
-            server.verify_cache = Some(cache);
+            server.verify_cache = Some(server.fresh_verify_cache());
         }
         journal.set_admissions(admissions);
         server.journal = Some(journal);
@@ -2215,7 +2096,7 @@ impl CoalitionServer {
     fn apply_record(&mut self, record: JournalRecord) -> Result<(), CoalitionError> {
         match record {
             JournalRecord::ClockAdvance(to) => self.advance_clock(to)?,
-            JournalRecord::Config(kind, value) => self.apply_config(kind, value)?,
+            JournalRecord::Config(kind, value) => self.configure(kind, value)?,
             JournalRecord::ObjectAdded { name, acl } => self.add_object(name, acl)?,
             JournalRecord::AclSet { name, acl } => self.set_acl(&name, acl)?,
             JournalRecord::ContentSet { name, content } => self.set_content(&name, content)?,
@@ -2269,35 +2150,10 @@ impl CoalitionServer {
                     unavailable: r.unavailable,
                     shed: None,
                 };
-                self.insert_seen(r.digest, decision);
+                self.seen.insert(r.digest, decision);
             }
         }
         Ok(())
-    }
-
-    /// Applies a replayed configuration record via the public setters
-    /// (which do not re-journal: no journal is attached during replay).
-    fn apply_config(&mut self, kind: ConfigKind, value: i64) -> Result<(), CoalitionError> {
-        let as_capacity = || usize::try_from(value).unwrap_or(usize::MAX);
-        match kind {
-            ConfigKind::LogicChecking => self.set_logic_checking(value != 0),
-            ConfigKind::ReplayProtection => self.set_replay_protection(value != 0),
-            ConfigKind::ReplayCapacity => self.set_replay_protection_capacity(as_capacity()),
-            ConfigKind::AuditCapacity => self.set_audit_capacity(as_capacity()),
-            ConfigKind::VerifyCache => self.set_verification_cache(value != 0),
-            ConfigKind::DerivationMemo => self.set_derivation_memo(value != 0),
-            ConfigKind::RecencyWindow => self.set_revocation_recency(value),
-            ConfigKind::DerivationMemoCapacity => {
-                let capacity = (value >= 0).then(|| usize::try_from(value).unwrap_or(usize::MAX));
-                self.set_derivation_memo_capacity(capacity)
-            }
-            ConfigKind::VerifyCacheCapacity => {
-                let capacity = (value >= 0).then(|| usize::try_from(value).unwrap_or(usize::MAX));
-                self.set_verify_cache_capacity(capacity)
-            }
-            ConfigKind::CryptoPrecomp => self.set_crypto_precomp(value != 0),
-            ConfigKind::BatchVerify => self.set_batch_verify(value != 0),
-        }
     }
 
     /// Re-verifies and re-admits a journaled request's certificates in the
@@ -2368,9 +2224,9 @@ impl CoalitionServer {
                 unavailable: d.unavailable,
                 shed: None,
             };
-            self.insert_seen(digest, decision);
+            self.seen.insert(digest, decision);
         }
-        self.push_audit(AuditEntry {
+        self.audit.push(AuditEntry {
             at: d.at,
             principals: d.principals,
             operation: d.operation,

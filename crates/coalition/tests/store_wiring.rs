@@ -103,16 +103,24 @@ fn capacity_config_round_trips_through_the_journal() {
     server.set_verification_cache(true).expect("config");
     let cfg = CapacityConfig::million_principals();
     server.apply_capacity_config(&cfg).expect("config");
-    assert_eq!(server.verify_cache_capacity(), Some(65_536));
+    assert_eq!(server.capacity_config().verify_cache, Some(65_536));
 
     let (recovered, report) =
         CoalitionServer::recover("P", TrustStore::new(Time(0)), Box::new(medium)).expect("recover");
     assert!(report.records_replayed > 0);
     assert_eq!(
-        recovered.verify_cache_capacity(),
+        recovered.capacity_config().verify_cache,
         Some(65_536),
         "verify-cache bound must survive crash recovery"
     );
+    // Every journaled bound comes back; the store page budget is
+    // forwarded to an attached store, never kept.
+    let journaled = CapacityConfig {
+        store_cache_pages: None,
+        ..cfg
+    };
+    assert_eq!(server.capacity_config(), journaled);
+    assert_eq!(recovered.capacity_config(), journaled);
 }
 
 #[test]
@@ -120,5 +128,6 @@ fn default_capacity_config_reproduces_historical_defaults() {
     let cfg = CapacityConfig::default();
     let mut server = CoalitionServer::new("P", TrustStore::new(Time(0)));
     server.apply_capacity_config(&cfg).expect("config");
-    assert_eq!(server.verify_cache_capacity(), None);
+    assert_eq!(server.capacity_config().verify_cache, None);
+    assert_eq!(server.capacity_config(), cfg);
 }

@@ -251,11 +251,12 @@ fn requestor_side_timeout(
     msg: &[u8],
     timeout: std::time::Duration,
 ) -> Result<Option<RsaSignature>, CryptoError> {
+    // Best effort: an offline co-signer may already have left the mesh.
+    // Quorum (here: everyone) is judged on the shares that come back.
     ep.broadcast(JointMsg::Request {
         msg: msg.to_vec(),
         key_id: public.key_id(),
-    })
-    .map_err(|e| CryptoError::Protocol(format!("network: {e}")))?;
+    });
     let mut shares = vec![produce_share(my_share, msg)?];
     let deadline = std::time::Instant::now() + timeout;
     while shares.len() < ep.n() {
@@ -309,9 +310,12 @@ fn cosigner_side_timeout(
         return Ok(());
     }
     let share = produce_share(my_share, &msg)?;
-    ep.send(requestor, JointMsg::Share(share.value))
-        .map_err(|e| CryptoError::Protocol(format!("network: {e}")))?;
-    Ok(())
+    // A requestor that already gave up (timeout, refusal) has left the
+    // mesh; a reply it will never read is not the co-signer's failure.
+    match ep.send(requestor, JointMsg::Share(share.value)) {
+        Ok(()) | Err(jaap_net::NetError::Disconnected) => Ok(()),
+        Err(e) => Err(CryptoError::Protocol(format!("network: {e}"))),
+    }
 }
 
 #[cfg(test)]

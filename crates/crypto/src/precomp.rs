@@ -15,19 +15,20 @@
 //!   `e = 2¹⁶ + 1` collapses to two Montgomery multiplies and zero
 //!   squarings.
 //!
-//! Both maps are bounded with insertion-order eviction and guarded by
-//! plain mutexes — entries are built once and then shared as `Arc`s, so
+//! Both maps are [`FifoMap`]s (bounded, insertion-order eviction) guarded
+//! by plain mutexes — entries are built once and then shared as `Arc`s, so
 //! the critical sections are a hash lookup, never a bignum operation.
 //! Correctness does not depend on invalidation: a cache key commits to
 //! the full `(N, e)` (resp. the residue value and its modulus context),
 //! so a trust-store swap or key rotation simply hashes to different
 //! entries — a stale table can never be *served*, only evicted.
 
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use jaap_bigint::{FixedBaseWindow, MontgomeryContext, Nat};
+use jaap_obs::bounded::FifoMap;
+use jaap_obs::Counter;
 
 use crate::sha256::Sha256;
 
@@ -58,14 +59,25 @@ fn base_digest(base: &Nat) -> Digest {
 }
 
 /// Hit/miss counters shared between the front map and every
-/// [`ModulusPrecomp`] it hands out (so eviction never loses counts).
+/// [`ModulusPrecomp`] it hands out (so eviction never loses counts). Every
+/// map mirrors its evictions into the one shared `evictions` counter.
 #[derive(Debug, Default)]
 struct Counters {
     ctx_hits: AtomicU64,
     ctx_misses: AtomicU64,
     window_hits: AtomicU64,
     window_misses: AtomicU64,
-    evictions: AtomicU64,
+    evictions: Arc<Counter>,
+}
+
+impl Counters {
+    /// An empty map bounded at `capacity` (clamped to at least 1) whose
+    /// evictions count into the shared counter.
+    fn bounded<V>(&self, capacity: usize) -> FifoMap<Digest, V> {
+        let mut map = FifoMap::new(Some(capacity.max(1)));
+        map.set_eviction_mirror(Some(Arc::clone(&self.evictions)));
+        map
+    }
 }
 
 /// A point-in-time snapshot of the cache counters.
@@ -92,50 +104,6 @@ impl PrecompStats {
     }
 }
 
-/// Bounded insertion-order map: the shape of every cache in this codebase
-/// (cf. the coalition `VerifyCache`), small enough to inline here.
-#[derive(Debug)]
-struct Bounded<V> {
-    entries: HashMap<Digest, V>,
-    order: VecDeque<Digest>,
-    capacity: usize,
-}
-
-impl<V> Bounded<V> {
-    fn new(capacity: usize) -> Self {
-        Bounded {
-            entries: HashMap::new(),
-            order: VecDeque::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn get(&self, k: &Digest) -> Option<&V> {
-        self.entries.get(k)
-    }
-
-    /// Inserts, evicting oldest entries over capacity; returns evictions.
-    fn insert(&mut self, k: Digest, v: V) -> u64 {
-        if self.entries.insert(k, v).is_none() {
-            self.order.push_back(k);
-        }
-        let mut evicted = 0;
-        while self.entries.len() > self.capacity {
-            let Some(old) = self.order.pop_front() else {
-                break;
-            };
-            if self.entries.remove(&old).is_some() {
-                evicted += 1;
-            }
-        }
-        evicted
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
-
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -145,7 +113,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// certificate verification on the snapshot path shares one instance.
 #[derive(Debug)]
 pub struct VerifierPrecomp {
-    moduli: Mutex<Bounded<Arc<ModulusPrecomp>>>,
+    moduli: Mutex<FifoMap<Digest, Arc<ModulusPrecomp>>>,
     window_capacity: usize,
     counters: Arc<Counters>,
 }
@@ -167,10 +135,11 @@ impl VerifierPrecomp {
     /// modulus (each bound is clamped to at least 1).
     #[must_use]
     pub fn with_capacity(moduli: usize, windows: usize) -> Self {
+        let counters = Arc::new(Counters::default());
         VerifierPrecomp {
-            moduli: Mutex::new(Bounded::new(moduli)),
-            window_capacity: windows.max(1),
-            counters: Arc::new(Counters::default()),
+            moduli: Mutex::new(counters.bounded(moduli)),
+            window_capacity: windows,
+            counters,
         }
     }
 
@@ -192,7 +161,7 @@ impl VerifierPrecomp {
         let mp = Arc::new(ModulusPrecomp {
             ctx,
             e: e.clone(),
-            windows: Mutex::new(Bounded::new(self.window_capacity)),
+            windows: Mutex::new(self.counters.bounded(self.window_capacity)),
             counters: Arc::clone(&self.counters),
         });
         self.counters.ctx_misses.fetch_add(1, Ordering::Relaxed);
@@ -202,10 +171,7 @@ impl VerifierPrecomp {
         if let Some(existing) = map.get(&digest) {
             return Some(Arc::clone(existing));
         }
-        let evicted = map.insert(digest, Arc::clone(&mp));
-        self.counters
-            .evictions
-            .fetch_add(evicted, Ordering::Relaxed);
+        map.insert(digest, Arc::clone(&mp));
         Some(mp)
     }
 
@@ -223,7 +189,7 @@ impl VerifierPrecomp {
             ctx_misses: self.counters.ctx_misses.load(Ordering::Relaxed),
             window_hits: self.counters.window_hits.load(Ordering::Relaxed),
             window_misses: self.counters.window_misses.load(Ordering::Relaxed),
-            evictions: self.counters.evictions.load(Ordering::Relaxed),
+            evictions: self.counters.evictions.get(),
         }
     }
 }
@@ -234,7 +200,7 @@ impl VerifierPrecomp {
 pub struct ModulusPrecomp {
     ctx: MontgomeryContext,
     e: Nat,
-    windows: Mutex<Bounded<Arc<FixedBaseWindow>>>,
+    windows: Mutex<FifoMap<Digest, Arc<FixedBaseWindow>>>,
     counters: Arc<Counters>,
 }
 
@@ -245,11 +211,12 @@ impl ModulusPrecomp {
     /// the Montgomery domain.
     #[must_use]
     pub fn standalone(n: &Nat, e: &Nat) -> Option<Self> {
+        let counters = Arc::new(Counters::default());
         Some(ModulusPrecomp {
             ctx: MontgomeryContext::new(n)?,
             e: e.clone(),
-            windows: Mutex::new(Bounded::new(4)),
-            counters: Arc::new(Counters::default()),
+            windows: Mutex::new(counters.bounded(4)),
+            counters,
         })
     }
 
@@ -290,10 +257,7 @@ impl ModulusPrecomp {
         if let Some(existing) = map.get(&digest) {
             return Arc::clone(existing);
         }
-        let evicted = map.insert(digest, Arc::clone(&win));
-        self.counters
-            .evictions
-            .fetch_add(evicted, Ordering::Relaxed);
+        map.insert(digest, Arc::clone(&win));
         win
     }
 

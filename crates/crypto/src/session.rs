@@ -652,17 +652,20 @@ fn cosign(
     }
 }
 
-/// Sends, treating network-level errors as fatal but fault-plan suppression
-/// as normal (the sender cannot tell, by design).
+/// Sends, treating fault-plan suppression and a departed peer as a lost
+/// message (the retry/failover schedule covers both) and any other
+/// network-level error as fatal.
 fn send_lossy(ep: &Endpoint<SessionMsg>, to: usize, msg: SessionMsg) -> Result<(), CryptoError> {
-    ep.send(PartyId(to), msg)
-        .map_err(|e| CryptoError::Protocol(format!("network: {e}")))
+    match ep.send(PartyId(to), msg) {
+        Ok(()) | Err(NetError::Disconnected) => Ok(()),
+        Err(e) => Err(CryptoError::Protocol(format!("network: {e}"))),
+    }
 }
 
 /// Tells every co-signer the session is over (best effort — losses are
 /// covered by the co-signers' own deadline).
 fn break_session(ep: &Endpoint<SessionMsg>) {
-    let _ = ep.broadcast(SessionMsg::Done);
+    ep.broadcast(SessionMsg::Done);
 }
 
 #[cfg(test)]

@@ -389,8 +389,7 @@ fn keygen_party(
             -Int::from_nat(&p_share + &q_share)
         };
         let my_phi_mod_e = phi_share.rem_euclid(&e).to_u64().expect("residue < e");
-        ep.broadcast(KeygenMsg::PhiModE(my_phi_mod_e))
-            .map_err(net_err)?;
+        broadcast_all(ep, KeygenMsg::PhiModE(my_phi_mod_e))?;
         let mut phi_mod_e = my_phi_mod_e;
         for payload in gather(ep)? {
             let KeygenMsg::PhiModE(v) = payload else {
@@ -416,8 +415,7 @@ fn keygen_party(
         // test signature, and self-check the key.
         let h = fdh::encode(CALIBRATION_MESSAGE, &modulus);
         let my_sig_share = apply_share(&d_share, &h, &modulus)?;
-        ep.broadcast(KeygenMsg::CalibShare(my_sig_share.clone()))
-            .map_err(net_err)?;
+        broadcast_all(ep, KeygenMsg::CalibShare(my_sig_share.clone()))?;
         let mut product = my_sig_share;
         for payload in gather(ep)? {
             let KeygenMsg::CalibShare(v) = payload else {
@@ -521,8 +519,7 @@ fn sample_sieved_share(
             let mine = share.div_rem_u64(r).1;
             residues.push((mine + blind[k]) % r);
         }
-        ep.broadcast(KeygenMsg::SieveResidues(residues.clone()))
-            .map_err(net_err)?;
+        broadcast_all(ep, KeygenMsg::SieveResidues(residues.clone()))?;
         let mut totals = residues;
         for payload in gather(ep)? {
             let KeygenMsg::SieveResidues(vs) = payload else {
@@ -574,8 +571,7 @@ fn bgw_multiply(
         q_point = q_point.addm(&qs, field_p);
     }
     let my_product = p_point.mulm(&q_point, field_p);
-    ep.broadcast(KeygenMsg::BgwProduct(my_product.clone()))
-        .map_err(net_err)?;
+    broadcast_all(ep, KeygenMsg::BgwProduct(my_product.clone()))?;
     let mut points = vec![FieldShare {
         index: me,
         value: my_product,
@@ -639,8 +635,7 @@ fn biprimality_test(
                     break candidate;
                 }
             };
-            ep.broadcast(KeygenMsg::BiprimalityBase(g.clone()))
-                .map_err(net_err)?;
+            broadcast_all(ep, KeygenMsg::BiprimalityBase(g.clone()))?;
             g
         } else {
             let KeygenMsg::BiprimalityBase(g) = ep.recv_from(PartyId(0)).map_err(net_err)? else {
@@ -656,8 +651,7 @@ fn biprimality_test(
             (p_share + q_share).shr_bits(2)
         };
         let v = g.modpow(&exponent, modulus);
-        ep.broadcast(KeygenMsg::BiprimalityV(v.clone()))
-            .map_err(net_err)?;
+        broadcast_all(ep, KeygenMsg::BiprimalityV(v.clone()))?;
 
         // Everyone reconstructs v₀ and Π_{i≥1} vᵢ identically.
         let mut v0 = if leader { v.clone() } else { Nat::zero() };
@@ -710,6 +704,16 @@ fn gather_with_sender(
         out.push((PartyId(j), payload));
     }
     Ok(out)
+}
+
+/// Broadcasts to every peer. Keygen is n-of-n with blocking receives, so
+/// a peer that already left makes the round unfinishable: fail now
+/// rather than wait on it forever.
+fn broadcast_all(ep: &Endpoint<KeygenMsg>, msg: KeygenMsg) -> Result<(), CryptoError> {
+    if ep.broadcast(msg) + 1 < ep.n() {
+        return Err(net_err(jaap_net::NetError::Disconnected));
+    }
+    Ok(())
 }
 
 fn net_err(e: jaap_net::NetError) -> CryptoError {

@@ -266,18 +266,17 @@ impl<M: Clone + Debug + Send + 'static> Endpoint<M> {
         }
     }
 
-    /// Sends `payload` to every other party.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first delivery error; earlier sends are not rolled back.
-    pub fn broadcast(&self, payload: M) -> Result<(), NetError> {
-        for i in 0..self.n {
-            if i != self.id.0 {
-                self.send(PartyId(i), payload.clone())?;
-            }
-        }
-        Ok(())
+    /// Sends `payload` to every other party, best effort: a peer whose
+    /// endpoint is already gone is skipped — its departure is its own
+    /// business, not the sender's failure. Returns how many peers the
+    /// message was handed to (sends the fault plan then consumes count,
+    /// since the sender cannot tell them apart), so the caller judges
+    /// quorum.
+    pub fn broadcast(&self, payload: M) -> usize {
+        (0..self.n)
+            .filter(|&i| i != self.id.0)
+            .filter(|&i| self.send(PartyId(i), payload.clone()).is_ok())
+            .count()
     }
 
     /// Pops the first buffered message, in sender-id order.
@@ -470,10 +469,25 @@ mod tests {
     }
 
     #[test]
+    fn broadcast_skips_departed_peers() {
+        let (mut eps, _h) = Network::<u8>::mesh(3);
+        drop(eps.pop());
+        let mut survivors = eps.into_iter();
+        let sender = survivors.next().expect("party 0");
+        let mut receiver = survivors.next().expect("party 1");
+        assert_eq!(
+            sender.broadcast(7),
+            1,
+            "party 2 left; party 1 still gets it"
+        );
+        assert_eq!(receiver.recv().expect("delivered").payload, 7);
+    }
+
+    #[test]
     fn gather_round_collects_all_peers() {
         let (eps, _h) = Network::<usize>::mesh(4);
         let results = run_parties(eps, |mut ep| {
-            ep.broadcast(ep.id().0).expect("broadcast");
+            assert_eq!(ep.broadcast(ep.id().0), 3);
             ep.gather_round().expect("gather")
         });
         for (me, row) in results.iter().enumerate() {

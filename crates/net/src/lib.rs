@@ -27,7 +27,7 @@
 //!
 //! let (endpoints, handle) = Network::<u64>::mesh(3);
 //! let sums = run_parties(endpoints, |mut ep| {
-//!     ep.broadcast(ep.id().0 as u64 + 1).unwrap();
+//!     assert_eq!(ep.broadcast(ep.id().0 as u64 + 1), 2);
 //!     let mut sum = ep.id().0 as u64 + 1;
 //!     for _ in 0..ep.n() - 1 {
 //!         sum += ep.recv().unwrap().payload;

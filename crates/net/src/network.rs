@@ -1,10 +1,10 @@
 //! Network construction and the party-thread harness.
 
-use std::collections::VecDeque;
 use std::fmt::Debug;
 use std::sync::Arc;
 
 use crossbeam_channel::unbounded;
+use jaap_obs::bounded::Ring;
 use jaap_obs::{Counter, MetricsRegistry};
 use parking_lot::Mutex;
 
@@ -17,45 +17,6 @@ use crate::transcript::TranscriptEntry;
 /// evicted past this capacity and counted, matching the bounded-cache
 /// convention used by the verify and replay caches.
 pub const DEFAULT_TRANSCRIPT_CAPACITY: usize = 4096;
-
-/// Bounded transcript buffer: keeps the newest `capacity` entries,
-/// evicting oldest-first and counting what it dropped.
-#[derive(Debug)]
-pub(crate) struct TranscriptBuffer {
-    entries: VecDeque<TranscriptEntry>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl TranscriptBuffer {
-    fn new(capacity: usize) -> Self {
-        TranscriptBuffer {
-            entries: VecDeque::new(),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    pub(crate) fn push(&mut self, entry: TranscriptEntry) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        while self.entries.len() >= self.capacity {
-            self.entries.pop_front();
-            self.dropped += 1;
-        }
-        self.entries.push_back(entry);
-    }
-
-    fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        while self.entries.len() > self.capacity {
-            self.entries.pop_front();
-            self.dropped += 1;
-        }
-    }
-}
 
 /// Aggregate statistics for a network.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -91,7 +52,8 @@ pub(crate) struct LinkMetrics {
 pub(crate) struct Shared {
     pub(crate) seq: Mutex<u64>,
     pub(crate) stats: Mutex<NetworkStats>,
-    pub(crate) transcript: Mutex<TranscriptBuffer>,
+    /// The recorded transcript: the newest entries, oldest evicted first.
+    pub(crate) transcript: Mutex<Ring<TranscriptEntry>>,
     pub(crate) faults: Mutex<FaultRng>,
     pub(crate) plan: FaultPlan,
     /// Per-party outbound send attempts (drives the crash-stop schedule).
@@ -135,20 +97,14 @@ impl NetworkHandle {
     /// [`NetworkHandle::transcript_dropped`].
     #[must_use]
     pub fn transcript(&self) -> Vec<TranscriptEntry> {
-        self.shared
-            .transcript
-            .lock()
-            .entries
-            .iter()
-            .cloned()
-            .collect()
+        self.shared.transcript.lock().as_deque().clone().into()
     }
 
     /// Entries evicted (or refused, at capacity 0) from the bounded
     /// transcript buffer so far.
     #[must_use]
     pub fn transcript_dropped(&self) -> u64 {
-        self.shared.transcript.lock().dropped
+        self.shared.transcript.lock().evictions()
     }
 
     /// Re-bounds the transcript buffer, evicting oldest entries
@@ -284,7 +240,7 @@ impl<M: Clone + Debug + Send + 'static> Network<M> {
         let shared = Arc::new(Shared {
             seq: Mutex::new(0),
             stats: Mutex::new(NetworkStats::default()),
-            transcript: Mutex::new(TranscriptBuffer::new(DEFAULT_TRANSCRIPT_CAPACITY)),
+            transcript: Mutex::new(Ring::new(DEFAULT_TRANSCRIPT_CAPACITY)),
             faults: Mutex::new(FaultRng::new(faults.clone())),
             plan: faults,
             sent_by: Mutex::new(vec![0; n]),

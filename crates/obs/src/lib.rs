@@ -19,6 +19,9 @@
 //! * [`MetricsRegistry`] — a cheap-to-clone shared handle owning all named
 //!   instruments, exporting a deterministic JSON snapshot
 //!   ([`MetricsRegistry::to_json`]) with no external dependencies.
+//! * [`bounded`] — the one oldest-first eviction policy behind every
+//!   runtime cache and log ([`bounded::FifoMap`], [`bounded::Ring`]), each
+//!   counting its evictions into an optional [`Counter`] mirror.
 //!
 //! # Design constraints
 //!
@@ -46,6 +49,7 @@
 //! assert!(json.contains("\"server.decisions\":1"));
 //! ```
 
+pub mod bounded;
 mod instruments;
 mod registry;
 

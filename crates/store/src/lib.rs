@@ -326,13 +326,13 @@ impl Inner {
             }
             let Inner { store, pager, .. } = self;
             let misses_before = pager.misses;
-            let evictions_before = pager.evictions;
+            let evictions_before = pager.evictions();
             let started = std::time::Instant::now();
             let bytes = pager.read_span(store.as_ref(), loc.offset, u64::from(loc.len))?;
             let missed = pager.misses > misses_before;
             if let Some(m) = &self.metrics {
                 m.misses.add(pager.misses - misses_before);
-                m.page_evictions.add(pager.evictions - evictions_before);
+                m.page_evictions.add(pager.evictions() - evictions_before);
             }
             // Only reads that actually touched the medium (cache misses)
             // vote on its health; cached-page hits say nothing about it.

@@ -3,13 +3,12 @@
 //!
 //! The store never holds decoded rows in memory — the index maps keys to
 //! byte spans, and this pager materialises just the pages a lookup
-//! touches. Eviction is insertion-order FIFO (the same bounded-structure
-//! idiom as the server's verify cache): simple, allocation-light, and
-//! good enough because the hot working set above us is already served by
-//! the verify-cache/memo layers.
+//! touches. Eviction is insertion-order FIFO ([`FifoMap`], the container
+//! behind every runtime cache): simple, allocation-light, and good enough
+//! because the hot working set above us is already served by the
+//! verify-cache/memo layers.
 
-use std::collections::{HashMap, VecDeque};
-
+use jaap_obs::bounded::FifoMap;
 use jaap_wal::JournalStore;
 
 use crate::StoreError;
@@ -19,32 +18,29 @@ use crate::StoreError;
 pub(crate) struct Pager {
     /// Page size in bytes; spans are read page-by-page.
     page_size: u64,
-    /// Maximum resident full pages.
-    capacity: usize,
-    pages: HashMap<u64, Vec<u8>>,
-    /// Insertion order for FIFO eviction.
-    order: VecDeque<u64>,
+    /// Resident full pages by page number, bounded oldest-first.
+    pages: FifoMap<u64, Vec<u8>>,
     /// Cache misses (pages fetched from the store).
     pub misses: u64,
-    /// Pages evicted to stay within `capacity`.
-    pub evictions: u64,
 }
 
 impl Pager {
     pub(crate) fn new(page_size: u64, capacity: usize) -> Self {
         Pager {
             page_size: page_size.max(512),
-            capacity: capacity.max(1),
-            pages: HashMap::new(),
-            order: VecDeque::new(),
+            pages: FifoMap::new(Some(capacity.max(1))),
             misses: 0,
-            evictions: 0,
         }
     }
 
-    /// Bytes held by resident pages.
+    /// Pages evicted to stay within the page budget.
+    pub(crate) fn evictions(&self) -> u64 {
+        self.pages.evictions()
+    }
+
+    /// Bytes held by resident pages (only full pages are cached).
     pub(crate) fn resident_bytes(&self) -> u64 {
-        self.pages.values().map(|p| p.len() as u64).sum()
+        self.pages.len() as u64 * self.page_size
     }
 
     /// Resident page count.
@@ -54,21 +50,12 @@ impl Pager {
 
     /// Shrinks (or grows) the page budget, evicting immediately if over.
     pub(crate) fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity.max(1);
-        while self.pages.len() > self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.pages.remove(&old);
-                self.evictions += 1;
-            } else {
-                break;
-            }
-        }
+        self.pages.set_capacity(Some(capacity.max(1)));
     }
 
     /// Drops every resident page (after a compaction rewrites the log).
     pub(crate) fn clear(&mut self) {
         self.pages.clear();
-        self.order.clear();
     }
 
     /// Reads `[offset, offset+len)` from the flushed log through the page
@@ -112,14 +99,7 @@ impl Pager {
                 }
                 out.extend_from_slice(&page[in_page..in_page + want]);
                 if page.len() == self.page_size as usize {
-                    if self.pages.len() >= self.capacity {
-                        if let Some(old) = self.order.pop_front() {
-                            self.pages.remove(&old);
-                            self.evictions += 1;
-                        }
-                    }
                     self.pages.insert(page_no, page);
-                    self.order.push_back(page_no);
                 }
             }
             pos += want as u64;
@@ -157,7 +137,7 @@ mod tests {
         }
         assert_eq!(pager.resident_pages(), 2);
         assert_eq!(pager.resident_bytes(), 2 * 512);
-        assert_eq!(pager.evictions, 14);
+        assert_eq!(pager.evictions(), 14);
         assert_eq!(pager.misses, 16);
     }
 

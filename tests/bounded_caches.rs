@@ -1,5 +1,6 @@
-//! Eviction semantics of the two bounded server-side maps: the
-//! replay-protection `seen` map and the certificate [`VerifyCache`].
+//! Eviction semantics of the bounded server-side structures: the
+//! replay-protection `seen` map, the audit log and the certificate
+//! [`VerifyCache`], all sized through one journaled [`CapacityConfig`].
 //!
 //! The invariant under test: **bounding a cache never changes a
 //! decision**. Evicting a replay digest makes the request re-processable
@@ -11,8 +12,9 @@
 
 use jaap_coalition::cache::VerifyCache;
 use jaap_coalition::scenario::{Coalition, CoalitionBuilder};
+use jaap_coalition::server::CapacityConfig;
 use jaap_core::protocol::Operation;
-use jaap_core::syntax::Time;
+use jaap_core::syntax::{Message, Time};
 use proptest::prelude::*;
 
 fn coalition(seed: u64) -> Coalition {
@@ -22,6 +24,13 @@ fn coalition(seed: u64) -> Coalition {
         .seed(seed)
         .build()
         .expect("build")
+}
+
+/// Sizes `c`'s server through the one sizing path.
+fn size(c: &mut Coalition, config: CapacityConfig) {
+    c.server_mut()
+        .apply_capacity_config(&config)
+        .expect("config");
 }
 
 /// A duplicate delivery replays the remembered decision verbatim — but
@@ -54,9 +63,13 @@ fn revoked_request_is_replayed_until_evicted_then_reevaluated() {
     assert_eq!(registry.counter_value("server.replay.hits"), Some(1));
 
     // Push the digest out of the (now tiny) window...
-    c.server_mut()
-        .set_replay_protection_capacity(1)
-        .expect("config");
+    size(
+        &mut c,
+        CapacityConfig {
+            replay: 1,
+            ..CapacityConfig::default()
+        },
+    );
     for t in 30..32 {
         c.advance_time(Time(t)).expect("clock");
         let filler = c
@@ -91,7 +104,13 @@ fn revoked_request_is_replayed_until_evicted_then_reevaluated() {
 #[test]
 fn audit_log_rotates_oldest_first_past_capacity() {
     let mut c = coalition(0xB4);
-    c.server_mut().set_audit_capacity(3).expect("config");
+    size(
+        &mut c,
+        CapacityConfig {
+            audit: 3,
+            ..CapacityConfig::default()
+        },
+    );
     let registry = c.enable_metrics();
     for t in 0..7 {
         c.advance_time(Time(20 + t)).expect("clock");
@@ -107,7 +126,13 @@ fn audit_log_rotates_oldest_first_past_capacity() {
     assert_eq!(c.server().audit_evictions(), 4);
     assert_eq!(registry.counter_value("server.audit.evictions"), Some(4));
     // Shrinking the bound trims immediately.
-    c.server_mut().set_audit_capacity(1).expect("config");
+    size(
+        &mut c,
+        CapacityConfig {
+            audit: 1,
+            ..CapacityConfig::default()
+        },
+    );
     assert_eq!(c.server().audit_log().len(), 1);
     assert_eq!(c.server().audit_log()[0].at.0, 26);
     assert_eq!(c.server().audit_evictions(), 6);
@@ -117,9 +142,13 @@ fn audit_log_rotates_oldest_first_past_capacity() {
 fn seen_map_respects_capacity_under_pressure() {
     let mut c = coalition(0xB1);
     c.server_mut().set_replay_protection(true).expect("config");
-    c.server_mut()
-        .set_replay_protection_capacity(3)
-        .expect("config");
+    size(
+        &mut c,
+        CapacityConfig {
+            replay: 3,
+            ..CapacityConfig::default()
+        },
+    );
     let registry = c.enable_metrics();
     for t in 0..8 {
         c.advance_time(Time(20 + t)).expect("clock");
@@ -139,10 +168,13 @@ fn verify_cache_eviction_under_pressure_still_grants() {
     c.server_mut().set_verification_cache(true).expect("config");
     // Each write request presents 3 cacheable certificates (2 identity +
     // 1 threshold AC); capacity 2 forces evictions on every pass.
-    c.server()
-        .verification_cache()
-        .expect("cache on")
-        .set_capacity(Some(2));
+    size(
+        &mut c,
+        CapacityConfig {
+            verify_cache: Some(2),
+            ..CapacityConfig::default()
+        },
+    );
     for t in 0..4 {
         c.advance_time(Time(20 + t)).expect("clock");
         let d = c.request_write(&["User_D1", "User_D2"]).expect("write");
@@ -161,7 +193,7 @@ fn verify_cache_never_exceeds_capacity() {
     for i in 0..100 {
         cache.insert(
             (format!("digest-{i}"), "K".to_string()),
-            jaap_core::syntax::Message::data("m"),
+            Message::data("m"),
             Time(1_000),
             vec![],
             None,
@@ -170,6 +202,30 @@ fn verify_cache_never_exceeds_capacity() {
     let stats = cache.stats();
     assert_eq!(stats.entries, 8);
     assert_eq!(stats.evictions, 92);
+}
+
+/// A key invalidated and then inserted again is the *newest* entry, so
+/// FIFO eviction must take the older `b` first.
+#[test]
+fn reinserted_key_after_invalidation_is_evicted_in_fifo_order() {
+    let cache = VerifyCache::with_capacity(Some(2));
+    let key = |d: &str| (d.to_string(), "K".to_string());
+    let insert = |d: &str, subjects: Vec<String>| {
+        cache.insert(key(d), Message::data(d), Time(1_000), subjects, None);
+    };
+    insert("a", vec!["U".into()]);
+    assert_eq!(cache.invalidate_subject("U"), 1);
+    insert("b", vec![]);
+    insert("a", vec![]);
+    insert("c", vec![]);
+    assert_eq!(
+        cache.lookup(&key("b"), Time(0)),
+        None,
+        "b is the oldest live entry"
+    );
+    assert_eq!(cache.lookup(&key("a"), Time(0)), Some(Message::data("a")));
+    assert_eq!(cache.lookup(&key("c"), Time(0)), Some(Message::data("c")));
+    assert_eq!(cache.stats().evictions, 1);
 }
 
 proptest! {
@@ -194,17 +250,16 @@ proptest! {
             c.server_mut().set_replay_protection(true).expect("config");
             c.server_mut().set_verification_cache(true).expect("config");
         }
-        bounded.server_mut().set_replay_protection_capacity(1).expect("config");
-        bounded
-            .server()
-            .verification_cache()
-            .expect("cache on")
-            .set_capacity(Some(1));
-        unbounded
-            .server()
-            .verification_cache()
-            .expect("cache on")
-            .set_capacity(None);
+        size(&mut bounded, CapacityConfig {
+            replay: 1,
+            verify_cache: Some(1),
+            ..CapacityConfig::default()
+        });
+        // The unbounded twin: a verify-cache bound no schedule can reach.
+        size(&mut unbounded, CapacityConfig {
+            verify_cache: Some(usize::MAX),
+            ..CapacityConfig::default()
+        });
 
         for (i, &(a, b, read)) in schedule.iter().enumerate() {
             let t = Time(20 + i as i64);

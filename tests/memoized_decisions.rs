@@ -14,6 +14,7 @@
 //!   eviction, and evictions only cost re-derivation, never correctness.
 
 use jaap_coalition::scenario::{Coalition, CoalitionBuilder};
+use jaap_coalition::server::CapacityConfig;
 use jaap_core::protocol::Operation;
 use jaap_core::syntax::Time;
 use proptest::prelude::*;
@@ -102,7 +103,10 @@ fn memo_respects_capacity_and_eviction_only_costs_rederivation() {
     let mut c = coalition(0xE2);
     c.set_derivation_memo(true).expect("config");
     c.server_mut()
-        .set_derivation_memo_capacity(Some(1))
+        .apply_capacity_config(&CapacityConfig {
+            derivation_memo: Some(1),
+            ..CapacityConfig::default()
+        })
         .expect("config");
 
     let write = c
@@ -124,7 +128,10 @@ fn memo_respects_capacity_and_eviction_only_costs_rederivation() {
 
     // Zero capacity memoizes nothing and still decides correctly.
     c.server_mut()
-        .set_derivation_memo_capacity(Some(0))
+        .apply_capacity_config(&CapacityConfig {
+            derivation_memo: Some(0),
+            ..CapacityConfig::default()
+        })
         .expect("config");
     assert!(c.server_mut().handle_request(&write).granted);
     assert_eq!(
