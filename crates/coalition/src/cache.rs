@@ -5,8 +5,9 @@
 //! the standing threshold AC is presented unchanged until re-issued. Each
 //! presentation costs an RSA verification (`sig^e mod N`). The
 //! [`VerifyCache`] memoizes the verify-and-idealize step, keyed on the
-//! certificate digest × verifying-key id, so a byte-identical certificate
-//! checked once against the same trusted key is served from memory.
+//! certificate digest ([`jaap_pki::PresentedCert::cache_digest`]) ×
+//! verifying-key id, so a byte-identical certificate checked once against
+//! the same trusted key is served from memory.
 //!
 //! Soundness of reuse: the key includes a collision-resistant digest of the
 //! certificate body *and* signature, so a hit can only occur for a
@@ -37,11 +38,8 @@
 use std::sync::Arc;
 
 use jaap_core::syntax::{Message, Time};
-use jaap_crypto::sha256::{hex, Sha256};
 use jaap_obs::bounded::FifoMap;
 use jaap_obs::{Counter, MetricsRegistry};
-use jaap_pki::attribute::{AttributeCertificate, ThresholdAttributeCertificate};
-use jaap_pki::IdentityCertificate;
 use parking_lot::Mutex;
 
 /// Default bound on live cache entries. Generous for the coalition
@@ -277,55 +275,6 @@ impl VerifyCache {
             entries: inner.entries.len(),
         }
     }
-}
-
-fn digest(domain: &str, body: &[u8], sig: &jaap_bigint::Nat) -> String {
-    let mut h = Sha256::new();
-    h.update(domain.as_bytes());
-    h.update(body);
-    h.update(b"|");
-    h.update(&sig.to_bytes_be());
-    hex(&h.finalize())
-}
-
-/// Digest of an identity certificate (body + signature).
-#[must_use]
-pub fn identity_digest(cert: &IdentityCertificate) -> String {
-    let body = IdentityCertificate::body_bytes(
-        &cert.issuer,
-        &cert.subject,
-        &cert.subject_key,
-        cert.validity,
-        cert.timestamp,
-    );
-    digest("jaap-cache-identity", &body, cert.signature.value())
-}
-
-/// Digest of a threshold attribute certificate (body + signature).
-#[must_use]
-pub fn threshold_digest(cert: &ThresholdAttributeCertificate) -> String {
-    let body = ThresholdAttributeCertificate::body_bytes(
-        &cert.issuer,
-        &cert.subject,
-        &cert.group,
-        cert.validity,
-        cert.timestamp,
-    );
-    digest("jaap-cache-threshold", &body, cert.signature.value())
-}
-
-/// Digest of a single-subject attribute certificate (body + signature).
-#[must_use]
-pub fn attribute_digest(cert: &AttributeCertificate) -> String {
-    let body = AttributeCertificate::body_bytes(
-        &cert.issuer,
-        &cert.subject,
-        &cert.subject_key,
-        &cert.group,
-        cert.validity,
-        cert.timestamp,
-    );
-    digest("jaap-cache-attribute", &body, cert.signature.value())
 }
 
 #[cfg(test)]

@@ -35,16 +35,12 @@ use std::time::Instant;
 
 use jaap_core::syntax::Time;
 use jaap_obs::bounded::Ring;
-use jaap_obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use jaap_pki::TrustStore;
+use jaap_obs::{Counter, Gauge, MetricsRegistry};
 use jaap_store::CertStore;
 use parking_lot::Mutex;
 
-use crate::cache::VerifyCache;
 use crate::request::JointAccessRequest;
-use crate::server::{
-    crypto_verify, AuditEntry, CoalitionServer, CryptoOutcome, ServerDecision, ShedReason,
-};
+use crate::server::{AuditEntry, CoalitionServer, CryptoStage, ServerDecision, ShedReason};
 use crate::CoalitionError;
 
 /// How many optimistic attempts a decision makes before falling back to
@@ -99,23 +95,10 @@ impl Drop for InflightPermit<'_> {
 #[derive(Debug, Clone)]
 pub struct DecisionSnapshot {
     version: u64,
-    at: Time,
-    /// Stale-recency refusal precomputed at publish time: the recency
-    /// policy depends only on writer-side state (window, last CRL, clock),
-    /// all captured by `version`.
-    recency_refusal: Option<String>,
-    store: Arc<TrustStore>,
-    /// The live cache handle (internally synchronized and
-    /// revocation-invalidated); `None` when the cache is off.
-    verify_cache: Option<VerifyCache>,
-    /// Whether the crypto phase routes through the trust store's shared
-    /// fixed-base precomputation cache. The tables live *inside* `store`,
-    /// so they travel behind the same `Arc` as the keys they were derived
-    /// from — a store swap can never pair this snapshot with foreign
-    /// tables.
-    precomp: bool,
-    /// Pre-resolved crypto-latency histogram, when metrics are attached.
-    crypto_ns: Option<Arc<Histogram>>,
+    /// The crypto stage at publish time, stale-recency refusal included:
+    /// the recency policy depends only on writer-side state (window, last
+    /// CRL, clock), all captured by `version`.
+    crypto: CryptoStage,
     /// The persistent cert/CRL/ACL store handle (internally synchronized,
     /// cloneable), when one is attached. Travels with the snapshot so
     /// readers can page in cold certificate bodies without the writer
@@ -133,12 +116,7 @@ impl DecisionSnapshot {
         let store_epoch = cert_store.as_ref().map_or(0, CertStore::epoch);
         DecisionSnapshot {
             version: server.state_version(),
-            at: server.now(),
-            recency_refusal: server.recency_error(),
-            store: server.trust_store_handle(),
-            verify_cache: server.verify_cache_handle(),
-            precomp: server.crypto_precomp(),
-            crypto_ns: server.crypto_histogram(),
+            crypto: server.crypto_stage(),
             cert_store,
             store_epoch,
         }
@@ -165,28 +143,7 @@ impl DecisionSnapshot {
     /// The server clock captured at publish.
     #[must_use]
     pub fn at(&self) -> Time {
-        self.at
-    }
-
-    /// Runs the lock-free phase of a decision: the recency check and the
-    /// full crypto verification, against this snapshot's fixed state.
-    pub(crate) fn evaluate(&self, req: &JointAccessRequest) -> CryptoOutcome {
-        if let Some(detail) = &self.recency_refusal {
-            return CryptoOutcome::failed(detail.clone());
-        }
-        let t = self.crypto_ns.as_ref().map(|_| Instant::now());
-        let outcome = crypto_verify(
-            &self.store,
-            self.verify_cache.as_ref(),
-            self.at,
-            req,
-            self.precomp,
-            None,
-        );
-        if let (Some(h), Some(t)) = (&self.crypto_ns, t) {
-            h.record_duration(t.elapsed());
-        }
-        outcome
+        self.crypto.now
     }
 }
 
@@ -509,7 +466,7 @@ impl ConcurrentServer {
             let snapshot = reader.load();
             // Lock-free phase: recency + crypto against the immutable
             // snapshot. No writer can be blocked by this work.
-            let outcome = snapshot.evaluate(req);
+            let outcome = snapshot.crypto.evaluate(req, None);
             if attempt == 0 {
                 mid_crypto();
             }
@@ -527,7 +484,8 @@ impl ConcurrentServer {
             if server.state_version() == snapshot.version {
                 // Nothing changed since the snapshot: committing now is
                 // byte-identical to serial execution at this version.
-                let decision = server.finish_decision(req, outcome);
+                let digest = server.replay_digest(req);
+                let decision = server.finish_decision(req, outcome, digest);
                 // The tail itself may admit request certificates (bumping
                 // the engine epoch); republish so the next reader sees it.
                 if server.state_version() != snapshot.version {
@@ -558,6 +516,7 @@ mod tests {
     use super::*;
     use crate::scenario::CoalitionBuilder;
     use jaap_core::protocol::Operation;
+    use jaap_pki::TrustStore;
 
     fn coalition(seed: u64) -> crate::scenario::Coalition {
         CoalitionBuilder::new()

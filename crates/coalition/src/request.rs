@@ -13,7 +13,7 @@ use jaap_core::syntax::Time;
 use jaap_crypto::rsa::RsaSignature;
 use jaap_pki::attribute::{AttributeCertificate, ThresholdAttributeCertificate};
 use jaap_pki::encoding::Encoder;
-use jaap_pki::IdentityCertificate;
+use jaap_pki::{IdentityCertificate, PresentedCert};
 
 use crate::domain::UserAgent;
 use crate::CoalitionError;
@@ -73,6 +73,30 @@ impl JointAccessRequest {
         self.deadline = Some(deadline);
         self
     }
+
+    /// The presented certificates in §4.3 order ([`presented`]).
+    pub(crate) fn presented_certs(&self) -> impl Iterator<Item = PresentedCert<'_>> {
+        presented(
+            &self.identity_certs,
+            &self.threshold_certs,
+            &self.attribute_certs,
+        )
+    }
+}
+
+/// Presented certificates in §4.3 order: identity certificates (step 1),
+/// then threshold and single-subject attribute certificates (step 2). The
+/// crypto stage, the batch pre-pass and recovery all walk this one order.
+pub(crate) fn presented<'a>(
+    identity: &'a [IdentityCertificate],
+    threshold: &'a [ThresholdAttributeCertificate],
+    attribute: &'a [AttributeCertificate],
+) -> impl Iterator<Item = PresentedCert<'a>> {
+    identity
+        .iter()
+        .map(PresentedCert::Identity)
+        .chain(threshold.iter().map(PresentedCert::Threshold))
+        .chain(attribute.iter().map(PresentedCert::Attribute))
 }
 
 impl JointAccessRequest {

@@ -1,19 +1,33 @@
 //! The coalition server `P`: a reference monitor combining cryptographic
 //! verification with the §4.3 authorization protocol, plus an audit log.
 //!
-//! Verification pipeline for a joint access request:
+//! Every decision runs the same stages. The decision paths — serial
+//! ([`CoalitionServer::handle_request`]), batch
+//! ([`CoalitionServer::verify_batch`]) and lock-free concurrent
+//! ([`crate::concurrent::ConcurrentServer::decide`]) — differ only in
+//! where each stage runs:
 //!
-//! 1. **Crypto** — verify every certificate signature against the trusted
-//!    keys ([`jaap_pki::TrustStore`]) and every request-statement signature
-//!    against the key certified for its signer. This phase is a pure
-//!    function of the trust store and the request, so it can be memoized
-//!    (the optional [`VerifyCache`]) and fanned out across worker threads
-//!    ([`CoalitionServer::verify_batch`]).
-//! 2. **Logic** — idealize the verified certificates and run the four-step
-//!    authorization protocol ([`jaap_core::protocol::authorize`]), yielding
-//!    a machine-checkable derivation. This phase mutates the belief engine
-//!    and therefore always runs serially, in request order.
-//! 3. **ACL** — the object's ACL entry `(G, op)` is the final side
+//! 1. **Admission** — the fail-stop poison check, the pre-crypto
+//!    deadline gate and the replay-window lookup. The serial and batch
+//!    paths share one admission step; the concurrent path gates at
+//!    its own door and consults the replay window at commit.
+//! 2. **Crypto** (`CryptoStage::evaluate`) — the stale-recency refusal,
+//!    else verify and idealize every presented certificate, then verify
+//!    every request-statement signature against the key certified for
+//!    its signer. Identity, threshold and attribute certificates go
+//!    through one loop as [`jaap_pki::PresentedCert`]s, in §4.3 order,
+//!    via the optional [`VerifyCache`] and the one
+//!    [`jaap_pki::TrustStore::idealize`]. The stage is a pure function
+//!    of the trust store and the request, so it runs on worker threads
+//!    (batch) or off the writer lock (concurrent). A batch's pre-pass
+//!    hands it one positional voucher per certificate the pre-pass
+//!    already verified in a combined check.
+//! 3. **Logic** — run the four-step authorization protocol
+//!    ([`jaap_core::protocol::authorize`]) over the idealized
+//!    certificates, yielding a machine-checkable derivation. This stage
+//!    mutates the belief engine and therefore always runs serially, in
+//!    request order.
+//! 4. **ACL** — the object's ACL entry `(G, op)` is the final side
 //!    condition.
 //!
 //! The logic step can be disabled ([`CoalitionServer::set_logic_checking`])
@@ -28,14 +42,14 @@ use std::time::Instant;
 
 use jaap_core::engine::Engine;
 use jaap_core::protocol::{self, AccessRequest, Acl, Operation, SignedStatement};
-use jaap_core::syntax::Time;
+use jaap_core::syntax::{Message, Time};
 use jaap_core::{Derivation, MemoStats};
 use jaap_crypto::batch;
-use jaap_crypto::rsa::{RsaCiphertext, RsaPublicKey, RsaSignature};
+use jaap_crypto::rsa::{RsaCiphertext, RsaPublicKey};
 use jaap_obs::bounded::{FifoMap, Ring};
 use jaap_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use jaap_pki::attribute::AttributeRevocation;
-use jaap_pki::{key_name, IdentityRevocation, TrustStore};
+use jaap_pki::{key_name, IdentityRevocation, PkiError, PresentedCert, TrustStore};
 use jaap_store::CertStore;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -43,7 +57,7 @@ use rand::{RngCore, SeedableRng};
 use crate::cache::{self, VerifyCache};
 use crate::journal::{ConfigKind, DecisionRecord, JournalRecord, ReplayRecord, ServerJournal};
 use crate::pool::WorkerPool;
-use crate::request::{statement_bytes, JointAccessRequest};
+use crate::request::{presented, statement_bytes, JointAccessRequest};
 use crate::CoalitionError;
 
 /// A jointly owned coalition object: a name, an ACL, and a write-version
@@ -184,29 +198,17 @@ impl CryptoOutcome {
     }
 }
 
-/// Per-request view of the batch pre-pass
-/// ([`CoalitionServer::batch_precheck`]): which presented certificates
-/// were already vouched — screened by the combined small-exponents
-/// checks and confirmed by exact settlement or bisection. Vouchers
-/// are positional — the pre-pass inspected the exact artifact at that
-/// position — so the per-request phase does no hashing to consult them.
-/// A vouched certificate skips its individual verification inside
-/// [`crypto_verify`] but still counts toward `signature_checks` (the
-/// check happened — in a batch), so decisions and audit lines are
-/// byte-identical with batching on or off. Vouched certificates are
-/// deliberately **not** inserted into the [`VerifyCache`]: the cache only
-/// ever holds certificates that survived an *individual* verification.
-/// Request statements are never batched: they are one-shot residues, and
-/// with a small public exponent a combined check costs more multiplies
-/// than the serial exponentiation it would replace — they take the
-/// precomp path (shared Montgomery contexts) instead.
-pub(crate) struct CryptoPrecheck {
-    /// `id[i]` ⟺ `identity_certs[i]`'s signature batch-verified.
-    id: Vec<bool>,
-    /// `thr[i]` ⟺ `threshold_certs[i]`'s signature batch-verified.
-    thr: Vec<bool>,
-    /// `attr[i]` ⟺ `attribute_certs[i]`'s signature batch-verified.
-    attr: Vec<bool>,
+/// Why the serial paths' admission step
+/// ([`CoalitionServer::admit`]) turned a request away before the crypto
+/// stage. Settled in request order by [`CoalitionServer::refuse`], so a
+/// batch's audit lines interleave exactly as under serial handling.
+enum Refusal {
+    /// The server is poisoned: fail-stop until recovery.
+    Poisoned(String),
+    /// The deadline budget ran out before the crypto phase.
+    Expired,
+    /// A duplicate delivery: the replay window's earlier decision.
+    Replayed(ServerDecision),
 }
 
 /// Default bound on the replay-protection `seen` map: enough to absorb any
@@ -578,13 +580,6 @@ impl CoalitionServer {
         Arc::clone(&self.store)
     }
 
-    /// The live verification-cache handle, if the cache is on. The cache is
-    /// internally synchronized and revocation-invalidated, so a snapshot
-    /// shares the handle rather than copying entries.
-    pub(crate) fn verify_cache_handle(&self) -> Option<VerifyCache> {
-        self.verify_cache.clone()
-    }
-
     /// Attaches a persistent cert/CRL/ACL store. From here on, CRLs,
     /// revocations, ACL rows and first-seen request certificates are
     /// written to the store before their in-memory effect (store-before-
@@ -619,12 +614,6 @@ impl CoalitionServer {
     /// handles share one index and one lock-free epoch counter).
     pub(crate) fn cert_store_handle(&self) -> Option<CertStore> {
         self.cert_store.clone()
-    }
-
-    /// The pre-resolved crypto-phase histogram, when metrics are attached
-    /// (snapshots record crypto latency off the writer lock).
-    pub(crate) fn crypto_histogram(&self) -> Option<Arc<Histogram>> {
-        self.metrics.as_ref().map(|m| Arc::clone(&m.crypto_ns))
     }
 
     /// Registers a jointly owned object with its ACL.
@@ -859,13 +848,17 @@ impl CoalitionServer {
         self.crypto_precomp
     }
 
-    /// Enables/disables small-exponents batch signature verification for
-    /// [`CoalitionServer::verify_batch`]: certificates sharing a modulus
-    /// (and statements sharing a signer key) across the whole batch are
-    /// screened with one randomly weighted combined exponentiation —
-    /// settled with exact per-item checks on a pass, bisected on a
-    /// failure — so verdicts, and therefore decisions and audit lines,
-    /// stay identical to serial verification for every weight draw.
+    /// Enables/disables the batch pre-pass of
+    /// [`CoalitionServer::verify_batch`]: the presented certificates of
+    /// every admitted request in the batch, of all three kinds, are
+    /// grouped by issuer key and screened with one randomly weighted
+    /// combined exponentiation per group — settled with exact per-item
+    /// checks on a pass, bisected on a failure. The crypto stage then
+    /// skips exactly the checks the pre-pass vouched for (one positional
+    /// voucher per presented certificate) and runs everything else,
+    /// statements included, as usual. Verdicts, and therefore decisions
+    /// and audit lines, stay identical to serial verification for every
+    /// weight draw.
     ///
     /// # Errors
     ///
@@ -1168,6 +1161,10 @@ impl CoalitionServer {
             retry_trace,
             shed: None,
         });
+        // Indeterminate, like a shed: a decision, not a policy denial.
+        if let Some(m) = &self.metrics {
+            m.decisions.inc();
+        }
         ServerDecision {
             granted: false,
             detail: Some(detail),
@@ -1225,151 +1222,167 @@ impl CoalitionServer {
         self.shed_decision(principals, req.operation.clone(), reason, detail)
     }
 
-    /// Handles a joint access request end to end.
-    pub fn handle_request(&mut self, req: &JointAccessRequest) -> ServerDecision {
-        // Fail-stop: a poisoned server refuses every decision until
-        // recovery (the in-memory state may diverge from the durable log).
-        if let Some(detail) = self.poisoned.clone() {
-            return self.shed_request(req, ShedReason::JournalPoisoned, detail);
+    /// The serial paths' admission step, ahead of the crypto stage: the
+    /// fail-stop poison check, then the pre-crypto deadline gate (an
+    /// exhausted budget sheds before any signature work — and before the
+    /// verify cache is even consulted), then the replay-window lookup.
+    /// Returns the request's replay digest (`None` with replay protection
+    /// off), computed once, for the commit to file the decision under.
+    fn admit(&self, req: &JointAccessRequest) -> Result<Option<String>, Refusal> {
+        if let Some(detail) = &self.poisoned {
+            return Err(Refusal::Poisoned(detail.clone()));
         }
-        // Pre-crypto deadline gate: an exhausted budget sheds before any
-        // signature work — and before the verify cache is even consulted.
         if let Some(deadline) = req.deadline {
             let now = Instant::now();
             if now >= deadline {
-                return self.shed_request(
-                    req,
-                    ShedReason::DeadlineExceeded,
-                    "deadline budget exhausted before the crypto phase",
-                );
+                return Err(Refusal::Expired);
             }
             if let Some(m) = &self.metrics {
                 m.deadline_slack_ns.record_duration(deadline - now);
             }
         }
-        let started = self.metrics.as_ref().map(|_| Instant::now());
-        if self.replay_protection {
-            if let Some(cached) = self.seen.get(&req.digest()) {
-                // Duplicate delivery: same decision, no second audit entry,
-                // no second version increment.
-                if let Some(m) = &self.metrics {
-                    m.replay_hits.inc();
-                }
-                return cached.clone();
+        let digest = self.replay_digest(req);
+        if let Some(cached) = digest.as_ref().and_then(|d| self.seen.get(d)) {
+            // Duplicate delivery: same decision, no second audit entry,
+            // no second version increment.
+            if let Some(m) = &self.metrics {
+                m.replay_hits.inc();
             }
+            return Err(Refusal::Replayed(cached.clone()));
         }
-        let recency_started = started.map(|_| Instant::now());
-        let recency = self.recency_error();
-        if let (Some(m), Some(t)) = (&self.metrics, recency_started) {
+        Ok(digest)
+    }
+
+    /// Settles a request the admission step turned away.
+    fn refuse(&mut self, req: &JointAccessRequest, refusal: Refusal) -> ServerDecision {
+        match refusal {
+            Refusal::Poisoned(detail) => {
+                self.shed_request(req, ShedReason::JournalPoisoned, detail)
+            }
+            Refusal::Expired => self.shed_request(
+                req,
+                ShedReason::DeadlineExceeded,
+                "deadline budget exhausted before the crypto phase",
+            ),
+            Refusal::Replayed(decision) => decision,
+        }
+    }
+
+    /// The replay-window key of `req`, when replay protection is on.
+    pub(crate) fn replay_digest(&self, req: &JointAccessRequest) -> Option<String> {
+        self.replay_protection.then(|| req.digest())
+    }
+
+    /// The crypto stage over the server's current state. Its one
+    /// computation is the recency check (Stubblebine–Wright); the rest is
+    /// shared handles.
+    pub(crate) fn crypto_stage(&self) -> CryptoStage {
+        CryptoStage {
+            store: Arc::clone(&self.store),
+            cache: self.verify_cache.clone(),
+            now: self.engine.now(),
+            precomp: self.crypto_precomp,
+            recency_refusal: self.recency_error(),
+            crypto_ns: self.metrics.as_ref().map(|m| Arc::clone(&m.crypto_ns)),
+        }
+    }
+
+    /// [`CoalitionServer::crypto_stage`], timed as the recency phase.
+    fn timed_crypto_stage(&self) -> CryptoStage {
+        let started = self.metrics.as_ref().map(|_| Instant::now());
+        let stage = self.crypto_stage();
+        if let (Some(m), Some(t)) = (&self.metrics, started) {
             m.recency_ns.record_duration(t.elapsed());
         }
-        let outcome = match recency {
-            // A stale-recency refusal short-circuits before any crypto
-            // work, exactly as in the serial pipeline of record.
-            Some(detail) => CryptoOutcome::failed(detail),
-            None => {
-                let crypto_started = started.map(|_| Instant::now());
-                let outcome = crypto_verify(
-                    &self.store,
-                    self.verify_cache.as_ref(),
-                    self.engine.now(),
-                    req,
-                    self.crypto_precomp,
-                    None,
-                );
-                if let (Some(m), Some(t)) = (&self.metrics, crypto_started) {
-                    m.crypto_ns.record_duration(t.elapsed());
-                }
-                outcome
-            }
+        stage
+    }
+
+    /// Handles a joint access request end to end: admission, the crypto
+    /// stage, then the serial commit.
+    pub fn handle_request(&mut self, req: &JointAccessRequest) -> ServerDecision {
+        let started = self.metrics.as_ref().map(|_| Instant::now());
+        let digest = match self.admit(req) {
+            Ok(digest) => digest,
+            Err(refusal) => return self.refuse(req, refusal),
         };
-        let decision = self.finish_decision(req, outcome);
+        let outcome = self.timed_crypto_stage().evaluate(req, None);
+        let decision = self.finish_decision(req, outcome, digest);
         if let (Some(m), Some(t)) = (&self.metrics, started) {
             m.decision_ns.record_duration(t.elapsed());
         }
         decision
     }
 
-    /// Handles a batch of **independent** requests, fanning the crypto
-    /// phase (certificate + statement signature verification) across up to
-    /// `workers` threads of the shared persistent pool
-    /// ([`WorkerPool::global`]) while the belief-engine phase runs serially
-    /// in request order afterwards. Decisions are identical to calling
-    /// [`CoalitionServer::handle_request`] on each request in order; only
-    /// the split of checks between `signature_checks` and
-    /// `cached_signature_checks` can differ when the cache is on, since
-    /// workers racing on a cold cache may each verify the same certificate
-    /// once.
+    /// Handles a batch of **independent** requests. Each request passes
+    /// the same admission step as [`CoalitionServer::handle_request`];
+    /// the admitted ones then run the same crypto stage fanned across up
+    /// to `workers` threads of the shared persistent pool
+    /// ([`WorkerPool::global`]), with the batch pre-pass's vouchers when
+    /// [`CoalitionServer::set_batch_verify`] is on, and commit serially in
+    /// request order. Decisions are identical to calling `handle_request`
+    /// on each request in order; only the split of checks between
+    /// `signature_checks` and `cached_signature_checks` can differ when the
+    /// cache is on, since workers racing on a cold cache may each verify
+    /// the same certificate once.
     pub fn verify_batch(
         &mut self,
         requests: &[JointAccessRequest],
         workers: usize,
     ) -> Vec<ServerDecision> {
-        // Fail-stop: don't fan out crypto work the commit tail will refuse.
-        if let Some(detail) = self.poisoned.clone() {
-            return requests
-                .iter()
-                .map(|req| self.shed_request(req, ShedReason::JournalPoisoned, &detail))
-                .collect();
-        }
-        let workers = workers.max(1).min(requests.len().max(1));
-        let recency_started = self.metrics.as_ref().map(|_| Instant::now());
-        let recency_err = self.recency_error();
-        if let (Some(m), Some(t)) = (&self.metrics, recency_started) {
-            m.recency_ns.record_duration(t.elapsed());
-        }
-        let crypto_ns = self.metrics.as_ref().map(|m| Arc::clone(&m.crypto_ns));
-        let now = self.engine.now();
-
-        let outcomes: Vec<CryptoOutcome> = if let Some(detail) = recency_err {
-            requests
-                .iter()
-                .map(|_| CryptoOutcome::failed(detail.clone()))
-                .collect()
+        let admissions: Vec<_> = requests.iter().map(|req| self.admit(req)).collect();
+        let admitted: Vec<&JointAccessRequest> = requests
+            .iter()
+            .zip(&admissions)
+            .filter_map(|(req, a)| a.is_ok().then_some(req))
+            .collect();
+        let mut outcomes = if admitted.is_empty() {
+            Vec::new()
         } else {
-            // Batch pre-pass (when enabled): one combined exponentiation
-            // vouches for all signatures sharing a key across the whole
-            // batch; the per-request phase below skips exactly the
-            // individual checks the pre-pass already performed. Its cost
-            // is crypto-phase work and is recorded as such, so the phase
-            // histogram prices the accelerated path honestly.
-            let precheck_started = crypto_ns.as_ref().map(|_| Instant::now());
-            let prechecks = self.batch_precheck(requests);
-            if let (Some(h), Some(t)) = (&crypto_ns, precheck_started) {
-                if prechecks.is_some() {
-                    h.record_duration(t.elapsed());
-                }
-            }
-            let use_precomp = self.crypto_precomp;
-            // The pool's scoped fan-out blocks until every worker is done,
-            // so the closure can borrow the trust store, the cache handle,
-            // and the request slice directly. `workers == 1` runs inline
-            // inside `run_indexed`, keeping the serial path pool-free.
-            let store = &self.store;
-            let cache = self.verify_cache.clone();
-            let prechecks = &prechecks;
-            WorkerPool::global().run_indexed(requests.len(), workers, |i| {
-                let t = crypto_ns.as_ref().map(|_| Instant::now());
-                let outcome = crypto_verify(
-                    store,
-                    cache.as_ref(),
-                    now,
-                    &requests[i],
-                    use_precomp,
-                    prechecks.as_ref().map(|p| &p[i]),
-                );
-                if let (Some(h), Some(t)) = (&crypto_ns, t) {
-                    h.record_duration(t.elapsed());
-                }
-                outcome
-            })
-        };
-
+            self.batch_crypto(&admitted, workers)
+        }
+        .into_iter();
         requests
             .iter()
-            .zip(outcomes)
-            .map(|(req, outcome)| self.finish_decision(req, outcome))
+            .zip(admissions)
+            .map(|(req, admission)| match admission {
+                Ok(digest) => {
+                    let outcome = outcomes.next().expect("one outcome per admitted request");
+                    self.finish_decision(req, outcome, digest)
+                }
+                Err(refusal) => self.refuse(req, refusal),
+            })
             .collect()
+    }
+
+    /// The crypto stage over a batch of admitted requests: the batch
+    /// pre-pass (when enabled and the recency check passes), then one
+    /// [`CryptoStage::evaluate`] per request on the pool.
+    fn batch_crypto(
+        &mut self,
+        requests: &[&JointAccessRequest],
+        workers: usize,
+    ) -> Vec<CryptoOutcome> {
+        let stage = self.timed_crypto_stage();
+        // The pre-pass's cost is crypto-phase work and is recorded as such,
+        // so the phase histogram prices the accelerated path honestly.
+        let vouchers = if stage.recency_refusal.is_none() {
+            let started = stage.crypto_ns.as_ref().map(|_| Instant::now());
+            let vouchers = self.batch_precheck(requests);
+            if let (Some(h), Some(t), Some(_)) = (&stage.crypto_ns, started, &vouchers) {
+                h.record_duration(t.elapsed());
+            }
+            vouchers
+        } else {
+            None
+        };
+        // The pool's scoped fan-out blocks until every worker is done, so
+        // the closure can borrow the stage and the requests directly.
+        // `workers == 1` runs inline inside `run_indexed`, keeping the
+        // serial path pool-free.
+        let vouchers = vouchers.as_deref();
+        WorkerPool::global().run_indexed(requests.len(), workers, |i| {
+            stage.evaluate(requests[i], vouchers.map(|v| v[i].as_slice()))
+        })
     }
 
     /// The batch pre-pass behind [`CoalitionServer::set_batch_verify`]:
@@ -1378,164 +1391,79 @@ impl CoalitionServer {
     /// randomly weighted combined screen per issuer group
     /// ([`batch::verify_batch`] — screened signatures settle with exact
     /// per-item checks, failures bisect, warm residues leaf-check over
-    /// their ladders), and returns per-request positional vouchers for
-    /// exactly the signatures that passed an exact check.
-    /// Signatures that fail — or whose issuer cannot be resolved — are
-    /// left unvouched and take the serial path, reproducing the serial
-    /// error verbatim. Request statements are *not* batched: they are
-    /// one-shot signatures, and with `e = 2¹⁶ + 1` an item's marginal
-    /// share of a combined product already exceeds its serial check.
-    /// `None` when batching is off.
-    fn batch_precheck(&mut self, requests: &[JointAccessRequest]) -> Option<Vec<CryptoPrecheck>> {
+    /// their ladders), and returns each request's positional vouchers
+    /// (indexed like [`JointAccessRequest::presented_certs`]) for exactly
+    /// the signatures that passed an exact check. Signatures that fail —
+    /// or whose issuer cannot be resolved — are left unvouched and take
+    /// the serial path, reproducing the serial error verbatim. Request
+    /// statements are *not* batched: they are one-shot signatures, and
+    /// with `e = 2¹⁶ + 1` an item's marginal share of a combined product
+    /// already exceeds its serial check. `None` when batching is off.
+    fn batch_precheck(&mut self, requests: &[&JointAccessRequest]) -> Option<Vec<Vec<bool>>> {
         if !self.batch_verify || requests.is_empty() {
             return None;
-        }
-        /// Where a presented certificate sits: (request index, position).
-        #[derive(Clone, Copy)]
-        enum Slot {
-            Id(usize, usize),
-            Thr(usize, usize),
-            Attr(usize, usize),
-        }
-        /// The exact artifact behind a batch item. Equality is full
-        /// structural equality — body fields *and* signature — so a dedup
-        /// hit proves the presentation is identical to the item already
-        /// batched, without serializing its body again (`body_bytes` is a
-        /// pure function of the compared fields).
-        #[derive(PartialEq)]
-        enum CertRef<'a> {
-            Id(&'a jaap_pki::IdentityCertificate),
-            Thr(&'a jaap_pki::ThresholdAttributeCertificate),
-            Attr(&'a jaap_pki::AttributeCertificate),
-        }
-        impl CertRef<'_> {
-            /// The canonical signed bytes — built once per unique item.
-            fn body(&self) -> Vec<u8> {
-                match self {
-                    CertRef::Id(c) => jaap_pki::IdentityCertificate::body_bytes(
-                        &c.issuer,
-                        &c.subject,
-                        &c.subject_key,
-                        c.validity,
-                        c.timestamp,
-                    ),
-                    CertRef::Thr(c) => jaap_pki::ThresholdAttributeCertificate::body_bytes(
-                        &c.issuer,
-                        &c.subject,
-                        &c.group,
-                        c.validity,
-                        c.timestamp,
-                    ),
-                    CertRef::Attr(c) => jaap_pki::AttributeCertificate::body_bytes(
-                        &c.issuer,
-                        &c.subject,
-                        &c.subject_key,
-                        &c.group,
-                        c.validity,
-                        c.timestamp,
-                    ),
-                }
-            }
         }
         struct Group<'a> {
             key: &'a RsaPublicKey,
             items: Vec<batch::BatchItem>,
-            /// The artifact behind each item, parallel to `items`.
-            certs: Vec<CertRef<'a>>,
-            /// Every presentation of each item, parallel to `items`.
-            slots: Vec<Vec<Slot>>,
+            /// The certificate behind each item, parallel to `items`.
+            certs: Vec<PresentedCert<'a>>,
+            /// Every `(request, position)` presenting each item, parallel
+            /// to `items`.
+            slots: Vec<Vec<(usize, usize)>>,
             /// Signature residue → items carrying it; a structural match
-            /// against one of them is a dedup hit. Keyed by reference:
-            /// repeat presentations cost a hash and a field compare, no
-            /// allocation.
+            /// against one of them (body fields *and* signature) is a
+            /// dedup hit. Keyed by reference: repeat presentations cost a
+            /// hash and a field compare, no allocation.
             dedup: HashMap<&'a jaap_bigint::Nat, Vec<usize>>,
-        }
-        fn add<'a>(
-            groups: &mut BTreeMap<&'a str, Group<'a>>,
-            issuer: &'a str,
-            key: &'a RsaPublicKey,
-            cert: CertRef<'a>,
-            sig: &'a RsaSignature,
-            slot: Slot,
-        ) {
-            let group = groups.entry(issuer).or_insert_with(|| Group {
-                key,
-                items: Vec::new(),
-                certs: Vec::new(),
-                slots: Vec::new(),
-                dedup: HashMap::new(),
-            });
-            let bucket = group.dedup.entry(sig.value()).or_default();
-            let idx = match bucket.iter().copied().find(|&j| group.certs[j] == cert) {
-                Some(j) => j,
-                None => {
-                    let j = group.items.len();
-                    group.items.push(group.key.batch_item(&cert.body(), sig));
-                    group.certs.push(cert);
-                    group.slots.push(Vec::new());
-                    bucket.push(j);
-                    j
-                }
-            };
-            group.slots[idx].push(slot);
         }
         // BTreeMap over issuer names: the weight RNG draws one seed per
         // group, so group order must be deterministic. The AA group keys
         // on "", which no domain name collides with.
         let store = &self.store;
         let mut groups: BTreeMap<&str, Group<'_>> = BTreeMap::new();
-        let aa_rsa = store.aa_key().map(|k| k.rsa());
+        let mut vouchers: Vec<Vec<bool>> = requests
+            .iter()
+            .map(|req| vec![false; req.presented_certs().count()])
+            .collect();
         for (i, req) in requests.iter().enumerate() {
-            for (ci, cert) in req.identity_certs.iter().enumerate() {
+            for (pos, cert) in req.presented_certs().enumerate() {
                 // An unresolvable issuer is left unvouched so the serial
                 // path reproduces the exact `UnknownIssuer` error.
-                let Some(ca) = store.ca_key(&cert.issuer) else {
+                let Ok(key) = store.issuer_key(cert) else {
                     continue;
                 };
-                let slot = Slot::Id(i, ci);
-                add(
-                    &mut groups,
-                    &cert.issuer,
-                    ca,
-                    CertRef::Id(cert),
-                    &cert.signature,
-                    slot,
-                );
-            }
-            if let Some(aa) = aa_rsa {
-                for (ci, cert) in req.threshold_certs.iter().enumerate() {
-                    let slot = Slot::Thr(i, ci);
-                    add(
-                        &mut groups,
-                        "",
-                        aa,
-                        CertRef::Thr(cert),
-                        &cert.signature,
-                        slot,
-                    );
-                }
-                for (ci, cert) in req.attribute_certs.iter().enumerate() {
-                    let slot = Slot::Attr(i, ci);
-                    add(
-                        &mut groups,
-                        "",
-                        aa,
-                        CertRef::Attr(cert),
-                        &cert.signature,
-                        slot,
-                    );
-                }
+                let issuer = match cert {
+                    PresentedCert::Identity(c) => c.issuer.as_str(),
+                    _ => "",
+                };
+                let group = groups.entry(issuer).or_insert_with(|| Group {
+                    key,
+                    items: Vec::new(),
+                    certs: Vec::new(),
+                    slots: Vec::new(),
+                    dedup: HashMap::new(),
+                });
+                let bucket = group.dedup.entry(cert.signature().value()).or_default();
+                let idx = match bucket.iter().copied().find(|&j| group.certs[j] == cert) {
+                    Some(j) => j,
+                    None => {
+                        // The canonical signed bytes, built once per
+                        // unique item.
+                        let j = group.items.len();
+                        group
+                            .items
+                            .push(group.key.batch_item(&cert.body_bytes(), cert.signature()));
+                        group.certs.push(cert);
+                        group.slots.push(Vec::new());
+                        bucket.push(j);
+                        j
+                    }
+                };
+                group.slots[idx].push((i, pos));
             }
         }
         let precomp = Arc::clone(store.precomp());
-        let mut prechecks: Vec<CryptoPrecheck> = requests
-            .iter()
-            .map(|r| CryptoPrecheck {
-                id: vec![false; r.identity_certs.len()],
-                thr: vec![false; r.threshold_certs.len()],
-                attr: vec![false; r.attribute_certs.len()],
-            })
-            .collect();
         let (mut combined, mut fallbacks) = (0u64, 0u64);
         for group in groups.into_values() {
             let Some(mp) = precomp.for_key(group.key.modulus(), group.key.exponent()) else {
@@ -1548,14 +1476,9 @@ impl CoalitionServer {
             combined += outcome.combined_checks;
             fallbacks += outcome.fallbacks;
             for (ok, slots) in outcome.results.iter().copied().zip(&group.slots) {
-                if !ok {
-                    continue;
-                }
-                for slot in slots {
-                    match *slot {
-                        Slot::Id(i, ci) => prechecks[i].id[ci] = true,
-                        Slot::Thr(i, ci) => prechecks[i].thr[ci] = true,
-                        Slot::Attr(i, ci) => prechecks[i].attr[ci] = true,
+                if ok {
+                    for &(i, pos) in slots {
+                        vouchers[i][pos] = true;
                     }
                 }
             }
@@ -1564,12 +1487,12 @@ impl CoalitionServer {
             m.crypto_batch_verifies.add(combined);
             m.crypto_batch_fallbacks.add(fallbacks);
         }
-        Some(prechecks)
+        Some(vouchers)
     }
 
     /// The stale-revocation-information refusal, if the recency policy is
     /// on and unsatisfied (Stubblebine–Wright).
-    pub(crate) fn recency_error(&self) -> Option<String> {
+    fn recency_error(&self) -> Option<String> {
         let window = self.revocation_recency?;
         let fresh_enough = self
             .last_crl
@@ -1586,11 +1509,14 @@ impl CoalitionServer {
     /// The serial tail of the pipeline: replay bookkeeping, the logic/ACL
     /// phase, version bump, read response, audit entry. Exposed to the
     /// crate so the concurrent front-end ([`crate::concurrent`]) can commit
-    /// a crypto outcome computed off the writer lock.
+    /// a crypto outcome computed off the writer lock. `digest` is the
+    /// request's replay digest ([`CoalitionServer::replay_digest`]): the
+    /// decision is filed under it.
     pub(crate) fn finish_decision(
         &mut self,
         req: &JointAccessRequest,
         outcome: CryptoOutcome,
+        digest: Option<String>,
     ) -> ServerDecision {
         // Fail-stop: the concurrent front-end computes `outcome` off-lock,
         // so the server may have been poisoned in between.
@@ -1608,18 +1534,14 @@ impl CoalitionServer {
                 "deadline budget exhausted before the logic phase",
             );
         }
-        let digest = if self.replay_protection {
-            let digest = req.digest();
-            if let Some(cached) = self.seen.get(&digest) {
-                if let Some(m) = &self.metrics {
-                    m.replay_hits.inc();
-                }
-                return cached.clone();
+        // A duplicate committed since admission (e.g. earlier in the same
+        // batch) replays instead of deciding twice.
+        if let Some(cached) = digest.as_ref().and_then(|d| self.seen.get(d)) {
+            if let Some(m) = &self.metrics {
+                m.replay_hits.inc();
             }
-            Some(digest)
-        } else {
-            None
-        };
+            return cached.clone();
+        }
         let CryptoOutcome {
             signature_checks,
             cached_signature_checks,
@@ -1651,20 +1573,11 @@ impl CoalitionServer {
             // First sight of these certificate bodies: persist them so the
             // indexed store accumulates the certified population.
             if let Some(cs) = self.cert_store.clone() {
-                let put = req
-                    .identity_certs
-                    .iter()
-                    .try_for_each(|c| cs.put_identity_cert(c))
-                    .and_then(|()| {
-                        req.threshold_certs
-                            .iter()
-                            .try_for_each(|c| cs.put_threshold_cert(c))
-                    })
-                    .and_then(|()| {
-                        req.attribute_certs
-                            .iter()
-                            .try_for_each(|c| cs.put_attribute_cert(c))
-                    });
+                let put = req.presented_certs().try_for_each(|cert| match cert {
+                    PresentedCert::Identity(c) => cs.put_identity_cert(c),
+                    PresentedCert::Threshold(c) => cs.put_threshold_cert(c),
+                    PresentedCert::Attribute(c) => cs.put_attribute_cert(c),
+                });
                 if let Err(e) = put {
                     let e = self.poison(format!("cert store certificate row failed: {e}"));
                     return self.shed_request(req, ShedReason::JournalPoisoned, e);
@@ -2157,43 +2070,26 @@ impl CoalitionServer {
     }
 
     /// Re-verifies and re-admits a journaled request's certificates in the
-    /// exact order the original authorization did: identity certificates
-    /// first (stopping at the first admission error, as step 1 of §4.3
-    /// does), then threshold + single-subject attribute certificates
-    /// (stopping likewise, as step 2 does). Re-admissions of
-    /// already-known bodies are deduplicated by the engine.
+    /// exact order the original authorization did: §4.3 order, stopping at
+    /// the first admission error (step 1 stops at a failing identity
+    /// certificate before step 2 admits any attribute certificate).
+    /// Re-admissions of already-known bodies are deduplicated by the
+    /// engine.
     fn replay_request_certs(
         &mut self,
         identity: &[jaap_pki::IdentityCertificate],
         threshold: &[jaap_pki::ThresholdAttributeCertificate],
         attribute: &[jaap_pki::AttributeCertificate],
     ) -> Result<(), CoalitionError> {
-        let reverify = |e: jaap_pki::PkiError| {
-            CoalitionError::Journal(format!("journaled certificate no longer verifies: {e}"))
-        };
-        let mut identity_msgs = Vec::with_capacity(identity.len());
-        for cert in identity {
-            identity_msgs.push(self.store.idealize_identity(cert).map_err(reverify)?);
-        }
-        let mut attribute_msgs = Vec::with_capacity(threshold.len() + attribute.len());
-        for cert in threshold {
-            attribute_msgs.push(
-                self.store
-                    .idealize_threshold_attribute(cert)
-                    .map_err(reverify)?,
-            );
-        }
-        for cert in attribute {
-            attribute_msgs.push(self.store.idealize_attribute(cert).map_err(reverify)?);
-        }
-        for msg in &identity_msgs {
+        let msgs = presented(identity, threshold, attribute)
+            .map(|cert| self.store.idealize(cert, false, false))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| {
+                CoalitionError::Journal(format!("journaled certificate no longer verifies: {e}"))
+            })?;
+        for msg in &msgs {
             if self.engine.admit_certificate(msg).is_err() {
-                return Ok(());
-            }
-        }
-        for msg in &attribute_msgs {
-            if self.engine.admit_certificate(msg).is_err() {
-                return Ok(());
+                break;
             }
         }
         Ok(())
@@ -2285,196 +2181,161 @@ impl CoalitionServer {
     }
 }
 
-/// The crypto phase: verify and idealize every certificate (through the
-/// cache when one is supplied) and verify every statement signature. Pure
-/// in the server state — safe to run on worker threads.
-///
-/// `use_precomp` routes individual verifications through the trust
-/// store's shared fixed-base precomputation cache; `precheck` carries the
-/// batch pre-pass vouchers ([`CoalitionServer::batch_precheck`]). Both
-/// accept/reject exactly as the plain path and leave the check counters
-/// unchanged, so decisions and audit lines are byte-identical either way.
-pub(crate) fn crypto_verify(
-    store: &TrustStore,
-    cache: Option<&VerifyCache>,
-    now: Time,
-    req: &JointAccessRequest,
-    use_precomp: bool,
-    precheck: Option<&CryptoPrecheck>,
-) -> CryptoOutcome {
-    let mut checks = 0usize;
-    let mut cached = 0usize;
-    let result = crypto_verify_inner(
-        store,
-        cache,
-        now,
-        req,
-        use_precomp,
-        precheck,
-        &mut checks,
-        &mut cached,
-    );
-    CryptoOutcome {
-        signature_checks: checks,
-        cached_signature_checks: cached,
-        result,
-    }
+/// The crypto stage and everything it reads, captured from the server:
+/// the trust store (whose shared precomp tables travel behind the same
+/// `Arc` as the keys they were derived from), the verify-cache handle
+/// (internally synchronized and revocation-invalidated, so it is shared,
+/// not copied), the clock, the precomp toggle, the stale-recency refusal
+/// and the crypto-phase histogram. Every decision path runs a request's
+/// crypto through [`CryptoStage::evaluate`]: the serial and batch paths on
+/// a stage captured per call ([`CoalitionServer::crypto_stage`]), the
+/// concurrent path on the stage inside its published snapshot.
+#[derive(Debug, Clone)]
+pub(crate) struct CryptoStage {
+    store: Arc<TrustStore>,
+    cache: Option<VerifyCache>,
+    pub(crate) now: Time,
+    precomp: bool,
+    recency_refusal: Option<String>,
+    crypto_ns: Option<Arc<Histogram>>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn crypto_verify_inner(
-    store: &TrustStore,
-    cache: Option<&VerifyCache>,
-    now: Time,
-    req: &JointAccessRequest,
-    use_precomp: bool,
-    precheck: Option<&CryptoPrecheck>,
-    checks: &mut usize,
-    cached: &mut usize,
-) -> Result<CryptoVerified, String> {
-    // Crypto step 1: verify and idealize certificates.
-    let mut identity_msgs = Vec::new();
-    for (ci, cert) in req.identity_certs.iter().enumerate() {
-        let digest = cache.is_some().then(|| cache::identity_digest(cert));
-        let key = cache
-            .and_then(|_| store.ca_key(&cert.issuer))
-            .and_then(|ca_key| digest.clone().map(|d| (d, key_name(ca_key).to_string())));
-        if let (Some(cache), Some(key)) = (cache, key.as_ref()) {
-            if let Some(msg) = cache.lookup(key, now) {
-                *cached += 1;
-                identity_msgs.push(msg);
-                continue;
-            }
+impl CryptoStage {
+    /// The crypto phase of one request: the recency refusal if there is
+    /// one (no crypto work, no sample), else verify and idealize every
+    /// presented certificate, then every statement signature, recording
+    /// one `server.phase.crypto_ns` sample. Pure in the server state, so
+    /// safe on worker threads.
+    ///
+    /// `vouchers[i]` ⟺ the batch pre-pass
+    /// ([`CoalitionServer::batch_precheck`]) already verified the
+    /// signature of the `i`-th presented certificate
+    /// ([`JointAccessRequest::presented_certs`]). A vouched certificate
+    /// skips its individual check but still counts toward
+    /// `signature_checks` (the check happened — in a batch), and it never
+    /// enters the [`VerifyCache`], which only holds certificates that
+    /// survived an individual verification. Precomp and vouchers
+    /// accept and reject exactly as the plain path and leave the check
+    /// counters unchanged, so decisions and audit lines are byte-identical
+    /// either way.
+    pub(crate) fn evaluate(
+        &self,
+        req: &JointAccessRequest,
+        vouchers: Option<&[bool]>,
+    ) -> CryptoOutcome {
+        if let Some(detail) = &self.recency_refusal {
+            return CryptoOutcome::failed(detail.clone());
         }
-        let vouched = precheck.is_some_and(|p| p.id.get(ci).copied().unwrap_or(false));
-        *checks += 1;
-        let msg = store
-            .idealize_identity_with(cert, use_precomp, vouched)
-            .map_err(|e| format!("identity certificate: {e}"))?;
-        // A batch-vouched certificate never populates the cache: cache
-        // entries must rest on an individual verification.
-        if !vouched {
-            if let (Some(cache), Some(key)) = (cache, key) {
-                cache.insert(
-                    key,
-                    msg.clone(),
-                    cert.validity.end,
-                    vec![cert.subject.clone()],
-                    None,
-                );
-            }
+        let started = self.crypto_ns.as_ref().map(|_| Instant::now());
+        let (mut checks, mut cached) = (0, 0);
+        let result = self.verify(req, vouchers, &mut checks, &mut cached);
+        if let (Some(h), Some(t)) = (&self.crypto_ns, started) {
+            h.record_duration(t.elapsed());
         }
-        identity_msgs.push(msg);
-    }
-    let aa_key_id = || store.aa_key().map(|k| key_name(k.rsa()).to_string());
-    let mut attribute_msgs = Vec::new();
-    for (ci, cert) in req.threshold_certs.iter().enumerate() {
-        let digest = cache.is_some().then(|| cache::threshold_digest(cert));
-        let key = cache
-            .and_then(|_| aa_key_id())
-            .and_then(|kid| digest.clone().map(|d| (d, kid)));
-        if let (Some(cache), Some(key)) = (cache, key.as_ref()) {
-            if let Some(msg) = cache.lookup(key, now) {
-                *cached += 1;
-                attribute_msgs.push(msg);
-                continue;
-            }
+        CryptoOutcome {
+            signature_checks: checks,
+            cached_signature_checks: cached,
+            result,
         }
-        let vouched = precheck.is_some_and(|p| p.thr.get(ci).copied().unwrap_or(false));
-        *checks += 1;
-        let msg = store
-            .idealize_threshold_attribute_with(cert, use_precomp, vouched)
-            .map_err(|e| format!("threshold attribute certificate: {e}"))?;
-        if !vouched {
-            if let (Some(cache), Some(key)) = (cache, key) {
-                cache.insert(
-                    key,
-                    msg.clone(),
-                    cert.validity.end,
-                    cert.subject
-                        .members
-                        .iter()
-                        .map(|(name, _)| name.clone())
-                        .collect(),
-                    Some(cert.group.as_str().to_string()),
-                );
-            }
-        }
-        attribute_msgs.push(msg);
-    }
-    for (ci, cert) in req.attribute_certs.iter().enumerate() {
-        let digest = cache.is_some().then(|| cache::attribute_digest(cert));
-        let key = cache
-            .and_then(|_| aa_key_id())
-            .and_then(|kid| digest.clone().map(|d| (d, kid)));
-        if let (Some(cache), Some(key)) = (cache, key.as_ref()) {
-            if let Some(msg) = cache.lookup(key, now) {
-                *cached += 1;
-                attribute_msgs.push(msg);
-                continue;
-            }
-        }
-        let vouched = precheck.is_some_and(|p| p.attr.get(ci).copied().unwrap_or(false));
-        *checks += 1;
-        let msg = store
-            .idealize_attribute_with(cert, use_precomp, vouched)
-            .map_err(|e| format!("attribute certificate: {e}"))?;
-        if !vouched {
-            if let (Some(cache), Some(key)) = (cache, key) {
-                cache.insert(
-                    key,
-                    msg.clone(),
-                    cert.validity.end,
-                    vec![cert.subject.clone()],
-                    Some(cert.group.as_str().to_string()),
-                );
-            }
-        }
-        attribute_msgs.push(msg);
     }
 
-    // Crypto step 2: verify the request-statement signatures against the
-    // keys certified for the signers. Statements are fresh per request and
-    // never cached (and `recurring = false` below: a one-shot residue
-    // earns no fixed-base ladder, only the shared Montgomery context).
-    let mut signed_statements = Vec::new();
-    for stmt in &req.statements {
-        let cert = req
-            .identity_certs
-            .iter()
-            .find(|c| c.subject == stmt.principal)
-            .ok_or_else(|| format!("no identity certificate presented for {}", stmt.principal))?;
-        let body = statement_bytes(&stmt.principal, &req.operation, stmt.at);
-        *checks += 1;
-        let ok = if use_precomp {
-            cert.subject_key.verify_with(
-                Some(store.precomp().as_ref()),
-                false,
-                &body,
-                &stmt.signature,
-            )
-        } else {
-            cert.subject_key.verify(&body, &stmt.signature)
-        };
-        if !ok {
-            return Err(format!(
-                "request signature by {} does not verify",
-                stmt.principal
+    fn verify(
+        &self,
+        req: &JointAccessRequest,
+        vouchers: Option<&[bool]>,
+        checks: &mut usize,
+        cached: &mut usize,
+    ) -> Result<CryptoVerified, String> {
+        // Crypto step 1: verify and idealize certificates, in §4.3 order.
+        let mut identity_msgs = Vec::new();
+        let mut attribute_msgs = Vec::new();
+        for (i, cert) in req.presented_certs().enumerate() {
+            let vouched = vouchers.is_some_and(|v| v[i]);
+            let msg = self
+                .idealize(cert, vouched, checks, cached)
+                .map_err(|e| format!("{}: {e}", cert.kind()))?;
+            match cert {
+                PresentedCert::Identity(_) => identity_msgs.push(msg),
+                _ => attribute_msgs.push(msg),
+            }
+        }
+
+        // Crypto step 2: verify the request-statement signatures against
+        // the keys certified for the signers. Statements are fresh per
+        // request and never cached (and `recurring = false` below: a
+        // one-shot residue earns no fixed-base ladder, only the shared
+        // Montgomery context).
+        let precomp = self.precomp.then_some(self.store.precomp().as_ref());
+        let mut signed_statements = Vec::new();
+        for stmt in &req.statements {
+            let cert = req
+                .identity_certs
+                .iter()
+                .find(|c| c.subject == stmt.principal)
+                .ok_or_else(|| {
+                    format!("no identity certificate presented for {}", stmt.principal)
+                })?;
+            let body = statement_bytes(&stmt.principal, &req.operation, stmt.at);
+            *checks += 1;
+            if !cert
+                .subject_key
+                .verify_with(precomp, false, &body, &stmt.signature)
+            {
+                return Err(format!(
+                    "request signature by {} does not verify",
+                    stmt.principal
+                ));
+            }
+            signed_statements.push(SignedStatement::new(
+                stmt.principal.as_str(),
+                key_name(&cert.subject_key),
+                &req.operation,
+                stmt.at,
             ));
         }
-        signed_statements.push(SignedStatement::new(
-            stmt.principal.as_str(),
-            key_name(&cert.subject_key),
-            &req.operation,
-            stmt.at,
-        ));
+
+        Ok(CryptoVerified {
+            identity_msgs,
+            attribute_msgs,
+            signed_statements,
+        })
     }
 
-    Ok(CryptoVerified {
-        identity_msgs,
-        attribute_msgs,
-        signed_statements,
-    })
+    /// Verifies and idealizes one presented certificate through the cache
+    /// (when on): a hit counts as cached, a miss as a check.
+    fn idealize(
+        &self,
+        cert: PresentedCert<'_>,
+        vouched: bool,
+        checks: &mut usize,
+        cached: &mut usize,
+    ) -> Result<Message, PkiError> {
+        let cache_key = self.cache.as_ref().and_then(|cache| {
+            let issuer_key = self.store.issuer_key(cert).ok()?;
+            Some((
+                cache,
+                (cert.cache_digest(), key_name(issuer_key).to_string()),
+            ))
+        });
+        if let Some((cache, key)) = &cache_key {
+            if let Some(msg) = cache.lookup(key, self.now) {
+                *cached += 1;
+                return Ok(msg);
+            }
+        }
+        *checks += 1;
+        let msg = self.store.idealize(cert, self.precomp, vouched)?;
+        if let (false, Some((cache, key))) = (vouched, cache_key) {
+            cache.insert(
+                key,
+                msg.clone(),
+                cert.expires(),
+                cert.subjects(),
+                cert.group().map(str::to_string),
+            );
+        }
+        Ok(msg)
+    }
 }
 
 /// The crypto-only baseline monitor (no derivations, no revocation

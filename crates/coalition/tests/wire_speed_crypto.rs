@@ -10,6 +10,7 @@ use jaap_coalition::scenario::{Coalition, CoalitionBuilder};
 use jaap_coalition::server::ServerDecision;
 use jaap_core::protocol::Operation;
 use jaap_core::syntax::Time;
+use jaap_pki::ThresholdAttributeCertificate;
 use jaap_wal::MemStore;
 
 fn coalition(seed: u64) -> Coalition {
@@ -177,6 +178,106 @@ fn forged_signatures_in_a_batch_are_pinned_to_their_requests() {
             .unwrap_or(0)
             >= 1
     );
+
+    // Every rejection kind on every decision path: the serial server, the
+    // batch path (pre-pass on and off, 1 and 3 workers) and the
+    // concurrent front-end each start from a fresh twin and must agree on
+    // the verdict, its detail and both check counters.
+    let (prefixes, rejected): (Vec<&str>, Vec<JointAccessRequest>) =
+        rejection_cases(&slow).into_iter().unzip();
+    let mut serial = coalition(73);
+    let d_serial: Vec<ServerDecision> = rejected
+        .iter()
+        .map(|req| serial.server_mut().handle_request(req))
+        .collect();
+    for (d, prefix) in d_serial.iter().zip(&prefixes) {
+        assert!(!d.granted, "{prefix}: must be denied");
+        assert!(
+            d.detail.as_deref().is_some_and(|x| x.starts_with(prefix)),
+            "{prefix}: got {:?}",
+            d.detail
+        );
+    }
+    for batching in [false, true] {
+        for workers in [1, 3] {
+            let mut c = coalition(73);
+            c.set_crypto_precomp(batching).expect("config");
+            c.set_batch_verify(batching).expect("config");
+            assert_decisions_eq(&d_serial, &c.server_mut().verify_batch(&rejected, workers));
+        }
+    }
+    let conc = ConcurrentServer::new(coalition(73).into_server());
+    let d_conc: Vec<ServerDecision> = rejected.iter().map(|req| conc.decide(req)).collect();
+    assert_decisions_eq(&d_serial, &d_conc);
+}
+
+/// One request per rejection kind, each paired with the detail prefix it
+/// must be denied with. Every request is a granted-shaped joint write with
+/// exactly one defect, so the defect alone decides the denial.
+fn rejection_cases(c: &Coalition) -> Vec<(&'static str, JointAccessRequest)> {
+    let base = c
+        .build_request(&["User_D1", "User_D2"], Operation::new("write", "Object O"))
+        .expect("request");
+    let ac = c.write_ac().clone();
+    let defect = |f: &dyn Fn(&mut JointAccessRequest)| {
+        let mut req = base.clone();
+        f(&mut req);
+        req
+    };
+
+    let forged_id =
+        defect(&|r| r.identity_certs[0].signature = base.identity_certs[1].signature.clone());
+    let forged_thr =
+        defect(&|r| r.threshold_certs[0].signature = base.identity_certs[0].signature.clone());
+    // A genuinely AA-issued single-subject AC, then forged.
+    let mut attr = c
+        .aa()
+        .issue_attribute_certificate(
+            "User_D1",
+            c.user("User_D1").expect("user").public(),
+            ac.group.clone(),
+            ac.validity,
+            ac.timestamp,
+        )
+        .expect("attribute certificate");
+    attr.signature = base.identity_certs[0].signature.clone();
+    let forged_attr = defect(&|r| r.attribute_certs.push(attr.clone()));
+    let unknown_ca = defect(&|r| r.identity_certs[0].issuer = "CA_Rogue".into());
+    // Validly signed by the trusted AA's key, but over a body naming some
+    // other issuer: only issuer resolution can reject it.
+    let foreign_body = ThresholdAttributeCertificate::body_bytes(
+        "AA_Rogue",
+        &ac.subject,
+        &ac.group,
+        ac.validity,
+        ac.timestamp,
+    );
+    let foreign_thr = ThresholdAttributeCertificate {
+        issuer: "AA_Rogue".into(),
+        signature: c.aa().joint_sign(&foreign_body).expect("joint sign"),
+        ..ac.clone()
+    };
+    let foreign_issuer = defect(&|r| r.threshold_certs[0] = foreign_thr.clone());
+    let no_identity = defect(&|r| {
+        r.identity_certs.remove(1);
+    });
+    let bad_statement =
+        defect(&|r| r.statements[0].signature = base.statements[1].signature.clone());
+    vec![
+        ("identity certificate: bad signature", forged_id),
+        ("threshold attribute certificate: bad signature", forged_thr),
+        ("attribute certificate: bad signature", forged_attr),
+        ("identity certificate: unknown issuer", unknown_ca),
+        (
+            "threshold attribute certificate: unknown issuer",
+            foreign_issuer,
+        ),
+        ("no identity certificate presented for User_D2", no_identity),
+        (
+            "request signature by User_D1 does not verify",
+            bad_statement,
+        ),
+    ]
 }
 
 /// Review regression (±1 subgroup of `Z_N*`): replacing a signature `s`

@@ -12,6 +12,7 @@ use jaap_crypto::rsa::{RsaPublicKey, RsaSignature};
 use jaap_crypto::shared::SharedPublicKey;
 
 use crate::encoding::Encoder;
+use crate::presented::PresentedCert;
 use crate::{key_name, PkiError};
 
 /// The subject of a threshold attribute certificate: named principals bound
@@ -115,64 +116,14 @@ impl ThresholdAttributeCertificate {
     ///
     /// [`PkiError::BadSignature`] if verification fails.
     pub fn verify(&self, aa_key: &SharedPublicKey) -> Result<(), PkiError> {
-        let body = Self::body_bytes(
-            &self.issuer,
-            &self.subject,
-            &self.group,
-            self.validity,
-            self.timestamp,
-        );
-        if aa_key.verify(&body, &self.signature) {
-            Ok(())
-        } else {
-            Err(PkiError::BadSignature(format!(
-                "threshold attribute certificate for {} by {}",
-                self.group, self.issuer
-            )))
-        }
-    }
-
-    /// Like [`ThresholdAttributeCertificate::verify`], through a shared
-    /// verifier precomputation cache (`recurring = true` — standing certs
-    /// earn fixed-base ladders). Accepts/rejects identically to `verify`.
-    ///
-    /// # Errors
-    ///
-    /// [`PkiError::BadSignature`] if verification fails.
-    pub fn verify_with(
-        &self,
-        aa_key: &SharedPublicKey,
-        precomp: Option<&jaap_crypto::precomp::VerifierPrecomp>,
-    ) -> Result<(), PkiError> {
-        let body = Self::body_bytes(
-            &self.issuer,
-            &self.subject,
-            &self.group,
-            self.validity,
-            self.timestamp,
-        );
-        if aa_key.verify_with(precomp, true, &body, &self.signature) {
-            Ok(())
-        } else {
-            Err(PkiError::BadSignature(format!(
-                "threshold attribute certificate for {} by {}",
-                self.group, self.issuer
-            )))
-        }
+        PresentedCert::Threshold(self).verify(aa_key.rsa(), None)
     }
 
     /// The idealized certificate:
     /// `⟨AA says_tAA (CP_{m,n} ⇒ [tb,te] G)⟩_{K_AA⁻¹}`.
     #[must_use]
     pub fn idealize(&self, aa_key: &SharedPublicKey) -> Message {
-        Certs::threshold_attribute(
-            self.issuer.as_str(),
-            key_name(aa_key.rsa()),
-            self.subject.to_logic(),
-            self.group.clone(),
-            self.timestamp,
-            self.validity,
-        )
+        PresentedCert::Threshold(self).idealize(aa_key.rsa())
     }
 }
 
@@ -226,65 +177,13 @@ impl AttributeCertificate {
     ///
     /// [`PkiError::BadSignature`] if verification fails.
     pub fn verify(&self, aa_key: &SharedPublicKey) -> Result<(), PkiError> {
-        let body = Self::body_bytes(
-            &self.issuer,
-            &self.subject,
-            &self.subject_key,
-            &self.group,
-            self.validity,
-            self.timestamp,
-        );
-        if aa_key.verify(&body, &self.signature) {
-            Ok(())
-        } else {
-            Err(PkiError::BadSignature(format!(
-                "attribute certificate for {} by {}",
-                self.subject, self.issuer
-            )))
-        }
-    }
-
-    /// Like [`AttributeCertificate::verify`], through a shared verifier
-    /// precomputation cache (`recurring = true`). Accepts/rejects
-    /// identically to `verify`.
-    ///
-    /// # Errors
-    ///
-    /// [`PkiError::BadSignature`] if verification fails.
-    pub fn verify_with(
-        &self,
-        aa_key: &SharedPublicKey,
-        precomp: Option<&jaap_crypto::precomp::VerifierPrecomp>,
-    ) -> Result<(), PkiError> {
-        let body = Self::body_bytes(
-            &self.issuer,
-            &self.subject,
-            &self.subject_key,
-            &self.group,
-            self.validity,
-            self.timestamp,
-        );
-        if aa_key.verify_with(precomp, true, &body, &self.signature) {
-            Ok(())
-        } else {
-            Err(PkiError::BadSignature(format!(
-                "attribute certificate for {} by {}",
-                self.subject, self.issuer
-            )))
-        }
+        PresentedCert::Attribute(self).verify(aa_key.rsa(), None)
     }
 
     /// The idealized certificate: `⟨AA says_t (P|K ⇒ [tb,te] G)⟩_{K_AA⁻¹}`.
     #[must_use]
     pub fn idealize(&self, aa_key: &SharedPublicKey) -> Message {
-        Certs::attribute(
-            self.issuer.as_str(),
-            key_name(aa_key.rsa()),
-            Subject::principal(&self.subject).bound(key_name(&self.subject_key)),
-            self.group.clone(),
-            self.timestamp,
-            self.validity,
-        )
+        PresentedCert::Attribute(self).idealize(aa_key.rsa())
     }
 }
 

@@ -5,6 +5,7 @@ use jaap_core::syntax::{Message, Time};
 use jaap_crypto::rsa::{RsaPublicKey, RsaSignature};
 
 use crate::encoding::Encoder;
+use crate::presented::PresentedCert;
 use crate::{key_name, PkiError};
 
 /// A byte-level identity certificate: binds a user name to a public key for
@@ -54,65 +55,14 @@ impl IdentityCertificate {
     ///
     /// [`PkiError::BadSignature`] if verification fails.
     pub fn verify(&self, issuer_key: &RsaPublicKey) -> Result<(), PkiError> {
-        let body = Self::body_bytes(
-            &self.issuer,
-            &self.subject,
-            &self.subject_key,
-            self.validity,
-            self.timestamp,
-        );
-        if issuer_key.verify(&body, &self.signature) {
-            Ok(())
-        } else {
-            Err(PkiError::BadSignature(format!(
-                "identity certificate for {} by {}",
-                self.subject, self.issuer
-            )))
-        }
-    }
-
-    /// Like [`IdentityCertificate::verify`], but through a shared verifier
-    /// precomputation cache with `recurring = true`: standing certificates
-    /// are re-presented on every request, so their signature residues earn
-    /// fixed-base ladders. Accepts/rejects identically to `verify`.
-    ///
-    /// # Errors
-    ///
-    /// [`PkiError::BadSignature`] if verification fails.
-    pub fn verify_with(
-        &self,
-        issuer_key: &RsaPublicKey,
-        precomp: Option<&jaap_crypto::precomp::VerifierPrecomp>,
-    ) -> Result<(), PkiError> {
-        let body = Self::body_bytes(
-            &self.issuer,
-            &self.subject,
-            &self.subject_key,
-            self.validity,
-            self.timestamp,
-        );
-        if issuer_key.verify_with(precomp, true, &body, &self.signature) {
-            Ok(())
-        } else {
-            Err(PkiError::BadSignature(format!(
-                "identity certificate for {} by {}",
-                self.subject, self.issuer
-            )))
-        }
+        PresentedCert::Identity(self).verify(issuer_key, None)
     }
 
     /// The idealized certificate (paper §4.2):
     /// `⟨CA says_tCA (K_P ⇒ [tb,te] P)⟩_{K_CA⁻¹}`.
     #[must_use]
     pub fn idealize(&self, issuer_key: &RsaPublicKey) -> Message {
-        Certs::identity(
-            self.issuer.as_str(),
-            key_name(issuer_key),
-            key_name(&self.subject_key),
-            self.subject.as_str(),
-            self.timestamp,
-            self.validity,
-        )
+        PresentedCert::Identity(self).idealize(issuer_key)
     }
 }
 

@@ -12,9 +12,10 @@
 //! * A **revocation authority** ([`RevocationAuthority`]) issues revocation
 //!   certificates on behalf of the AA (§4.3).
 //! * A [`TrustStore`] holds the verification keys a coalition server trusts
-//!   and converts *cryptographically verified* certificates into the
-//!   idealized messages of `jaap-core` ([`TrustStore::idealize`]), plus the
-//!   engine's [`jaap_core::engine::TrustAssumptions`].
+//!   and converts *cryptographically verified* certificates — each kind
+//!   presented as one [`PresentedCert`] — into the idealized messages of
+//!   `jaap-core` ([`TrustStore::idealize`]), plus the engine's
+//!   [`jaap_core::engine::TrustAssumptions`].
 //!
 //! Certificates are encoded with a deterministic TLV scheme
 //! ([`encoding::Encoder`]) so signatures are over canonical bytes — no
@@ -25,6 +26,7 @@ pub mod authority;
 pub mod crl;
 pub mod encoding;
 pub mod identity;
+pub mod presented;
 pub mod truststore;
 
 pub use attribute::{
@@ -34,6 +36,7 @@ pub use attribute::{
 pub use authority::{CertificateAuthority, RevocationAuthority};
 pub use crl::{Crl, CrlEntry};
 pub use identity::{IdentityCertificate, IdentityRevocation};
+pub use presented::PresentedCert;
 pub use truststore::TrustStore;
 
 use jaap_core::syntax::KeyId;

@@ -7,8 +7,9 @@
 //!
 //! * [`TrustStore::assumptions`] — the engine's initial beliefs
 //!   (Statements 1–11 of Appendix E) derived from the trusted keys;
-//! * `idealize_*` — verify a byte-level certificate's signature and, only
-//!   on success, produce the idealized message the logic engine consumes.
+//! * [`TrustStore::idealize`] and the other `idealize_*` — verify a
+//!   byte-level certificate's signature and, only on success, produce the
+//!   idealized message the logic engine consumes.
 //!   This is the boundary where "crypto says the signature is valid"
 //!   becomes "`P received ⟨… ⟩_{K⁻¹}`" in the logic.
 
@@ -20,8 +21,9 @@ use jaap_crypto::precomp::VerifierPrecomp;
 use jaap_crypto::rsa::RsaPublicKey;
 use jaap_crypto::shared::SharedPublicKey;
 
-use crate::attribute::{AttributeCertificate, AttributeRevocation, ThresholdAttributeCertificate};
-use crate::identity::{IdentityCertificate, IdentityRevocation};
+use crate::attribute::AttributeRevocation;
+use crate::identity::IdentityRevocation;
+use crate::presented::PresentedCert;
 use crate::{key_name, PkiError};
 
 /// Trusted verification keys for a coalition server.
@@ -135,50 +137,52 @@ impl TrustStore {
         a
     }
 
-    /// Verifies and idealizes an identity certificate.
+    /// The trusted key `cert`'s issuer signs with: the named domain CA's
+    /// for an identity certificate, the coalition AA's for an attribute
+    /// certificate naming the AA.
     ///
     /// # Errors
     ///
-    /// [`PkiError::UnknownIssuer`] if the CA is not trusted;
-    /// [`PkiError::BadSignature`] on verification failure.
-    pub fn idealize_identity(&self, cert: &IdentityCertificate) -> Result<Message, PkiError> {
-        self.idealize_identity_with(cert, false, false)
+    /// [`PkiError::UnknownIssuer`] if the named issuer is not trusted.
+    pub fn issuer_key(&self, cert: PresentedCert<'_>) -> Result<&RsaPublicKey, PkiError> {
+        let key = match cert {
+            PresentedCert::Identity(c) => self.ca_key(&c.issuer),
+            PresentedCert::Threshold(_) | PresentedCert::Attribute(_) => self
+                .aa
+                .as_ref()
+                .filter(|e| e.name == cert.issuer())
+                .map(|e| e.key.rsa()),
+        };
+        key.ok_or_else(|| PkiError::UnknownIssuer(cert.issuer().to_string()))
     }
 
-    /// [`TrustStore::idealize_identity`] with explicit crypto-path knobs:
-    /// `use_precomp` routes the signature check through the store's
-    /// [`VerifierPrecomp`]; `sig_prechecked` skips the signature check
-    /// entirely because the caller already verified it cryptographically
-    /// (a batch combined check) — issuer resolution still runs, so an
-    /// untrusted issuer is rejected identically either way.
+    /// Verifies and idealizes a presented certificate: issuer resolution,
+    /// the signature check, then idealization. `use_precomp` routes the
+    /// check through the store's [`VerifierPrecomp`]; `sig_prechecked`
+    /// skips it because the caller already verified the signature (a batch
+    /// combined check). Issuer resolution runs either way, so an untrusted
+    /// issuer is rejected identically on every path.
     ///
     /// # Errors
     ///
-    /// See [`TrustStore::idealize_identity`].
-    pub fn idealize_identity_with(
+    /// [`PkiError::UnknownIssuer`] if the issuer is not trusted;
+    /// [`PkiError::BadSignature`] on verification failure.
+    pub fn idealize(
         &self,
-        cert: &IdentityCertificate,
+        cert: PresentedCert<'_>,
         use_precomp: bool,
         sig_prechecked: bool,
     ) -> Result<Message, PkiError> {
-        let key = self
-            .ca_key(&cert.issuer)
-            .ok_or_else(|| PkiError::UnknownIssuer(cert.issuer.clone()))?;
-        if !sig_prechecked {
-            if use_precomp {
-                cert.verify_with(key, Some(&self.precomp))?;
-            } else {
-                cert.verify(key)?;
-            }
-        }
-        Ok(cert.idealize(key))
+        let key = self.issuer_key(cert)?;
+        let precomp = use_precomp.then_some(self.precomp.as_ref());
+        cert.verify_and_idealize(key, precomp, sig_prechecked)
     }
 
     /// Verifies and idealizes an identity revocation.
     ///
     /// # Errors
     ///
-    /// See [`TrustStore::idealize_identity`].
+    /// See [`TrustStore::idealize`].
     pub fn idealize_identity_revocation(
         &self,
         rev: &IdentityRevocation,
@@ -190,88 +194,13 @@ impl TrustStore {
         Ok(rev.idealize(key))
     }
 
-    /// Verifies and idealizes a threshold attribute certificate.
-    ///
-    /// # Errors
-    ///
-    /// See [`TrustStore::idealize_identity`].
-    pub fn idealize_threshold_attribute(
-        &self,
-        cert: &ThresholdAttributeCertificate,
-    ) -> Result<Message, PkiError> {
-        self.idealize_threshold_attribute_with(cert, false, false)
-    }
-
-    /// [`TrustStore::idealize_threshold_attribute`] with crypto-path
-    /// knobs; see [`TrustStore::idealize_identity_with`].
-    ///
-    /// # Errors
-    ///
-    /// See [`TrustStore::idealize_identity`].
-    pub fn idealize_threshold_attribute_with(
-        &self,
-        cert: &ThresholdAttributeCertificate,
-        use_precomp: bool,
-        sig_prechecked: bool,
-    ) -> Result<Message, PkiError> {
-        let aa = self
-            .aa
-            .as_ref()
-            .filter(|e| e.name == cert.issuer)
-            .ok_or_else(|| PkiError::UnknownIssuer(cert.issuer.clone()))?;
-        if !sig_prechecked {
-            if use_precomp {
-                cert.verify_with(&aa.key, Some(&self.precomp))?;
-            } else {
-                cert.verify(&aa.key)?;
-            }
-        }
-        Ok(cert.idealize(&aa.key))
-    }
-
-    /// Verifies and idealizes a single-subject attribute certificate.
-    ///
-    /// # Errors
-    ///
-    /// See [`TrustStore::idealize_identity`].
-    pub fn idealize_attribute(&self, cert: &AttributeCertificate) -> Result<Message, PkiError> {
-        self.idealize_attribute_with(cert, false, false)
-    }
-
-    /// [`TrustStore::idealize_attribute`] with crypto-path knobs; see
-    /// [`TrustStore::idealize_identity_with`].
-    ///
-    /// # Errors
-    ///
-    /// See [`TrustStore::idealize_identity`].
-    pub fn idealize_attribute_with(
-        &self,
-        cert: &AttributeCertificate,
-        use_precomp: bool,
-        sig_prechecked: bool,
-    ) -> Result<Message, PkiError> {
-        let aa = self
-            .aa
-            .as_ref()
-            .filter(|e| e.name == cert.issuer)
-            .ok_or_else(|| PkiError::UnknownIssuer(cert.issuer.clone()))?;
-        if !sig_prechecked {
-            if use_precomp {
-                cert.verify_with(&aa.key, Some(&self.precomp))?;
-            } else {
-                cert.verify(&aa.key)?;
-            }
-        }
-        Ok(cert.idealize(&aa.key))
-    }
-
     /// Verifies and idealizes a compound (shared-user-key) attribute
     /// certificate, additionally returning the ownership binding the engine
     /// needs (`K_cp ⇒ CP`) so it can be registered as a trust assumption.
     ///
     /// # Errors
     ///
-    /// See [`TrustStore::idealize_identity`].
+    /// See [`TrustStore::idealize`].
     pub fn idealize_compound_attribute(
         &self,
         cert: &crate::attribute::CompoundAttributeCertificate,
@@ -290,7 +219,7 @@ impl TrustStore {
     ///
     /// # Errors
     ///
-    /// See [`TrustStore::idealize_identity`].
+    /// See [`TrustStore::idealize`].
     pub fn idealize_crl(&self, crl: &crate::crl::Crl) -> Result<Vec<Message>, PkiError> {
         let key = self
             .ras
@@ -319,7 +248,7 @@ impl TrustStore {
     ///
     /// # Errors
     ///
-    /// See [`TrustStore::idealize_identity`].
+    /// See [`TrustStore::idealize`].
     pub fn idealize_attribute_revocation(
         &self,
         rev: &AttributeRevocation,
@@ -338,7 +267,7 @@ impl TrustStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attribute::ThresholdSubject;
+    use crate::attribute::{ThresholdAttributeCertificate, ThresholdSubject};
     use crate::authority::{CertificateAuthority, RevocationAuthority};
     use jaap_core::certs::Validity;
     use jaap_core::syntax::GroupId;
@@ -407,7 +336,10 @@ mod tests {
                 Time(5),
             )
             .expect("issue");
-        let msg = f.store.idealize_identity(&cert).expect("idealize");
+        let msg = f
+            .store
+            .idealize(PresentedCert::Identity(&cert), false, false)
+            .expect("idealize");
         assert!(jaap_core::certs::CertView::parse(&msg).is_some());
     }
 
@@ -425,7 +357,8 @@ mod tests {
             )
             .expect("issue");
         assert!(matches!(
-            f.store.idealize_identity(&cert),
+            f.store
+                .idealize(PresentedCert::Identity(&cert), false, false),
             Err(PkiError::UnknownIssuer(_))
         ));
     }
@@ -455,7 +388,8 @@ mod tests {
             signature: jaap_crypto::rsa::RsaSignature::from_value(jaap_bigint::Nat::from(12345u64)),
         };
         assert!(matches!(
-            f.store.idealize_threshold_attribute(&cert),
+            f.store
+                .idealize(PresentedCert::Threshold(&cert), false, false),
             Err(PkiError::BadSignature(_))
         ));
     }
@@ -482,7 +416,10 @@ mod tests {
             timestamp: Time(6),
             signature,
         };
-        assert!(f.store.idealize_threshold_attribute(&cert).is_ok());
+        assert!(f
+            .store
+            .idealize(PresentedCert::Threshold(&cert), false, false)
+            .is_ok());
     }
 
     #[test]

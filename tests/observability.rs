@@ -27,6 +27,20 @@ fn handle_request_populates_phase_histograms_and_counters() {
     assert_eq!(registry.counter_value("server.granted"), Some(1));
     assert_eq!(registry.counter_value("server.denied"), Some(1));
 
+    // A quorum-failure denial is a decision with an audit line too: it
+    // counts in `server.decisions` but, Indeterminate like a shed, not in
+    // `server.denied`.
+    let unavailable = c.server_mut().record_unavailable(
+        vec!["User_D1".into()],
+        Operation::new("write", "Object O"),
+        "joint signing quorum unavailable",
+        None,
+    );
+    assert!(unavailable.unavailable);
+    assert_eq!(registry.counter_value("server.decisions"), Some(3));
+    assert_eq!(registry.counter_value("server.denied"), Some(1));
+    assert_eq!(c.server().audit_log().len(), 3);
+
     for name in [
         "server.phase.recency_ns",
         "server.phase.crypto_ns",

@@ -189,6 +189,56 @@ fn overload_shed_is_typed_audited_and_never_cached() {
     assert_eq!(server.with_writer(|s| s.replay_entries()), 1);
 }
 
+/// The batch path runs the serial paths' admission step: an expired
+/// request sheds with the same detail as under `handle_request`, and a
+/// request already in the replay window is answered from it — in both
+/// cases without a crypto phase, so a replay cannot re-fill the cache.
+#[test]
+fn verify_batch_admits_before_crypto_like_handle_request() {
+    let mut serial = coalition(0x0DE3);
+    let mut batch = coalition(0x0DE3);
+    let registry = batch.enable_metrics();
+    for c in [&mut serial, &mut batch] {
+        c.server_mut().set_verification_cache(true).expect("config");
+        c.server_mut().set_replay_protection(true).expect("config");
+    }
+    let now = batch.server().now();
+    let req = request_at(&batch, &["User_D1"], "read", now);
+    let crypto_samples = || {
+        registry
+            .histogram_snapshot("server.phase.crypto_ns")
+            .map_or(0, |h| h.count)
+    };
+
+    let expired = req.clone().with_deadline(Instant::now());
+    let want = serial.server_mut().handle_request(&expired);
+    let got = batch
+        .server_mut()
+        .verify_batch(std::slice::from_ref(&expired), 1);
+    assert_eq!(got[0].shed, Some(ShedReason::DeadlineExceeded));
+    assert_eq!(got[0].detail, want.detail, "shed before the crypto phase");
+    assert_eq!(got[0].signature_checks, 0);
+    assert_eq!(crypto_samples(), 0, "no crypto work for an expired request");
+
+    let first = batch.server_mut().handle_request(&req);
+    assert!(first.granted);
+    let samples = crypto_samples();
+    let cache = batch.server().verification_cache().expect("cache");
+    cache.clear();
+    let again = batch
+        .server_mut()
+        .verify_batch(std::slice::from_ref(&req), 1);
+    assert!(again[0].granted && again[0].shed.is_none());
+    assert_eq!(again[0].signature_checks, first.signature_checks);
+    assert_eq!(crypto_samples(), samples, "replayed, not re-verified");
+    let cache = batch.server().verification_cache().expect("cache");
+    assert_eq!(
+        cache.stats().entries,
+        0,
+        "a replay never re-fills the cache"
+    );
+}
+
 /// A scripted pre-poison mutation: exactly one journal append each, so
 /// the injected fsync-failure index maps 1:1 onto a script position.
 #[derive(Debug, Clone)]
