@@ -12,17 +12,67 @@ fn arb_nonzero_nat() -> impl Strategy<Value = Nat> {
     arb_nat().prop_filter("nonzero", |n| !n.is_zero())
 }
 
-/// Random odd moduli > 1 across 1–8 limbs (the Montgomery domain).
+/// Random odd moduli > 1 (the Montgomery domain): 1–7 limbs, or the RSA
+/// widths of 16, 32 and 33 limbs (1024, 2048 and just past 2048 bits).
+/// One in three has its top limb forced to `u64::MAX` and one in three is
+/// `2^(64k) − 1`, the shapes that push every carry of the kernel.
 fn arb_odd_modulus() -> impl Strategy<Value = Nat> {
-    proptest::collection::vec(any::<u64>(), 1..8).prop_map(|mut limbs| {
-        limbs[0] |= 1;
-        let n = Nat::from_limbs(limbs);
-        if n.is_one() {
-            Nat::from(3u64)
-        } else {
-            n
-        }
-    })
+    const WIDTHS: [usize; 10] = [1, 2, 3, 4, 5, 6, 7, 16, 32, 33];
+    (
+        0..WIDTHS.len(),
+        proptest::collection::vec(any::<u64>(), 33),
+        0u8..3,
+    )
+        .prop_map(|(width, mut limbs, shape)| {
+            let k = WIDTHS[width];
+            limbs.truncate(k);
+            match shape {
+                1 => limbs[k - 1] = u64::MAX,
+                2 => limbs.fill(u64::MAX),
+                _ => {}
+            }
+            limbs[0] |= 1;
+            let n = Nat::from_limbs(limbs);
+            if n.is_one() {
+                Nat::from(3u64)
+            } else {
+                n
+            }
+        })
+}
+
+/// A base for modulus `m`, by `shape`: 0, 1, `m − 1`, `m + r` (at least
+/// `m`), or otherwise the random `r` itself.
+fn base_for(shape: u8, r: &Nat, m: &Nat) -> Nat {
+    match shape {
+        0 => Nat::zero(),
+        1 => Nat::one(),
+        2 => m - &Nat::one(),
+        3 => m + r,
+        _ => r.clone(),
+    }
+}
+
+/// A random natural of up to 34 limbs — as wide as the widest modulus.
+fn arb_wide_nat() -> impl Strategy<Value = Nat> {
+    proptest::collection::vec(any::<u64>(), 0..35).prop_map(Nat::from_limbs)
+}
+
+/// Random exponents of up to `limbs - 1` limbs, mixed with the sparse
+/// shapes the sliding window special-cases: 3, 65537, `2^j` and `2^j + 1`.
+fn arb_exp(limbs: usize) -> impl Strategy<Value = Nat> {
+    (
+        0u8..8,
+        proptest::collection::vec(any::<u64>(), 0..limbs),
+        0usize..200,
+    )
+        .prop_map(|(shape, limbs, j)| match shape {
+            0 => Nat::from(3u64),
+            1 => Nat::from(65_537u64),
+            2 => Nat::one().shl_bits(j),
+            3 => Nat::one().shl_bits(j) + Nat::one(),
+            _ => Nat::from_limbs(limbs),
+        })
 }
 
 fn arb_int() -> impl Strategy<Value = Int> {
@@ -126,23 +176,27 @@ proptest! {
 
     #[test]
     fn montgomery_modpow_matches_plain(
-        base in arb_nat(),
-        exp in proptest::collection::vec(any::<u64>(), 0..4).prop_map(Nat::from_limbs),
+        r in arb_wide_nat(),
+        shape in 0u8..8,
+        exp in arb_exp(4),
         m in arb_odd_modulus(),
     ) {
+        let base = base_for(shape, &r, &m);
         let ctx = MontgomeryContext::new(&m).expect("odd modulus > 1");
         prop_assert_eq!(ctx.modpow(&base, &exp), base.modpow_plain(&exp, &m));
     }
 
     #[test]
     fn fixed_base_window_matches_montgomery_modpow(
-        base in arb_nat(),
-        exp in proptest::collection::vec(any::<u64>(), 0..4).prop_map(Nat::from_limbs),
+        r in arb_wide_nat(),
+        shape in 0u8..8,
+        exp in arb_exp(4),
         m in arb_odd_modulus(),
         table_bits in 1usize..96,
     ) {
         // The ladder path (including on-the-fly extension past the table)
         // must be byte-identical to the sliding-window Montgomery path.
+        let base = base_for(shape, &r, &m);
         let ctx = MontgomeryContext::new(&m).expect("odd modulus > 1");
         let win = ctx.fixed_base(&base, table_bits);
         prop_assert_eq!(win.modpow(&ctx, &exp), ctx.modpow(&base, &exp));
@@ -150,12 +204,14 @@ proptest! {
 
     #[test]
     fn multi_modpow_matches_factored_product(
-        b1 in arb_nat(), b2 in arb_nat(), b3 in arb_nat(),
-        e1 in proptest::collection::vec(any::<u64>(), 0..3).prop_map(Nat::from_limbs),
-        e2 in proptest::collection::vec(any::<u64>(), 0..3).prop_map(Nat::from_limbs),
-        e3 in proptest::collection::vec(any::<u64>(), 0..3).prop_map(Nat::from_limbs),
+        r1 in arb_wide_nat(), r2 in arb_wide_nat(), r3 in arb_wide_nat(),
+        shapes in (0u8..8, 0u8..8, 0u8..8),
+        e1 in arb_exp(3), e2 in arb_exp(3), e3 in arb_exp(3),
         m in arb_odd_modulus(),
     ) {
+        let b1 = base_for(shapes.0, &r1, &m);
+        let b2 = base_for(shapes.1, &r2, &m);
+        let b3 = base_for(shapes.2, &r3, &m);
         let ctx = MontgomeryContext::new(&m).expect("odd modulus > 1");
         let got = ctx.multi_modpow(&[(&b1, &e1), (&b2, &e2), (&b3, &e3)]);
         let expect = ctx.modpow(&b1, &e1)
@@ -165,12 +221,18 @@ proptest! {
     }
 
     #[test]
-    fn montgomery_mul_matches_mulm(a in arb_nat(), b in arb_nat(), m in arb_odd_modulus()) {
+    fn montgomery_mul_matches_mulm(
+        ra in arb_wide_nat(), rb in arb_wide_nat(),
+        shapes in (0u8..8, 0u8..8),
+        m in arb_odd_modulus(),
+    ) {
+        let a = base_for(shapes.0, &ra, &m);
+        let b = base_for(shapes.1, &rb, &m);
         let ctx = MontgomeryContext::new(&m).expect("odd modulus > 1");
         let am = ctx.to_mont(&a);
         let bm = ctx.to_mont(&b);
-        prop_assert_eq!(ctx.from_mont(&ctx.mont_mul(&am, &bm)), a.mulm(&b, &m));
-        prop_assert_eq!(ctx.from_mont(&ctx.mont_sqr(&am)), a.mulm(&a, &m));
+        prop_assert_eq!(ctx.unmont(&ctx.mont_mul(&am, &bm)), a.mulm(&b, &m));
+        prop_assert_eq!(ctx.unmont(&ctx.mont_sqr(&am)), a.mulm(&a, &m));
     }
 
     #[test]

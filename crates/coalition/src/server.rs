@@ -1630,7 +1630,10 @@ impl CoalitionServer {
                 reader_key,
                 self.objects.iter().find(|o| o.name == req.operation.object),
             ) {
-                response = key.encrypt(&mut self.rng, &obj.content).ok();
+                // The same request's statement check has just cached this
+                // modulus's Montgomery context in the trust store.
+                let precomp = self.crypto_precomp.then_some(self.store.precomp().as_ref());
+                response = key.encrypt_with(precomp, &mut self.rng, &obj.content).ok();
             }
         }
         self.audit.push(AuditEntry {

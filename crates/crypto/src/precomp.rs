@@ -1,36 +1,39 @@
 //! Shared verifier precomputation (DESIGN §5h).
 //!
-//! Every signature verification against a coalition key pays the same two
-//! setup divisions (`R² mod N`, `R mod N`) before the first Montgomery
-//! multiply, yet the AA key, the CA keys, and the standing certificates
-//! they sign are fixed across millions of requests. A [`VerifierPrecomp`]
-//! amortizes that work:
+//! Every signature verification against a coalition key pays the same
+//! setup division (`R² mod N`) before the first Montgomery multiply, yet
+//! the AA key, the CA keys, and the standing certificates they sign are
+//! fixed across millions of requests. A [`VerifierPrecomp`] amortizes
+//! that work:
 //!
-//! * per **modulus** — one cached [`MontgomeryContext`] keyed by the
-//!   SHA-256 digest of `(N, e)` (the paper's key id), so repeat verifies
-//!   against the same key skip both divisions;
+//! * per **modulus** — one cached [`MontgomeryContext`] per `(N, e)`, so
+//!   repeat verifies (and response encryptions) against the same key skip
+//!   the division;
 //! * per **base** — for recurring signature residues (standing certs
 //!   re-presented on every request), a cached [`FixedBaseWindow`] ladder
-//!   keyed by the digest of the residue, so a warm `sig^e` with
-//!   `e = 2¹⁶ + 1` collapses to two Montgomery multiplies and zero
-//!   squarings.
+//!   keyed by the residue, so a warm `sig^e` with `e = 2¹⁶ + 1` collapses
+//!   to two Montgomery multiplies and zero squarings.
 //!
 //! Both maps are [`FifoMap`]s (bounded, insertion-order eviction) guarded
 //! by plain mutexes — entries are built once and then shared as `Arc`s, so
 //! the critical sections are a hash lookup, never a bignum operation.
-//! Correctness does not depend on invalidation: a cache key commits to
-//! the full `(N, e)` (resp. the residue value and its modulus context),
-//! so a trust-store swap or key rotation simply hashes to different
-//! entries — a stale table can never be *served*, only evicted.
+//! Lookups hash the key values themselves with the standard library's
+//! randomly keyed SipHash: a SHA-256 digest of a 2048-bit modulus costs
+//! more than the warm ladder exponentiation it would look up.
+//! Correctness does not depend on invalidation: a modulus entry is served
+//! only when its stored `(N, e)` equals the lookup's, and a ladder is keyed
+//! by its residue value within its modulus entry, so a trust-store swap or
+//! key rotation simply misses — a stale table can never be *served*, only
+//! evicted.
 
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use jaap_bigint::{FixedBaseWindow, MontgomeryContext, Nat};
 use jaap_obs::bounded::FifoMap;
 use jaap_obs::Counter;
-
-use crate::sha256::Sha256;
 
 /// Default bound on cached moduli (coalitions have a handful of trust
 /// anchors plus one modulus per statement-signing user in flight).
@@ -39,24 +42,6 @@ pub const DEFAULT_MODULUS_CAPACITY: usize = 256;
 /// Default bound on cached fixed-base ladders per modulus (one per
 /// standing certificate signature).
 pub const DEFAULT_WINDOW_CAPACITY: usize = 4096;
-
-type Digest = [u8; 32];
-
-fn key_digest(n: &Nat, e: &Nat) -> Digest {
-    let mut h = Sha256::new();
-    h.update(b"jaap-precomp-key");
-    h.update(&n.to_bytes_be());
-    h.update(b"|");
-    h.update(&e.to_bytes_be());
-    h.finalize()
-}
-
-fn base_digest(base: &Nat) -> Digest {
-    let mut h = Sha256::new();
-    h.update(b"jaap-precomp-base");
-    h.update(&base.to_bytes_be());
-    h.finalize()
-}
 
 /// Hit/miss counters shared between the front map and every
 /// [`ModulusPrecomp`] it hands out (so eviction never loses counts). Every
@@ -73,7 +58,7 @@ struct Counters {
 impl Counters {
     /// An empty map bounded at `capacity` (clamped to at least 1) whose
     /// evictions count into the shared counter.
-    fn bounded<V>(&self, capacity: usize) -> FifoMap<Digest, V> {
+    fn bounded<K: Eq + std::hash::Hash + Clone, V>(&self, capacity: usize) -> FifoMap<K, V> {
         let mut map = FifoMap::new(Some(capacity.max(1)));
         map.set_eviction_mirror(Some(Arc::clone(&self.evictions)));
         map
@@ -85,7 +70,7 @@ impl Counters {
 pub struct PrecompStats {
     /// Modulus-context lookups served from cache.
     pub ctx_hits: u64,
-    /// Modulus contexts built (two divisions each).
+    /// Modulus contexts built (one division each).
     pub ctx_misses: u64,
     /// Fixed-base ladders served from cache.
     pub window_hits: u64,
@@ -113,7 +98,10 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// certificate verification on the snapshot path shares one instance.
 #[derive(Debug)]
 pub struct VerifierPrecomp {
-    moduli: Mutex<FifoMap<Digest, Arc<ModulusPrecomp>>>,
+    /// Keyed by the SipHash of `(N, e)` under `hasher`; a hit is checked
+    /// against the entry's own `(N, e)`.
+    moduli: Mutex<FifoMap<u64, Arc<ModulusPrecomp>>>,
+    hasher: RandomState,
     window_capacity: usize,
     counters: Arc<Counters>,
 }
@@ -138,6 +126,7 @@ impl VerifierPrecomp {
         let counters = Arc::new(Counters::default());
         VerifierPrecomp {
             moduli: Mutex::new(counters.bounded(moduli)),
+            hasher: RandomState::new(),
             window_capacity: windows,
             counters,
         }
@@ -148,15 +137,17 @@ impl VerifierPrecomp {
     /// (even or ≤ 1) — callers fall back to the plain path.
     #[must_use]
     pub fn for_key(&self, n: &Nat, e: &Nat) -> Option<Arc<ModulusPrecomp>> {
-        let digest = key_digest(n, e);
-        {
-            let map = lock(&self.moduli);
-            if let Some(mp) = map.get(&digest) {
-                self.counters.ctx_hits.fetch_add(1, Ordering::Relaxed);
-                return Some(Arc::clone(mp));
-            }
+        let key = self.hasher.hash_one((n, e));
+        let cached = |map: &FifoMap<u64, Arc<ModulusPrecomp>>| {
+            map.get(&key)
+                .filter(|mp| mp.ctx.modulus() == n && mp.e == *e)
+                .map(Arc::clone)
+        };
+        if let Some(mp) = cached(&lock(&self.moduli)) {
+            self.counters.ctx_hits.fetch_add(1, Ordering::Relaxed);
+            return Some(mp);
         }
-        // Build outside the lock: two divisions, the cost we amortize.
+        // Build outside the lock: the division we amortize.
         let ctx = MontgomeryContext::new(n)?;
         let mp = Arc::new(ModulusPrecomp {
             ctx,
@@ -168,10 +159,10 @@ impl VerifierPrecomp {
         let mut map = lock(&self.moduli);
         // A racing thread may have built the same context; keep the first
         // (both are equivalent pure functions of (n, e)).
-        if let Some(existing) = map.get(&digest) {
-            return Some(Arc::clone(existing));
+        if let Some(existing) = cached(&map) {
+            return Some(existing);
         }
-        map.insert(digest, Arc::clone(&mp));
+        map.insert(key, Arc::clone(&mp));
         Some(mp)
     }
 
@@ -200,7 +191,7 @@ impl VerifierPrecomp {
 pub struct ModulusPrecomp {
     ctx: MontgomeryContext,
     e: Nat,
-    windows: Mutex<FifoMap<Digest, Arc<FixedBaseWindow>>>,
+    windows: Mutex<FifoMap<Nat, Arc<FixedBaseWindow>>>,
     counters: Arc<Counters>,
 }
 
@@ -236,28 +227,24 @@ impl ModulusPrecomp {
     /// probe: builds nothing and leaves the hit/miss counters untouched.
     #[must_use]
     pub fn has_window(&self, base: &Nat) -> bool {
-        lock(&self.windows).get(&base_digest(base)).is_some()
+        lock(&self.windows).get(base).is_some()
     }
 
     /// The fixed-base ladder for `base`, built (sized to `e`'s bit length)
     /// and cached on first sight.
     #[must_use]
     pub fn window(&self, base: &Nat) -> Arc<FixedBaseWindow> {
-        let digest = base_digest(base);
-        {
-            let map = lock(&self.windows);
-            if let Some(w) = map.get(&digest) {
-                self.counters.window_hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(w);
-            }
+        if let Some(w) = lock(&self.windows).get(base) {
+            self.counters.window_hits.fetch_add(1, Ordering::Relaxed);
+            return Arc::clone(w);
         }
         let win = Arc::new(self.ctx.fixed_base(base, self.e.bit_len().max(1)));
         self.counters.window_misses.fetch_add(1, Ordering::Relaxed);
         let mut map = lock(&self.windows);
-        if let Some(existing) = map.get(&digest) {
+        if let Some(existing) = map.get(base) {
             return Arc::clone(existing);
         }
-        map.insert(digest, Arc::clone(&win));
+        map.insert(base.clone(), Arc::clone(&win));
         win
     }
 
@@ -331,7 +318,7 @@ mod tests {
 
     #[test]
     fn distinct_exponents_get_distinct_entries() {
-        // The digest commits to (N, e) jointly — rotating e must miss.
+        // Entries are per (N, e) jointly — rotating e must miss.
         let p = VerifierPrecomp::new();
         let n = Nat::from(1_000_003u64);
         let _ = p.for_key(&n, &Nat::from(65_537u64));

@@ -180,6 +180,24 @@ impl RsaPublicKey {
     /// [`CryptoError::InvalidParameters`] if the modulus is too small to
     /// carry any payload per block.
     pub fn encrypt(&self, rng: &mut dyn RngCore, msg: &[u8]) -> Result<RsaCiphertext, CryptoError> {
+        self.encrypt_with(None, rng, msg)
+    }
+
+    /// Like [`RsaPublicKey::encrypt`], but through a shared
+    /// [`crate::precomp::VerifierPrecomp`] when one is supplied: the
+    /// Montgomery context for `N` — the one the same key's signature checks
+    /// already cached — is reused instead of rebuilt. Draws the same
+    /// randomness and yields the same ciphertext as the plain path.
+    ///
+    /// # Errors
+    ///
+    /// As [`RsaPublicKey::encrypt`].
+    pub fn encrypt_with(
+        &self,
+        precomp: Option<&crate::precomp::VerifierPrecomp>,
+        rng: &mut dyn RngCore,
+        msg: &[u8],
+    ) -> Result<RsaCiphertext, CryptoError> {
         let modulus_bytes = (self.n.bit_len() - 1) / 8;
         // Layout per block: 8 random bytes || 1 length byte || payload.
         if modulus_bytes < 10 {
@@ -191,6 +209,7 @@ impl RsaPublicKey {
         // payload bytes no matter how wide the modulus is (moduli ≥ ~2121
         // bits would otherwise overflow the `u8` length and panic).
         let payload_per_block = (modulus_bytes - 9).min(255);
+        let mp = precomp.and_then(|p| p.for_key(&self.n, &self.e));
         let mut blocks = Vec::new();
         let chunks: Vec<&[u8]> = if msg.is_empty() {
             vec![&[][..]]
@@ -209,7 +228,10 @@ impl RsaPublicKey {
             block.extend_from_slice(chunk);
             block.resize(modulus_bytes, 0);
             let m = Nat::from_bytes_be(&block);
-            blocks.push(m.modpow(&self.e, &self.n));
+            blocks.push(match &mp {
+                Some(mp) => mp.context().modpow(&m, &self.e),
+                None => m.modpow(&self.e, &self.n),
+            });
         }
         Ok(RsaCiphertext { blocks })
     }
@@ -555,6 +577,25 @@ mod tests {
             let ct = kp.public().encrypt(&mut rng, msg).expect("encrypt");
             assert_eq!(kp.decrypt(&ct).expect("decrypt"), msg);
         }
+    }
+
+    #[test]
+    fn encrypt_with_precomp_matches_plain_encrypt() {
+        let kp = keypair(256, 29);
+        let precomp = crate::precomp::VerifierPrecomp::new();
+        let msg = vec![0x5au8; 100];
+        let plain = kp
+            .public()
+            .encrypt(&mut StdRng::seed_from_u64(30), &msg)
+            .expect("plain");
+        let cached = kp
+            .public()
+            .encrypt_with(Some(&precomp), &mut StdRng::seed_from_u64(30), &msg)
+            .expect("cached");
+        assert_eq!(plain, cached, "same randomness, same ciphertext");
+        assert_eq!(kp.decrypt(&plain).expect("plain"), msg);
+        assert_eq!(kp.decrypt(&cached).expect("cached"), msg);
+        assert_eq!(precomp.stats().ctx_misses, 1);
     }
 
     #[test]

@@ -426,7 +426,7 @@ fn keygen_party(
         let mut correction = None;
         let mut candidate_sig = product;
         // One shared Montgomery context for the whole search: the old
-        // per-candidate `modpow` rebuilt the context (two divisions) on
+        // per-candidate `modpow` rebuilt the context (a division) on
         // every r. The check itself is the batch-verification leaf
         // (`ModulusPrecomp::verify`).
         let calib = ModulusPrecomp::standalone(&modulus, &e);
