@@ -4,11 +4,11 @@
 //! A `ShardedCoalition` partitions disjoint object namespaces across N
 //! single-writer shards; decisions run their crypto phase against
 //! epoch-versioned immutable snapshots without holding any lock, and a
-//! persistent worker pool fans a mixed batch across cores. The experiment
-//! drives a mixed admit/revoke/decide workload — every round admits a
-//! revocation through the cross-shard fan-out (forcing a snapshot
-//! republish on every shard), then decides a cross-shard request batch —
-//! and sweeps the worker count. The workers=1 point of the *same* system
+//! scoped-thread fan-out spreads a mixed batch across cores. The
+//! experiment drives a mixed admit/revoke/decide workload — every round
+//! admits a revocation through the cross-shard fan-out (forcing a
+//! snapshot republish on every shard), then decides a cross-shard request
+//! batch — and sweeps the worker count. The workers=1 point of the *same* system
 //! is the single-threaded baseline; speedups are relative to it.
 //!
 //! Scaling is bounded by the host: on a single-core machine every point
@@ -294,9 +294,8 @@ fn bench(c: &mut Criterion) {
         .build_request(&["User_D1", "User_D2"], Operation::new("write", "Object O"))
         .expect("request");
     let server = ConcurrentServer::new(coalition.into_server());
-    group.bench_function("snapshot_load_cached_192", |b| {
-        let mut reader = server.reader();
-        b.iter(|| reader.load().version());
+    group.bench_function("snapshot_load_192", |b| {
+        b.iter(|| server.snapshot().version());
     });
     group.bench_function("decide_lock_free_192", |b| {
         b.iter(|| server.decide(&req).granted);

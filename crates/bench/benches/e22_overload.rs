@@ -147,7 +147,7 @@ fn phase_a(p: &Profile) -> OverloadOutcome {
     ];
     let server = ConcurrentServer::new(c.into_server());
     let registry = MetricsRegistry::new();
-    server.set_gate_metrics(&registry);
+    server.set_metrics(&registry);
     server.set_inflight_limit(p.inflight);
 
     // Calibrate closed-loop capacity with exactly as many lanes as gate
@@ -606,15 +606,13 @@ fn bench(c: &mut Criterion) {
     let server = ConcurrentServer::new(coalition.into_server());
     server.set_inflight_limit(1);
     group.bench_function("admitted_decision", |b| {
-        let mut reader = server.reader();
-        b.iter(|| server.decide_with_reader(&mut reader, &req));
+        b.iter(|| server.decide(&req));
     });
     group.bench_function("gate_reject", |b| {
         // Hold the only slot so every decide sheds at the gate: prices
         // the lock-free reject path itself.
         let _hold = server.acquire_slot().expect("empty gate");
-        let mut reader = server.reader();
-        b.iter(|| server.decide_with_reader(&mut reader, &req));
+        b.iter(|| server.decide(&req));
     });
     group.finish();
 }

@@ -1,5 +1,7 @@
 //! Shared helpers for the experiment benches (see EXPERIMENTS.md).
 
+#![forbid(unsafe_code)]
+
 pub mod loadgen;
 pub mod overload;
 

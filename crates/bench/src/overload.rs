@@ -124,7 +124,6 @@ pub fn run_overload(
                 let accepted_latency = &accepted_latency;
                 scope.spawn(move || {
                     let mut tally = LaneTally::default();
-                    let mut reader = server.reader();
                     let mut i = lane;
                     while i < offsets.len() {
                         let scheduled = start + offsets[i];
@@ -150,9 +149,9 @@ pub fn run_overload(
                                 let req = pool[i % pool.len()]
                                     .clone()
                                     .with_deadline(scheduled + budget);
-                                server.decide_with_reader(&mut reader, &req)
+                                server.decide(&req)
                             }
-                            None => server.decide_with_reader(&mut reader, &pool[i % pool.len()]),
+                            None => server.decide(&pool[i % pool.len()]),
                         };
                         match decision.shed {
                             Some(ShedReason::Overloaded) => tally.shed_overloaded += 1,
@@ -225,10 +224,9 @@ pub fn calibrate_capacity(
     std::thread::scope(|scope| {
         for lane in 0..lanes {
             scope.spawn(move || {
-                let mut reader = server.reader();
                 let mut i = lane;
                 while i < requests {
-                    let _ = server.decide_with_reader(&mut reader, &pool[i % pool.len()]);
+                    let _ = server.decide(&pool[i % pool.len()]);
                     i += lanes;
                 }
             });

@@ -35,6 +35,8 @@
 //! Operations are **not constant-time**; this crate backs a protocol
 //! simulator, not a production TLS stack. See DESIGN.md §7.
 
+#![forbid(unsafe_code)]
+
 mod div;
 mod error;
 mod fmt;

@@ -23,8 +23,8 @@
 //!   evicted on lookup.
 //!
 //! The cache is `Clone`-cheap (a shared handle) and thread-safe, so the
-//! [`crate::server::CoalitionServer::verify_batch`] worker pool shares one
-//! instance live across workers.
+//! [`crate::server::CoalitionServer::verify_batch`] fan-out shares one
+//! instance live across its threads.
 //!
 //! **Bounded.** The cache holds at most its capacity
 //! ([`DEFAULT_CACHE_CAPACITY`] unless overridden via

@@ -16,8 +16,9 @@
 //! before taking effect) go through the single writer lock, and every
 //! mutation publishes a fresh immutable [`DecisionSnapshot`] stamped with
 //! the server's [`state_version`](crate::server::CoalitionServer::state_version).
-//! Decision workers evaluate the crypto phase against a snapshot **without
-//! holding any lock**, then take the writer lock only for the serial tail.
+//! Decision workers load the snapshot (one short slot lock and an `Arc`
+//! clone), evaluate the crypto phase against it **without holding any
+//! lock**, then take the writer lock only for the serial tail.
 //! At commit the snapshot's version is compared against the live one: equal
 //! means nothing changed since the snapshot was taken, so the decision is
 //! byte-identical to serial execution at that version; different means the
@@ -29,7 +30,7 @@
 //! against travels *inside* the immutable snapshot `Arc` it evaluates, not
 //! in a separate cell that could be observed mid-publish.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -147,72 +148,15 @@ impl DecisionSnapshot {
     }
 }
 
-/// The publication cell: the current snapshot plus an atomic copy of its
-/// version used as a cheap refresh hint.
-///
-/// The hot read path ([`SnapshotReader::load`]) is one atomic load and a
-/// version compare; the slot mutex is taken only when the version actually
-/// moved (or by the writer, which is rare by assumption). The hint is
-/// *only* a hint: a reader acting on a stale cached snapshot is
-/// indistinguishable from one that decided just before the publish, and
-/// the commit-time version check catches it.
-#[derive(Debug)]
-struct SnapshotCell {
-    version: AtomicU64,
-    slot: Mutex<Arc<DecisionSnapshot>>,
-}
-
-impl SnapshotCell {
-    fn new(snapshot: DecisionSnapshot) -> Self {
-        SnapshotCell {
-            version: AtomicU64::new(snapshot.version),
-            slot: Mutex::new(Arc::new(snapshot)),
-        }
-    }
-
-    fn load(&self) -> Arc<DecisionSnapshot> {
-        Arc::clone(&self.slot.lock())
-    }
-
-    fn publish(&self, snapshot: DecisionSnapshot) {
-        let version = snapshot.version;
-        let snapshot = Arc::new(snapshot);
-        let mut slot = self.slot.lock();
-        *slot = snapshot;
-        // Publish the hint only after the slot holds the matching
-        // snapshot; a reader that races sees at worst an older hint and
-        // keeps its cached (older) snapshot — never a mixed state.
-        self.version.store(version, Ordering::Release);
-    }
-}
-
-/// A per-worker cached view of the published snapshot. `load` refreshes
-/// the cached `Arc` only when the atomic version hint moved, so steady-state
-/// reads touch no lock at all.
-#[derive(Debug)]
-pub struct SnapshotReader<'a> {
-    cell: &'a SnapshotCell,
-    cached: Arc<DecisionSnapshot>,
-}
-
-impl SnapshotReader<'_> {
-    /// The current snapshot (refreshing the cache if the version moved).
-    pub fn load(&mut self) -> Arc<DecisionSnapshot> {
-        let hint = self.cell.version.load(Ordering::Acquire);
-        if self.cached.version != hint {
-            self.cached = self.cell.load();
-        }
-        Arc::clone(&self.cached)
-    }
-}
-
-/// A [`CoalitionServer`] behind the read/write split: lock-free snapshot
-/// reads for the decision hot path, single-writer mutations that publish a
-/// new epoch.
+/// A [`CoalitionServer`] behind the read/write split: snapshot reads off
+/// the writer lock for the decision hot path, single-writer mutations that
+/// publish a new epoch.
 #[derive(Debug)]
 pub struct ConcurrentServer {
     writer: Mutex<CoalitionServer>,
-    published: SnapshotCell,
+    /// The current snapshot. The slot lock is held only to clone or
+    /// replace the `Arc`, never across decision work.
+    published: Mutex<Arc<DecisionSnapshot>>,
     /// In-flight decision count (the admission gate).
     inflight: AtomicUsize,
     /// Gate capacity; `0` = unlimited (gate off).
@@ -232,7 +176,7 @@ impl ConcurrentServer {
         let snapshot = DecisionSnapshot::capture(&server);
         ConcurrentServer {
             writer: Mutex::new(server),
-            published: SnapshotCell::new(snapshot),
+            published: Mutex::new(Arc::new(snapshot)),
             inflight: AtomicUsize::new(0),
             inflight_limit: AtomicUsize::new(0),
             gate_metrics: Mutex::new(None),
@@ -260,17 +204,22 @@ impl ConcurrentServer {
         self.inflight.load(Ordering::Relaxed)
     }
 
-    /// Resolves the lock-free-path instruments (`server.inflight` gauge,
-    /// `server.shed.{overloaded,deadline}` counters) from `registry`. The
-    /// serial server's own pipeline instruments attach separately through
-    /// the writer (`with_writer(|s| s.set_metrics(..))`); shed counters
-    /// resolved from the same registry aggregate across both paths.
-    pub fn set_gate_metrics(&self, registry: &MetricsRegistry) {
+    /// Attaches `registry`: the serial server's pipeline instruments
+    /// ([`CoalitionServer::set_metrics`]) and the lock-free-path ones
+    /// (`server.inflight` gauge, `server.shed.{overloaded,deadline}`
+    /// counters, which aggregate sheds from both paths). Republishes the
+    /// snapshot so the crypto phase off the writer lock records into the
+    /// new instruments; the state version does not move, since metrics
+    /// are not decision state.
+    pub fn set_metrics(&self, registry: &MetricsRegistry) {
+        let mut server = self.writer.lock();
+        server.set_metrics(Some(registry));
         *self.gate_metrics.lock() = Some(Arc::new(GateInstruments {
             inflight: registry.gauge("server.inflight"),
             shed_overloaded: registry.counter("server.shed.overloaded"),
             shed_deadline: registry.counter("server.shed.deadline"),
         }));
+        self.publish(&server);
     }
 
     /// The shed-audit ring: decisions shed off the writer lock, oldest
@@ -322,7 +271,7 @@ impl ConcurrentServer {
         instruments: Option<&Arc<GateInstruments>>,
     ) -> ServerDecision {
         let entry = AuditEntry {
-            at: self.published.load().at(),
+            at: self.snapshot().at(),
             principals: req.statements.iter().map(|s| s.principal.clone()).collect(),
             operation: req.operation.clone(),
             granted: false,
@@ -353,17 +302,15 @@ impl ConcurrentServer {
     /// The currently published snapshot.
     #[must_use]
     pub fn snapshot(&self) -> Arc<DecisionSnapshot> {
-        self.published.load()
+        Arc::clone(&self.published.lock())
     }
 
-    /// A per-worker cached snapshot reader (steady-state loads are one
-    /// atomic read).
-    #[must_use]
-    pub fn reader(&self) -> SnapshotReader<'_> {
-        SnapshotReader {
-            cell: &self.published,
-            cached: self.published.load(),
-        }
+    /// Publishes `server`'s current state as the new snapshot.
+    fn publish(&self, server: &CoalitionServer) {
+        // Capture before taking the slot lock, so readers wait only for
+        // the pointer swap.
+        let snapshot = Arc::new(DecisionSnapshot::capture(server));
+        *self.published.lock() = snapshot;
     }
 
     /// Runs a mutation under the writer lock and republishes the snapshot
@@ -376,7 +323,7 @@ impl ConcurrentServer {
         let before = server.state_version();
         let out = f(&mut server);
         if server.state_version() != before {
-            self.published.publish(DecisionSnapshot::capture(&server));
+            self.publish(&server);
         }
         out
     }
@@ -403,16 +350,6 @@ impl ConcurrentServer {
         self.decide_with(req, || {})
     }
 
-    /// Decides using a caller-owned cached [`SnapshotReader`] (saves the
-    /// slot lock when the version has not moved).
-    pub fn decide_with_reader<'a>(
-        &'a self,
-        reader: &mut SnapshotReader<'a>,
-        req: &JointAccessRequest,
-    ) -> ServerDecision {
-        self.decide_inner(req, Some(reader), &mut || {})
-    }
-
     /// Test hook variant of [`ConcurrentServer::decide`]: `mid_crypto` runs
     /// after the crypto phase of the first attempt, **before** the writer
     /// lock is taken — the window in which a concurrent admission must be
@@ -423,15 +360,6 @@ impl ConcurrentServer {
         &self,
         req: &JointAccessRequest,
         mut mid_crypto: impl FnMut(),
-    ) -> ServerDecision {
-        self.decide_inner(req, None, &mut mid_crypto)
-    }
-
-    fn decide_inner<'a>(
-        &'a self,
-        req: &JointAccessRequest,
-        reader: Option<&mut SnapshotReader<'a>>,
-        mid_crypto: &mut dyn FnMut(),
     ) -> ServerDecision {
         let instruments = self.gate_metrics.lock().clone();
         // Admission gate: reject at the door, never queue. The rejection
@@ -444,14 +372,6 @@ impl ConcurrentServer {
                 instruments.as_ref(),
             );
         };
-        let mut own_reader;
-        let reader = match reader {
-            Some(r) => r,
-            None => {
-                own_reader = self.reader();
-                &mut own_reader
-            }
-        };
         for attempt in 0..MAX_OPTIMISTIC_ATTEMPTS {
             // Pre-crypto deadline gate: don't spend signature work on a
             // request whose budget is already gone.
@@ -463,7 +383,7 @@ impl ConcurrentServer {
                     instruments.as_ref(),
                 );
             }
-            let snapshot = reader.load();
+            let snapshot = self.snapshot();
             // Lock-free phase: recency + crypto against the immutable
             // snapshot. No writer can be blocked by this work.
             let outcome = snapshot.crypto.evaluate(req, None);
@@ -480,34 +400,25 @@ impl ConcurrentServer {
                     instruments.as_ref(),
                 );
             }
-            let mut server = self.writer.lock();
-            if server.state_version() == snapshot.version {
-                // Nothing changed since the snapshot: committing now is
-                // byte-identical to serial execution at this version.
-                let digest = server.replay_digest(req);
-                let decision = server.finish_decision(req, outcome, digest);
-                // The tail itself may admit request certificates (bumping
-                // the engine epoch); republish so the next reader sees it.
-                if server.state_version() != snapshot.version {
-                    self.published.publish(DecisionSnapshot::capture(&server));
-                }
+            // Nothing changed since the snapshot: committing now is
+            // byte-identical to serial execution at this version. The tail
+            // itself may admit request certificates (bumping the engine
+            // epoch); `with_writer` then republishes.
+            let committed = self.with_writer(|server| {
+                (server.state_version() == snapshot.version).then(|| {
+                    let digest = server.replay_digest(req);
+                    server.finish_decision(req, outcome, digest)
+                })
+            });
+            if let Some(decision) = committed {
                 return decision;
             }
-            // A mutation landed in between; if the writer republished we
-            // retry against the fresh snapshot off-lock. (The writer always
-            // republishes on version change, so the reader will observe a
-            // new version.)
-            drop(server);
+            // A mutation landed in between and the writer republished:
+            // retry against the fresh snapshot off-lock.
         }
         // Contention fallback: run the whole pipeline serially under the
         // lock — always sound, never starved.
-        let mut server = self.writer.lock();
-        let before = server.state_version();
-        let decision = server.handle_request(req);
-        if server.state_version() != before {
-            self.published.publish(DecisionSnapshot::capture(&server));
-        }
-        decision
+        self.with_writer(|server| server.handle_request(req))
     }
 }
 
@@ -588,16 +499,21 @@ mod tests {
     }
 
     #[test]
-    fn reader_refreshes_only_on_version_move() {
+    fn snapshot_is_republished_only_when_state_or_metrics_move() {
         let c = ConcurrentServer::new(CoalitionServer::new("P", TrustStore::new(Time(0))));
-        let mut reader = c.reader();
-        let s1 = reader.load();
-        let s2 = reader.load();
+        let s1 = c.snapshot();
+        let s2 = c.snapshot();
         assert!(Arc::ptr_eq(&s1, &s2));
         c.advance_clock(Time(5)).expect("clock");
-        let s3 = reader.load();
+        let s3 = c.snapshot();
         assert!(!Arc::ptr_eq(&s2, &s3));
         assert_eq!(s3.at(), Time(5));
         assert!(s3.version() > s2.version());
+        // Metrics are not decision state: attaching them republishes at
+        // the same version.
+        c.set_metrics(&MetricsRegistry::new());
+        let s4 = c.snapshot();
+        assert!(!Arc::ptr_eq(&s3, &s4));
+        assert_eq!(s4.version(), s3.version());
     }
 }

@@ -27,8 +27,8 @@
 //! * [`shard`] — `ShardedCoalition`: disjoint object/group namespaces
 //!   partitioned across N concurrent shards, with cross-shard admission
 //!   fan-out and per-shard instruments.
-//! * [`pool`] — the persistent worker pool behind `verify_batch` and the
-//!   sharded decision fan-out (replaces per-call `std::thread::scope`).
+//! * `pool` — the scoped fan-out (`std::thread::scope`) behind
+//!   `verify_batch` and the sharded decision batch.
 //!
 //! # Quickstart
 //!
@@ -51,6 +51,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod aa;
 pub mod availability;
 pub mod cache;
@@ -59,7 +61,7 @@ pub mod domain;
 pub mod dynamics;
 pub mod journal;
 pub mod liability;
-pub mod pool;
+mod pool;
 pub mod replication;
 pub mod request;
 pub mod scenario;

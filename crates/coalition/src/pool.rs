@@ -1,180 +1,89 @@
-//! A persistent worker pool for the decision front-end.
+//! Scoped fan-out for the decision front-end.
 //!
+//! [`run_indexed`] runs a borrowed closure over the indices `0..n` on
+//! `max_workers − 1` scoped threads plus the calling thread, all claiming
+//! indices from one shared counter. [`std::thread::scope`] joins every
+//! helper before returning, so the closure may borrow the caller's stack
+//! and a helper's panic is re-raised on the caller. Fan-outs may nest: each
+//! call owns its threads.
+//!
+//! Behind
 //! [`CoalitionServer::verify_batch`](crate::server::CoalitionServer::verify_batch)
-//! used to spawn a fresh `std::thread::scope` per call; under a sustained
-//! request stream that pays thread creation and teardown on every batch.
-//! The pool keeps a fixed set of workers (sized by
-//! [`std::thread::available_parallelism`] for the shared
-//! [`WorkerPool::global`] instance) alive for the process lifetime and
-//! feeds them boxed jobs through a shared channel.
-//!
-//! The only public entry point beyond construction is
-//! [`WorkerPool::run_indexed`], a *scoped* fan-out: it dispatches a borrowed
-//! closure over the indices `0..n` and does not return until every worker
-//! that saw the closure has finished with it. That barrier is what makes the
-//! (internal) lifetime erasure sound — the borrow outlives every use.
-//!
-//! Nesting `run_indexed` inside a pool job is not supported: a job that
-//! blocks on the pool it runs on can starve the pool. Fan out once, at the
-//! outermost layer.
+//! and [`ShardedCoalition::decide_batch`](crate::shard::ShardedCoalition::decide_batch).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
-use crossbeam_channel::{Receiver, Sender};
-use parking_lot::Mutex;
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A fixed-size pool of persistent worker threads.
-#[derive(Debug)]
-pub struct WorkerPool {
-    jobs: Sender<Job>,
-    threads: usize,
+/// Available cores, read once.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
-impl WorkerPool {
-    /// Creates a pool with `threads` workers (at least one).
-    #[must_use]
-    pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let (jobs, rx) = crossbeam_channel::unbounded::<Job>();
-        // The vendored channel's receiver is single-consumer; workers share
-        // it through a mutex. The lock is held only while dequeuing, so job
-        // *execution* is fully parallel — pickup is serialized, which is
-        // harmless (jobs are coarse: a whole crypto verification or more).
-        let rx = Arc::new(Mutex::new(rx));
-        for i in 0..threads {
-            let rx: Arc<Mutex<Receiver<Job>>> = Arc::clone(&rx);
-            std::thread::Builder::new()
-                .name(format!("jaap-pool-{i}"))
-                .spawn(move || loop {
-                    let job = rx.lock().recv();
-                    match job {
-                        Ok(job) => job(),
-                        // All senders dropped: the pool is gone, retire.
-                        Err(_) => break,
-                    }
-                })
-                .expect("spawn pool worker");
-        }
-        WorkerPool { jobs, threads }
+/// Runs `f(i)` for every `i in 0..n` on `min(max_workers, n, cores)`
+/// threads (the caller is one of them) and returns the results in index
+/// order.
+///
+/// # Panics
+///
+/// Re-raises any panic that escaped `f`, on the caller's share or a
+/// helper's.
+pub(crate) fn run_indexed<T, F>(n: usize, max_workers: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let workers = cores().min(max_workers.max(1)).min(n);
+    if workers <= 1 {
+        return (0..n).map(f).collect();
     }
-
-    /// The process-wide pool, created on first use with one worker per
-    /// available core.
-    pub fn global() -> &'static WorkerPool {
-        static POOL: OnceLock<WorkerPool> = OnceLock::new();
-        POOL.get_or_init(|| {
-            WorkerPool::new(
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1),
-            )
-        })
-    }
-
-    /// Number of worker threads.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Runs `f(i)` for every `i in 0..n` across at most `max_workers` pool
-    /// workers (capped by the pool size and by `n`), returning the results
-    /// in index order. Blocks until every dispatched worker is done with
-    /// `f`, so `f` may freely borrow from the caller's stack.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises (as a panic) any panic that escaped `f` on a worker.
-    pub fn run_indexed<T, F>(&self, n: usize, max_workers: usize, f: F) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: Fn(usize) -> T + Sync,
-    {
-        if n == 0 {
-            return Vec::new();
+    let next = AtomicUsize::new(0);
+    let share = || {
+        let mut out = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return out;
+            }
+            out.push((i, f(i)));
         }
-        let workers = self.threads.min(max_workers.max(1)).min(n);
-        if workers == 1 {
-            // Nothing to fan out: run inline, skipping dispatch overhead
-            // (and keeping single-worker callers deterministic and
-            // pool-independent).
-            return (0..n).map(f).collect();
-        }
-
-        let next = Arc::new(AtomicUsize::new(0));
-        let (res_tx, res_rx) = crossbeam_channel::unbounded::<(usize, T)>();
-        let (done_tx, done_rx) = crossbeam_channel::unbounded::<bool>();
-
-        // SAFETY (lifetime erasure): the closure reference is transmuted to
-        // `'static` so it can cross into the boxed `'static` jobs. Every
-        // dispatched job signals `done_tx` when it stops touching `f`
-        // (normally or via `catch_unwind`), and this function does not
-        // return before it has received exactly `workers` such signals, so
-        // no worker can observe `f` (or anything it borrows) after this
-        // frame unwinds.
-        let f_ref: &(dyn Fn(usize) -> T + Sync) = &f;
-        let f_static: &'static (dyn Fn(usize) -> T + Sync) = unsafe { std::mem::transmute(f_ref) };
-
-        for _ in 0..workers {
-            let next = Arc::clone(&next);
-            let res_tx = res_tx.clone();
-            let done_tx = done_tx.clone();
-            let job: Job = Box::new(move || {
-                let ok = catch_unwind(AssertUnwindSafe(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let out = f_static(i);
-                    if res_tx.send((i, out)).is_err() {
-                        break;
-                    }
-                }))
-                .is_ok();
-                let _ = done_tx.send(ok);
-            });
-            assert!(self.jobs.send(job).is_ok(), "pool workers outlive the pool");
-        }
-        drop(res_tx);
-        drop(done_tx);
-
-        // The barrier: wait for every dispatched worker before touching the
-        // results (and before `f` may be dropped).
-        let mut panicked = false;
-        for _ in 0..workers {
-            match done_rx.recv() {
-                Ok(ok) => panicked |= !ok,
-                Err(_) => panicked = true,
+    };
+    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(share)).collect();
+        let mut place = |pairs: Vec<(usize, T)>| {
+            for (i, out) in pairs {
+                slots[i] = Some(out);
+            }
+        };
+        place(share());
+        for helper in helpers {
+            match helper.join() {
+                Ok(pairs) => place(pairs),
+                Err(panic) => std::panic::resume_unwind(panic),
             }
         }
-        let mut results: Vec<Option<T>> = Vec::with_capacity(n);
-        results.resize_with(n, || None);
-        while let Ok((i, out)) = res_rx.try_recv() {
-            results[i] = Some(out);
-        }
-        assert!(!panicked, "a worker-pool job panicked");
-        results
-            .into_iter()
-            .map(|slot| slot.expect("every index produced a result"))
-            .collect()
-    }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every index produced a result"))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
 
     #[test]
     fn run_indexed_returns_results_in_order() {
-        let pool = WorkerPool::new(4);
         let base = 7usize;
-        // Borrows from the caller's stack — the scoped barrier makes this
-        // sound.
-        let out = pool.run_indexed(100, 4, |i| base + i * 2);
+        // Borrows from the caller's stack — the scope joins every helper.
+        let out = run_indexed(100, 4, |i| base + i * 2);
         assert_eq!(out.len(), 100);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, base + i * 2);
@@ -183,40 +92,33 @@ mod tests {
 
     #[test]
     fn run_indexed_caps_workers_and_handles_tiny_inputs() {
-        let pool = WorkerPool::new(2);
-        assert!(pool.run_indexed(0, 8, |i| i).is_empty());
-        assert_eq!(pool.run_indexed(1, 8, |i| i), vec![0]);
-        assert_eq!(pool.run_indexed(3, 1, |i| i * i), vec![0, 1, 4]);
+        assert!(run_indexed(0, 8, |i| i).is_empty());
+        assert_eq!(run_indexed(1, 8, |i| i), vec![0]);
+        assert_eq!(run_indexed(3, 1, |i| i * i), vec![0, 1, 4]);
     }
 
     #[test]
-    fn pool_survives_many_batches() {
-        let pool = WorkerPool::new(3);
+    fn run_indexed_survives_many_batches() {
         for round in 0..50 {
-            let out = pool.run_indexed(17, 3, move |i| i + round);
+            let out = run_indexed(17, 3, move |i| i + round);
             assert_eq!(out[16], 16 + round);
         }
     }
 
     #[test]
     fn worker_panic_is_propagated() {
-        let pool = WorkerPool::new(2);
-        let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run_indexed(8, 2, |i| {
-                assert!(i != 5, "boom");
-                i
-            })
-        }));
-        assert!(res.is_err());
-        // The pool itself stays usable afterwards.
-        assert_eq!(pool.run_indexed(2, 2, |i| i), vec![0, 1]);
-    }
-
-    #[test]
-    fn global_pool_is_shared_and_sized() {
-        let a = WorkerPool::global();
-        let b = WorkerPool::global();
-        assert!(std::ptr::eq(a, b));
-        assert!(a.threads() >= 1);
+        // One worker panics on the caller's own share; two may panic on
+        // either the caller's share or a helper's.
+        for workers in [1, 2] {
+            let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                run_indexed(8, workers, |i| {
+                    assert!(i != 5, "boom");
+                    i
+                })
+            }));
+            assert!(res.is_err(), "{workers} worker(s)");
+        }
+        // Fan-outs after a panic run normally.
+        assert_eq!(run_indexed(2, 2, |i| i), vec![0, 1]);
     }
 }

@@ -56,7 +56,7 @@ use rand::{RngCore, SeedableRng};
 
 use crate::cache::{self, VerifyCache};
 use crate::journal::{ConfigKind, DecisionRecord, JournalRecord, ReplayRecord, ServerJournal};
-use crate::pool::WorkerPool;
+use crate::pool;
 use crate::request::{presented, statement_bytes, JointAccessRequest};
 use crate::CoalitionError;
 
@@ -1316,14 +1316,14 @@ impl CoalitionServer {
     /// Handles a batch of **independent** requests. Each request passes
     /// the same admission step as [`CoalitionServer::handle_request`];
     /// the admitted ones then run the same crypto stage fanned across up
-    /// to `workers` threads of the shared persistent pool
-    /// ([`WorkerPool::global`]), with the batch pre-pass's vouchers when
-    /// [`CoalitionServer::set_batch_verify`] is on, and commit serially in
-    /// request order. Decisions are identical to calling `handle_request`
-    /// on each request in order; only the split of checks between
-    /// `signature_checks` and `cached_signature_checks` can differ when the
-    /// cache is on, since workers racing on a cold cache may each verify
-    /// the same certificate once.
+    /// to `workers` scoped threads (the caller included), with the batch
+    /// pre-pass's vouchers when [`CoalitionServer::set_batch_verify`] is
+    /// on, and commit serially in request order. Decisions are identical
+    /// to calling `handle_request` on each request in order; only the
+    /// split of checks between `signature_checks` and
+    /// `cached_signature_checks` can differ when the cache is on, since
+    /// workers racing on a cold cache may each verify the same certificate
+    /// once.
     pub fn verify_batch(
         &mut self,
         requests: &[JointAccessRequest],
@@ -1356,7 +1356,7 @@ impl CoalitionServer {
 
     /// The crypto stage over a batch of admitted requests: the batch
     /// pre-pass (when enabled and the recency check passes), then one
-    /// [`CryptoStage::evaluate`] per request on the pool.
+    /// [`CryptoStage::evaluate`] per request on the scoped fan-out.
     fn batch_crypto(
         &mut self,
         requests: &[&JointAccessRequest],
@@ -1375,12 +1375,11 @@ impl CoalitionServer {
         } else {
             None
         };
-        // The pool's scoped fan-out blocks until every worker is done, so
-        // the closure can borrow the stage and the requests directly.
-        // `workers == 1` runs inline inside `run_indexed`, keeping the
-        // serial path pool-free.
+        // The scoped fan-out joins every thread before returning, so the
+        // closure borrows the stage and the requests directly.
+        // `workers == 1` runs inline, spawning nothing.
         let vouchers = vouchers.as_deref();
-        WorkerPool::global().run_indexed(requests.len(), workers, |i| {
+        pool::run_indexed(requests.len(), workers, |i| {
             stage.evaluate(requests[i], vouchers.map(|v| v[i].as_slice()))
         })
     }

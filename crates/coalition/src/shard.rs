@@ -24,7 +24,7 @@ use jaap_pki::attribute::AttributeRevocation;
 use jaap_pki::{Crl, IdentityRevocation};
 
 use crate::concurrent::ConcurrentServer;
-use crate::pool::WorkerPool;
+use crate::pool;
 use crate::request::JointAccessRequest;
 use crate::server::{CoalitionServer, ServerDecision};
 use crate::CoalitionError;
@@ -41,7 +41,7 @@ struct ShardInstruments {
 /// The sharded front-end: N concurrent shards plus the routing map.
 #[derive(Debug)]
 pub struct ShardedCoalition {
-    shards: Vec<Arc<ConcurrentServer>>,
+    shards: Vec<ConcurrentServer>,
     /// Object name → owning shard.
     routes: HashMap<String, usize>,
     instruments: Vec<ShardInstruments>,
@@ -73,10 +73,7 @@ impl ShardedCoalition {
             }
         }
         Ok(ShardedCoalition {
-            shards: servers
-                .into_iter()
-                .map(|s| Arc::new(ConcurrentServer::new(s)))
-                .collect(),
+            shards: servers.into_iter().map(ConcurrentServer::new).collect(),
             routes,
             instruments: Vec::new(),
         })
@@ -105,7 +102,7 @@ impl ShardedCoalition {
     ///
     /// Panics when `i` is out of range.
     #[must_use]
-    pub fn shard(&self, i: usize) -> &Arc<ConcurrentServer> {
+    pub fn shard(&self, i: usize) -> &ConcurrentServer {
         &self.shards[i]
     }
 
@@ -165,8 +162,9 @@ impl ShardedCoalition {
 
     /// Attaches per-shard instruments `server.shard.{i}.{decisions,granted,
     /// fanout_admissions}` to the router and a scoped `shard.{i}.`-prefixed
-    /// registry view to each shard server (so the full `server.*` pipeline
-    /// instruments exist once per shard).
+    /// registry view to each shard ([`ConcurrentServer::set_metrics`], so
+    /// the full `server.*` pipeline instruments exist once per shard and
+    /// its `server.shed.*` counters aggregate both decision paths).
     pub fn set_metrics(&mut self, registry: &MetricsRegistry) {
         self.instruments = (0..self.shards.len())
             .map(|i| ShardInstruments {
@@ -176,11 +174,7 @@ impl ShardedCoalition {
             })
             .collect();
         for (i, shard) in self.shards.iter().enumerate() {
-            let scoped = registry.scoped(&format!("shard.{i}."));
-            shard.with_writer(|s| s.set_metrics(Some(&scoped)));
-            // Same scoped registry for the lock-free gate path, so the
-            // shard's `server.shed.*` counters aggregate both paths.
-            shard.set_gate_metrics(&scoped);
+            shard.set_metrics(&registry.scoped(&format!("shard.{i}.")));
         }
     }
 
@@ -207,17 +201,18 @@ impl ShardedCoalition {
         decision
     }
 
-    /// Decides a batch across up to `workers` pool workers; requests for
-    /// different shards proceed fully independently, requests for the same
-    /// shard parallelize their crypto phases and serialize only the commit
-    /// tail. Results come back in request order.
+    /// Decides a batch across up to `workers` scoped threads (the caller
+    /// included); requests for different shards proceed fully
+    /// independently, requests for the same shard parallelize their crypto
+    /// phases and serialize only the commit tail. Results come back in
+    /// request order.
     #[must_use]
     pub fn decide_batch(
         &self,
         requests: &[JointAccessRequest],
         workers: usize,
     ) -> Vec<ServerDecision> {
-        WorkerPool::global().run_indexed(requests.len(), workers, |i| self.decide(&requests[i]))
+        pool::run_indexed(requests.len(), workers, |i| self.decide(&requests[i]))
     }
 
     /// Fans a clock advance to every shard.
@@ -279,11 +274,7 @@ impl ShardedCoalition {
     pub fn into_servers(self) -> Vec<CoalitionServer> {
         self.shards
             .into_iter()
-            .map(|shard| {
-                Arc::try_unwrap(shard)
-                    .expect("no outstanding shard handles")
-                    .into_inner()
-            })
+            .map(ConcurrentServer::into_inner)
             .collect()
     }
 }

@@ -53,6 +53,8 @@
 //! assert!(format!("{cert}").contains("⇒"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod axioms;
 pub mod certs;
 pub mod engine;

@@ -56,6 +56,8 @@
 //! member domains "do not compromise the coalition operations by refusing to
 //! co-operate" (§2.1, Requirement III). See DESIGN.md §7.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod collusion;
 mod error;

@@ -38,6 +38,8 @@
 //! assert_eq!(handle.stats().messages_sent, 6);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod endpoint;
 mod fault;
 mod network;

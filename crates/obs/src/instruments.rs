@@ -74,7 +74,7 @@ pub const BUCKETS: usize = 65;
 /// `[2^(i-1), 2^i)` — i.e. values whose bit length is `i`. Recording is
 /// three relaxed atomic operations plus two compare-exchange loops for
 /// min/max; there is no allocation and no lock, so histograms are safe to
-/// share across the batch-verification worker pool.
+/// share across the batch-verification threads.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],

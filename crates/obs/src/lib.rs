@@ -49,6 +49,8 @@
 //! assert!(json.contains("\"server.decisions\":1"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bounded;
 mod instruments;
 mod registry;

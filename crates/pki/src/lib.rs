@@ -21,6 +21,8 @@
 //! ([`encoding::Encoder`]) so signatures are over canonical bytes — no
 //! serde/JSON dependency.
 
+#![forbid(unsafe_code)]
+
 pub mod attribute;
 pub mod authority;
 pub mod crl;

@@ -30,6 +30,8 @@
 //!   versions are: decision snapshots capture the epoch and readers
 //!   revalidate without taking the store lock.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -19,6 +19,8 @@
 //! The layer is deliberately payload-agnostic: records are opaque byte
 //! strings. The coalition crate defines what goes inside them.
 
+#![forbid(unsafe_code)]
+
 pub mod fault;
 pub mod frame;
 pub mod journal;

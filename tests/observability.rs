@@ -3,8 +3,10 @@
 //! the contract that a server with metrics detached behaves identically.
 
 use jaap_coalition::scenario::{Coalition, CoalitionBuilder};
+use jaap_coalition::shard::ShardedCoalition;
 use jaap_core::protocol::Operation;
 use jaap_core::syntax::Time;
+use jaap_obs::MetricsRegistry;
 use jaap_wal::MemStore;
 
 fn coalition(seed: u64) -> Coalition {
@@ -206,4 +208,28 @@ fn reset_server_keeps_the_registry_wired() {
             .granted
     );
     assert_eq!(registry.counter_value("server.decisions"), Some(2));
+}
+
+/// Metrics attached to the concurrent front-end reach the crypto phase
+/// that runs off the writer lock against the published snapshot, not only
+/// the serial tail: attaching them republishes the snapshot.
+#[test]
+fn sharded_front_end_times_the_crypto_phase_after_metrics_attach() {
+    let c = coalition(0xC5);
+    let req = c
+        .build_request(&["User_D1", "User_D2"], Operation::new("write", "Object O"))
+        .expect("request");
+    let mut front = ShardedCoalition::new(vec![c.into_server()]).expect("router");
+    let registry = MetricsRegistry::new();
+    front.set_metrics(&registry);
+    assert!(front.decide(&req).granted);
+    for name in [
+        "shard.0.server.phase.crypto_ns",
+        "shard.0.server.phase.logic_ns",
+    ] {
+        let snap = registry
+            .histogram_snapshot(name)
+            .unwrap_or_else(|| panic!("{name} missing"));
+        assert_eq!(snap.count, 1, "{name} must time the decision");
+    }
 }

@@ -677,10 +677,9 @@ fn readers_never_observe_a_torn_epoch() {
         let readers: Vec<_> = (0..4)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut reader = server.reader();
                     let mut seen = Vec::new();
                     while !stop.load(Ordering::Relaxed) {
-                        let snap = reader.load();
+                        let snap = server.snapshot();
                         seen.push((snap.version(), snap.at()));
                     }
                     seen
