@@ -5,7 +5,7 @@
 //! the standing threshold AC is presented unchanged until re-issued. Each
 //! presentation costs an RSA verification (`sig^e mod N`). The
 //! [`VerifyCache`] memoizes the verify-and-idealize step, keyed on the
-//! certificate digest ([`jaap_pki::PresentedCert::cache_digest`]) ×
+//! certificate digest ([`jaap_pki::Presentation::cache_digest`]) ×
 //! verifying-key id, so a byte-identical certificate checked once against
 //! the same trusted key is served from memory.
 //!
@@ -48,8 +48,9 @@ use parking_lot::Mutex;
 /// distinct certificates.
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
-/// Cache key: `(certificate digest, verifying key id)`.
-pub type CacheKey = (String, String);
+/// Cache key: `(certificate digest, verifying key id)`, the digest raw
+/// ([`jaap_pki::Presentation::cache_digest`]).
+pub type CacheKey = ([u8; 32], String);
 
 /// One memoized verification result.
 #[derive(Debug, Clone)]
@@ -287,7 +288,7 @@ mod tests {
     }
 
     fn key(d: &str) -> CacheKey {
-        (d.to_string(), "K".to_string())
+        (jaap_crypto::Sha256::digest(d.as_bytes()), "K".to_string())
     }
 
     #[test]

@@ -49,7 +49,7 @@ use jaap_crypto::rsa::{RsaCiphertext, RsaPublicKey};
 use jaap_obs::bounded::{FifoMap, Ring};
 use jaap_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use jaap_pki::attribute::AttributeRevocation;
-use jaap_pki::{key_name, IdentityRevocation, PkiError, PresentedCert, TrustStore};
+use jaap_pki::{key_name, IdentityRevocation, PkiError, Presentation, PresentedCert, TrustStore};
 use jaap_store::CertStore;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -303,6 +303,7 @@ struct ServerMetrics {
     crypto_ns: Arc<Histogram>,
     logic_ns: Arc<Histogram>,
     acl_ns: Arc<Histogram>,
+    encrypt_ns: Arc<Histogram>,
     decision_ns: Arc<Histogram>,
     decisions: Arc<Counter>,
     granted: Arc<Counter>,
@@ -338,6 +339,7 @@ impl ServerMetrics {
             crypto_ns: registry.histogram("server.phase.crypto_ns"),
             logic_ns: registry.histogram("server.phase.logic_ns"),
             acl_ns: registry.histogram("server.phase.acl_ns"),
+            encrypt_ns: registry.histogram("server.phase.encrypt_ns"),
             decision_ns: registry.histogram("server.decision_ns"),
             decisions: registry.counter("server.decisions"),
             granted: registry.counter("server.granted"),
@@ -430,8 +432,7 @@ pub struct CoalitionServer {
     /// them can steer batches into worst-case bisection work (verdicts
     /// stay exact regardless — settlement confirms every screened item).
     /// Separate from `rng` so enabling batching never perturbs the
-    /// response encryption stream, and so replaying a journal (which
-    /// re-derives `rng`-driven state) never depends on weight draws.
+    /// response encryption stream.
     batch_rng: StdRng,
     /// Pre-resolved instrument handles; `None` keeps the request path free
     /// of metrics work entirely.
@@ -468,6 +469,10 @@ pub struct CoalitionServer {
     /// may not be on disk, so the in-memory state is no longer known to
     /// match the log.
     poisoned: Option<String>,
+    /// Draws the random padding of every Figure 2(d) read response.
+    /// Seeded from OS entropy, never a constant: with a predictable
+    /// padding stream anyone could confirm a guess of an object's content
+    /// by re-encrypting it under the reader's public key.
     rng: StdRng,
 }
 
@@ -516,7 +521,7 @@ impl CoalitionServer {
             snapshot_pending: false,
             local_rev: 0,
             poisoned: None,
-            rng: StdRng::seed_from_u64(0x5EC5EC),
+            rng: StdRng::from_os_rng(),
         }
     }
 
@@ -1632,7 +1637,11 @@ impl CoalitionServer {
                 // The same request's statement check has just cached this
                 // modulus's Montgomery context in the trust store.
                 let precomp = self.crypto_precomp.then_some(self.store.precomp().as_ref());
+                let started = self.metrics.as_ref().map(|_| Instant::now());
                 response = key.encrypt_with(precomp, &mut self.rng, &obj.content).ok();
+                if let (Some(m), Some(t)) = (&self.metrics, started) {
+                    m.encrypt_ns.record_duration(t.elapsed());
+                }
             }
         }
         self.audit.push(AuditEntry {
@@ -2084,7 +2093,7 @@ impl CoalitionServer {
         attribute: &[jaap_pki::AttributeCertificate],
     ) -> Result<(), CoalitionError> {
         let msgs = presented(identity, threshold, attribute)
-            .map(|cert| self.store.idealize(cert, false, false))
+            .map(|cert| self.store.idealize(&cert.into(), false, false))
             .collect::<Result<Vec<_>, _>>()
             .map_err(|e| {
                 CoalitionError::Journal(format!("journaled certificate no longer verifies: {e}"))
@@ -2304,7 +2313,8 @@ impl CryptoStage {
     }
 
     /// Verifies and idealizes one presented certificate through the cache
-    /// (when on): a hit counts as cached, a miss as a check.
+    /// (when on): a hit counts as cached, a miss as a check. The cache
+    /// digest and the signature check share one serialization of the body.
     fn idealize(
         &self,
         cert: PresentedCert<'_>,
@@ -2312,11 +2322,12 @@ impl CryptoStage {
         checks: &mut usize,
         cached: &mut usize,
     ) -> Result<Message, PkiError> {
+        let presented = Presentation::from(cert);
         let cache_key = self.cache.as_ref().and_then(|cache| {
             let issuer_key = self.store.issuer_key(cert).ok()?;
             Some((
                 cache,
-                (cert.cache_digest(), key_name(issuer_key).to_string()),
+                (presented.cache_digest(), key_name(issuer_key).to_string()),
             ))
         });
         if let Some((cache, key)) = &cache_key {
@@ -2326,7 +2337,7 @@ impl CryptoStage {
             }
         }
         *checks += 1;
-        let msg = self.store.idealize(cert, self.precomp, vouched)?;
+        let msg = self.store.idealize(&presented, self.precomp, vouched)?;
         if let (false, Some((cache, key))) = (vouched, cache_key) {
             cache.insert(
                 key,

@@ -38,7 +38,7 @@ pub use attribute::{
 pub use authority::{CertificateAuthority, RevocationAuthority};
 pub use crl::{Crl, CrlEntry};
 pub use identity::{IdentityCertificate, IdentityRevocation};
-pub use presented::PresentedCert;
+pub use presented::{Presentation, PresentedCert};
 pub use truststore::TrustStore;
 
 use jaap_core::syntax::KeyId;

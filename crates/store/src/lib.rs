@@ -42,7 +42,9 @@ use jaap_pki::{
     AttributeCertificate, AttributeRevocation, Crl, IdentityCertificate, IdentityRevocation,
     ThresholdAttributeCertificate,
 };
-use jaap_wal::{decode_frames, frame_record, parse_log, JournalStore, MemStore, Tail};
+use jaap_wal::{
+    check_log_version, decode_frames, frame_record, parse_log, JournalStore, MemStore, Tail,
+};
 use parking_lot::Mutex;
 
 pub mod codec;
@@ -428,12 +430,14 @@ impl CertStore {
     ///
     /// [`StoreError::Io`] if the medium fails; [`StoreError::Corrupt`] if
     /// a checksummed record fails to decode (real corruption, never
-    /// silently skipped).
+    /// silently skipped) or the log was written under another frame
+    /// format version (left untouched).
     pub fn open(
         mut medium: Box<dyn JournalStore>,
         config: StoreConfig,
     ) -> Result<Self, StoreError> {
         let mut bytes = medium.read().map_err(|e| StoreError::Io(e.to_string()))?;
+        check_log_version(&bytes).map_err(|e| StoreError::Corrupt(e.to_string()))?;
         let (rows, tail) = Inner::build_index(&bytes)?;
         if let Tail::Truncated { offset, .. } = tail {
             bytes.truncate(offset);

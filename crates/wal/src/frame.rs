@@ -29,8 +29,11 @@ pub const MAGIC: [u8; 2] = [0x4A, 0x57];
 /// Current frame format version. A replica rejects frames whose version
 /// byte differs — an incompatible primary must not be able to corrupt a
 /// replica's log, and the failure must be a typed error, not a
-/// checksum-style truncation.
-pub const FORMAT_VERSION: u8 = 1;
+/// checksum-style truncation. Version 2 marks logs whose journaled
+/// signatures use FDH v2 (`jaap_crypto::fdh`); a version-1 log's
+/// signatures no longer verify, so it is refused up front
+/// ([`check_log_version`]).
+pub const FORMAT_VERSION: u8 = 2;
 
 /// Bytes of framing before the payload: magic(2) + version(1) + term(8) +
 /// len(4) + checksum(8).
@@ -192,6 +195,28 @@ fn step(bytes: &[u8], pos: usize) -> Step {
             payload: payload.to_vec(),
         },
         next: body_start + len,
+    }
+}
+
+/// Refuses a log written under another format version. A log is written
+/// under one version, so a first frame carrying another version byte
+/// means the whole log is foreign: recovery must refuse it, not trim it to
+/// nothing as if it were a torn tail. A later frame with another version
+/// byte stays a corrupt tail for [`parse_log`].
+///
+/// # Errors
+///
+/// [`WalError::IncompatibleVersion`] when the first frame's magic matches
+/// and its version byte differs from [`FORMAT_VERSION`].
+pub fn check_log_version(bytes: &[u8]) -> Result<(), WalError> {
+    match bytes {
+        [m0, m1, found, ..] if [*m0, *m1] == MAGIC && *found != FORMAT_VERSION => {
+            Err(WalError::IncompatibleVersion {
+                found: *found,
+                supported: FORMAT_VERSION,
+            })
+        }
+        _ => Ok(()),
     }
 }
 
@@ -359,6 +384,27 @@ mod tests {
                 supported: FORMAT_VERSION,
             })
         );
+    }
+
+    #[test]
+    fn log_from_another_format_version_is_refused_whole() {
+        let mut log = frame_record(b"old");
+        log.extend_from_slice(&frame_record(b"older"));
+        assert_eq!(check_log_version(&log), Ok(()));
+        assert_eq!(check_log_version(&[]), Ok(()));
+        let mut foreign = log.clone();
+        foreign[2] = 1;
+        assert_eq!(
+            check_log_version(&foreign),
+            Err(WalError::IncompatibleVersion {
+                found: 1,
+                supported: FORMAT_VERSION,
+            })
+        );
+        // Past the first frame a version byte is the tail's business.
+        let second = frame_record(b"old").len();
+        log[second + 2] = 1;
+        assert_eq!(check_log_version(&log), Ok(()));
     }
 
     #[test]

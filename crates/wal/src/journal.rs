@@ -101,9 +101,12 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// [`WalError::Io`] if the store fails.
+    /// [`WalError::Io`] if the store fails;
+    /// [`WalError::IncompatibleVersion`], with the store left untouched,
+    /// if the log was written under another format version.
     pub fn replay(&mut self) -> Result<Replay, WalError> {
         let bytes = self.store.read()?;
+        frame::check_log_version(&bytes)?;
         let parsed = frame::parse_log(&bytes);
         let truncated_bytes = parsed.truncated_bytes(bytes.len()) as u64;
         let truncation = match &parsed.tail {
@@ -204,5 +207,21 @@ mod tests {
         assert_eq!(store.snapshot().len(), keep_len);
         let again = j.replay().expect("replay again");
         assert!(again.truncation.is_none());
+    }
+
+    #[test]
+    fn replay_refuses_a_log_from_another_format_version_untouched() {
+        let mut old = frame::frame_record(b"signed under v1");
+        old[2] = 1;
+        let store = MemStore::from_bytes(old.clone());
+        let mut j = Journal::new(Box::new(store.clone()));
+        assert_eq!(
+            j.replay().map(|r| r.records),
+            Err(WalError::IncompatibleVersion {
+                found: 1,
+                supported: frame::FORMAT_VERSION,
+            })
+        );
+        assert_eq!(store.snapshot(), old, "a foreign log is not trimmed");
     }
 }

@@ -28,8 +28,8 @@ pub mod store;
 
 pub use fault::{FaultKind, FaultStats, FaultyStore, StoreFaultPlan};
 pub use frame::{
-    checksum64, decode_frames, frame_record, frame_record_with_term, parse_log, Frame, ParsedLog,
-    Tail, FORMAT_VERSION,
+    check_log_version, checksum64, decode_frames, frame_record, frame_record_with_term, parse_log,
+    Frame, ParsedLog, Tail, FORMAT_VERSION,
 };
 pub use journal::{Journal, JournalStats, Replay};
 pub use store::{FileStore, JournalStore, LogOutbox, MemStore, SyncPolicy, TeeEvent, TeeStore};

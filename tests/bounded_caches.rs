@@ -192,7 +192,7 @@ fn verify_cache_never_exceeds_capacity() {
     let cache = VerifyCache::with_capacity(Some(8));
     for i in 0..100 {
         cache.insert(
-            (format!("digest-{i}"), "K".to_string()),
+            ([i; 32], "K".to_string()),
             Message::data("m"),
             Time(1_000),
             vec![],
@@ -209,7 +209,7 @@ fn verify_cache_never_exceeds_capacity() {
 #[test]
 fn reinserted_key_after_invalidation_is_evicted_in_fifo_order() {
     let cache = VerifyCache::with_capacity(Some(2));
-    let key = |d: &str| (d.to_string(), "K".to_string());
+    let key = |d: &str| ([d.as_bytes()[0]; 32], "K".to_string());
     let insert = |d: &str, subjects: Vec<String>| {
         cache.insert(key(d), Message::data(d), Time(1_000), subjects, None);
     };

@@ -419,6 +419,36 @@ fn injected_torn_writes_recover_to_clean_prefix() {
     check_cut(&h, &bytes, cut, true);
 }
 
+/// A journal written under an earlier frame format version (its
+/// signatures under FDH v1) is refused up front as an unsupported version,
+/// not replayed until a certificate fails to verify, and is left intact.
+#[test]
+fn journal_from_an_earlier_format_version_is_refused_up_front() {
+    let plan = [Plan::Write(vec![0, 1]), Plan::Advance(1), Plan::Read(2)];
+    let h = run_workload(8, &plan);
+    let mut bytes = h.handle.snapshot();
+    let parsed = parse_log(&bytes);
+    assert!(parsed.records.len() > 1);
+    let starts = std::iter::once(0).chain(parsed.boundaries.iter().copied());
+    for start in starts.take(parsed.records.len()) {
+        bytes[start + 2] = jaap_wal::FORMAT_VERSION - 1;
+    }
+    let store = MemStore::from_bytes(bytes.clone());
+    let Err(err) = CoalitionServer::recover("P", h.c.trust_store(), Box::new(store.clone())) else {
+        panic!("a journal from an earlier format version must not recover");
+    };
+    let detail = err.to_string();
+    assert!(
+        detail.contains(&format!("format version {}", jaap_wal::FORMAT_VERSION - 1)),
+        "{detail}"
+    );
+    assert_eq!(
+        store.snapshot(),
+        bytes,
+        "the refused journal is not trimmed"
+    );
+}
+
 /// Crashing after a snapshot recovers from the compacted log alone.
 #[test]
 fn recovery_after_snapshot_compaction() {

@@ -233,3 +233,22 @@ fn sharded_front_end_times_the_crypto_phase_after_metrics_attach() {
         assert_eq!(snap.count, 1, "{name} must time the decision");
     }
 }
+
+/// The Figure 2(d) response encryption is its own phase: one sample per
+/// granted read, none for a write (which returns no contents).
+#[test]
+fn granted_read_times_its_response_encryption_and_a_write_does_not() {
+    let mut c = coalition(0xC8);
+    let registry = c.enable_metrics();
+    let encrypt_samples = || {
+        registry
+            .histogram_snapshot("server.phase.encrypt_ns")
+            .expect("encrypt_ns is resolved with the other phases")
+            .count
+    };
+    assert!(c.request_write(&["User_D1", "User_D2"]).expect("w").granted);
+    assert_eq!(encrypt_samples(), 0, "a write encrypts no response");
+    let read = c.request_read(&["User_D3"]).expect("r");
+    assert!(read.granted && read.response.is_some());
+    assert_eq!(encrypt_samples(), 1, "a granted read encrypts one response");
+}

@@ -77,3 +77,86 @@ fn each_read_is_freshly_encrypted() {
         .expect("ct");
     assert_ne!(a, b, "randomized encryption: no two responses identical");
 }
+
+#[test]
+fn servers_from_one_seed_pad_responses_independently() {
+    // Same coalition seed: same keys, same object, same request. The
+    // padding must still differ, or a ciphertext would confirm a guess of
+    // the object's content re-encrypted under the reader's public key.
+    let first = |mut c: jaap_coalition::scenario::Coalition| {
+        c.request_read(&["User_D3"])
+            .expect("read")
+            .response
+            .expect("ct")
+    };
+    assert_ne!(
+        first(coalition(11_005)),
+        first(coalition(11_005)),
+        "the response RNG must not be seeded with a constant"
+    );
+}
+
+/// A duplicate delivery of a granted read replays the original decision,
+/// ciphertext included, on every decision path.
+#[test]
+fn replayed_read_returns_the_original_ciphertext_on_every_path() {
+    use jaap_coalition::concurrent::ConcurrentServer;
+    use jaap_coalition::shard::ShardedCoalition;
+    use jaap_core::protocol::Operation;
+
+    let replaying = |seed| {
+        let mut c = coalition(seed);
+        c.server_mut().set_replay_protection(true).expect("replay");
+        let req = c
+            .build_request(&["User_D3"], Operation::new("read", OBJECT_O))
+            .expect("request");
+        (c, req)
+    };
+
+    let (mut c, req) = replaying(11_006);
+    let first = c.server_mut().handle_request(&req);
+    assert!(first.granted);
+    let ct = first.response.expect("granted read carries a response");
+    let again = c.server_mut().handle_request(&req);
+    assert_eq!(again.response.as_ref(), Some(&ct), "handle_request");
+
+    let (mut c, req) = replaying(11_007);
+    let batch = c.server_mut().verify_batch(&[req.clone(), req.clone()], 2);
+    let ct = batch[0].response.clone().expect("granted read");
+    assert_eq!(
+        batch[1].response.as_ref(),
+        Some(&ct),
+        "verify_batch, same batch"
+    );
+    let later = c.server_mut().verify_batch(std::slice::from_ref(&req), 2);
+    assert_eq!(
+        later[0].response.as_ref(),
+        Some(&ct),
+        "verify_batch, later batch"
+    );
+
+    let (c, req) = replaying(11_008);
+    let server = ConcurrentServer::new(c.into_server());
+    let ct = server.decide(&req).response.expect("granted read");
+    assert_eq!(
+        server.decide(&req).response.as_ref(),
+        Some(&ct),
+        "ConcurrentServer::decide"
+    );
+
+    let (c, req) = replaying(11_009);
+    let router = ShardedCoalition::new(vec![c.into_server()]).expect("router");
+    let batch = router.decide_batch(&[req.clone(), req.clone()], 2);
+    let ct = batch[0].response.clone().expect("granted read");
+    assert_eq!(
+        batch[1].response.as_ref(),
+        Some(&ct),
+        "decide_batch, same batch"
+    );
+    let later = router.decide_batch(std::slice::from_ref(&req), 2);
+    assert_eq!(
+        later[0].response.as_ref(),
+        Some(&ct),
+        "decide_batch, later batch"
+    );
+}
