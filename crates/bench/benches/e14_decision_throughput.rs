@@ -16,7 +16,9 @@
 //! Set `E14_PROFILE=smoke` for a seconds-scale sweep (CI); the default
 //! profile uses 2048-bit keys for Part A.
 //!
-//! Machine-readable record: one line, grep `"^E14_JSON "`.
+//! Machine-readable record: one line, grep `"^E14_JSON "`. Its headline,
+//! `cache_speedup_1w`, is cached over uncached `verify_batch` throughput
+//! at 1 worker and the largest modulus swept.
 
 use criterion::{criterion_group, Criterion};
 use jaap_bench::table_header;
@@ -276,10 +278,22 @@ fn print_sweep() {
             )
         })
         .collect();
+    // Headline: what the verification cache buys a single worker, at the
+    // largest modulus swept.
+    let one_worker = |cache: bool| {
+        batch_points
+            .iter()
+            .rev()
+            .find(|p| p.workers == 1 && p.cache == cache)
+            .map_or(f64::NAN, |p| p.throughput)
+    };
+    let cache_speedup_1w = one_worker(true) / one_worker(false);
+    println!("\nE14 headline: cached / uncached throughput at 1 worker = {cache_speedup_1w:.2}x");
     println!(
-        "E14_JSON {{\"experiment\":\"e14_decision_throughput\",\"profile\":\"{}\",\"cores\":{},\"sign\":[{}],\"batch\":[{}]}}",
+        "E14_JSON {{\"experiment\":\"e14_decision_throughput\",\"profile\":\"{}\",\"cores\":{},\"cache_speedup_1w\":{:.2},\"sign\":[{}],\"batch\":[{}]}}",
         if smoke { "smoke" } else { "full" },
         cores,
+        cache_speedup_1w,
         sign_cells.join(","),
         batch_cells.join(",")
     );

@@ -91,13 +91,23 @@ impl fmt::Debug for Nat {
 }
 
 impl fmt::LowerHex for Nat {
+    /// Sixteen digits per limb from a nibble table into one pre-sized
+    /// string, the top limb without its leading zeros.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_zero() {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let Some(&top) = self.limbs.last() else {
             return f.pad_integral(true, "0x", "0");
-        }
-        let mut s = format!("{:x}", self.limbs.last().expect("nonzero"));
-        for limb in self.limbs.iter().rev().skip(1) {
-            s.push_str(&format!("{limb:016x}"));
+        };
+        let top_digits = (64 - top.leading_zeros() as usize).div_ceil(4);
+        let mut s = String::with_capacity(top_digits + 16 * (self.limbs.len() - 1));
+        let mut push = |limb: u64, digits: usize| {
+            for i in (0..digits).rev() {
+                s.push(char::from(DIGITS[(limb >> (4 * i)) as usize & 0xf]));
+            }
+        };
+        push(top, top_digits);
+        for &limb in self.limbs.iter().rev().skip(1) {
+            push(limb, 16);
         }
         f.pad_integral(true, "0x", &s)
     }

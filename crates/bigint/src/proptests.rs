@@ -85,6 +85,42 @@ fn arb_int() -> impl Strategy<Value = Int> {
     })
 }
 
+/// Values covering every shape of the hex rendering: zero, one limb, a top
+/// limb with 0–15 leading zero nibbles, and 2048-bit widths.
+fn arb_hex_nat() -> impl Strategy<Value = Nat> {
+    const WIDTHS: [usize; 5] = [0, 1, 2, 3, 32];
+    (
+        0..WIDTHS.len(),
+        proptest::collection::vec(any::<u64>(), 32),
+        0u32..64,
+    )
+        .prop_map(|(width, mut limbs, shift)| {
+            limbs.truncate(WIDTHS[width]);
+            if let Some(top) = limbs.last_mut() {
+                *top >>= shift;
+            }
+            Nat::from_limbs(limbs)
+        })
+}
+
+/// The per-limb `format!` rendering `{:x}` of a `Nat` had before the
+/// nibble table: the reference the table must reproduce byte for byte.
+struct PerLimbHex<'a>(&'a Nat);
+
+impl core::fmt::LowerHex for PerLimbHex<'_> {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        let limbs = self.0.limbs();
+        let Some(top) = limbs.last() else {
+            return f.pad_integral(true, "0x", "0");
+        };
+        let mut s = format!("{top:x}");
+        for limb in limbs.iter().rev().skip(1) {
+            s.push_str(&format!("{limb:016x}"));
+        }
+        f.pad_integral(true, "0x", &s)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -311,5 +347,16 @@ proptest! {
             Ordering::Greater => prop_assert!(a > b),
             Ordering::Equal => prop_assert_eq!(a, b),
         }
+    }
+
+    #[test]
+    fn lower_hex_matches_per_limb_rendering(n in arb_hex_nat(), width in 0usize..600) {
+        let old = PerLimbHex(&n);
+        prop_assert_eq!(format!("{n:x}"), format!("{old:x}"));
+        prop_assert_eq!(format!("{n:#x}"), format!("{old:#x}"));
+        prop_assert_eq!(format!("{n:width$x}"), format!("{old:width$x}"));
+        prop_assert_eq!(format!("{n:#0width$x}"), format!("{old:#0width$x}"));
+        prop_assert_eq!(format!("{n:<width$x}"), format!("{old:<width$x}"));
+        prop_assert_eq!(n.to_hex(), format!("{old:x}"));
     }
 }

@@ -5,16 +5,21 @@
 //! the standing threshold AC is presented unchanged until re-issued. Each
 //! presentation costs an RSA verification (`sig^e mod N`). The
 //! [`VerifyCache`] memoizes the verify-and-idealize step, keyed on the
-//! certificate digest ([`jaap_pki::Presentation::cache_digest`]) ×
-//! verifying-key id, so a byte-identical certificate checked once against
-//! the same trusted key is served from memory.
+//! certificate's signature residue × verifying-key id, and keeps a copy of
+//! the verified certificate in each entry. A hit is a hash-map probe plus a
+//! field-for-field comparison: no hashing of the body, no serialization.
 //!
-//! Soundness of reuse: the key includes a collision-resistant digest of the
-//! certificate body *and* signature, so a hit can only occur for a
-//! byte-identical certificate whose signature already verified against the
-//! same key — the cached idealized [`Message`] is exactly what
-//! re-verification would produce. Revocation reasoning stays in the logic
-//! engine; on top of that the cache is invalidated eagerly:
+//! Soundness of reuse: a hit requires the presented certificate to *equal*
+//! the stored one — every body field and the signature — and the stored
+//! one verified under the key the cache key names. So a hit can only serve
+//! a certificate whose exact contents already verified against the same
+//! key, and the cached idealized [`Message`] is exactly what
+//! re-verification would produce. No collision-resistance argument is
+//! involved. A presentation that shares a cached signature but differs in
+//! any field is a miss: it goes to a real verification, and the lookup
+//! neither serves nor evicts the entry it collided with. Revocation
+//! reasoning stays in the logic engine; on top of that the cache is
+//! invalidated eagerly:
 //!
 //! * [`VerifyCache::invalidate_subject`] on an `IdentityRevocation`,
 //! * [`VerifyCache::invalidate_group`] on an `AttributeRevocation` or any
@@ -38,8 +43,12 @@
 use std::sync::Arc;
 
 use jaap_core::syntax::{Message, Time};
+use jaap_crypto::rsa::RsaSignature;
 use jaap_obs::bounded::FifoMap;
 use jaap_obs::{Counter, MetricsRegistry};
+use jaap_pki::{
+    AttributeCertificate, IdentityCertificate, PresentedCert, ThresholdAttributeCertificate,
+};
 use parking_lot::Mutex;
 
 /// Default bound on live cache entries. Generous for the coalition
@@ -48,21 +57,49 @@ use parking_lot::Mutex;
 /// distinct certificates.
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
-/// Cache key: `(certificate digest, verifying key id)`, the digest raw
-/// ([`jaap_pki::Presentation::cache_digest`]).
-pub type CacheKey = ([u8; 32], String);
+/// Cache key: `(signature residue, verifying key id)`. The entry map and
+/// its insertion-order queue share one copy; lookups borrow the tuple.
+type CacheKey = Arc<(RsaSignature, String)>;
 
-/// One memoized verification result.
+fn cache_key(cert: PresentedCert<'_>, key_id: &str) -> (RsaSignature, String) {
+    (cert.signature().clone(), key_id.to_string())
+}
+
+/// An owned copy of a verified certificate.
+#[derive(Debug, Clone)]
+enum StoredCert {
+    Identity(IdentityCertificate),
+    Threshold(ThresholdAttributeCertificate),
+    Attribute(AttributeCertificate),
+}
+
+impl StoredCert {
+    fn of(cert: PresentedCert<'_>) -> Self {
+        match cert {
+            PresentedCert::Identity(c) => StoredCert::Identity(c.clone()),
+            PresentedCert::Threshold(c) => StoredCert::Threshold(c.clone()),
+            PresentedCert::Attribute(c) => StoredCert::Attribute(c.clone()),
+        }
+    }
+
+    fn as_presented(&self) -> PresentedCert<'_> {
+        match self {
+            StoredCert::Identity(c) => PresentedCert::Identity(c),
+            StoredCert::Threshold(c) => PresentedCert::Threshold(c),
+            StoredCert::Attribute(c) => PresentedCert::Attribute(c),
+        }
+    }
+}
+
+/// One memoized verification result. Expiry (the certificate's validity
+/// end), the subjects identity revocation matches and the group attribute
+/// revocation matches are all read off the stored certificate.
 #[derive(Debug, Clone)]
 struct CachedEntry {
+    /// The certificate that verified, compared field for field on lookup.
+    cert: StoredCert,
     /// The idealized message the verify step produced.
     message: Message,
-    /// Validity end of the certificate; entries are evicted past this.
-    expires: Time,
-    /// Subject names for identity-revocation invalidation.
-    subjects: Vec<String>,
-    /// Granted group for attribute-revocation invalidation.
-    group: Option<String>,
 }
 
 /// Registry handles, pre-resolved once when a registry is attached so the
@@ -193,47 +230,47 @@ impl VerifyCache {
             .set_eviction_mirror(registry.map(|r| r.counter("server.cache.evictions")));
     }
 
-    /// Looks up a memoized idealization. Counts a hit or a miss; an entry
-    /// whose certificate validity has expired is evicted and counts as a
-    /// miss (and an invalidation).
+    /// Looks up a memoized idealization of `cert` verified under the key
+    /// with id `key_id`. A hit needs an entry under `cert`'s signature and
+    /// that key whose certificate equals `cert` field for field. Counts a
+    /// hit or a miss; a matching entry whose certificate validity has
+    /// expired is evicted and counts as a miss (and an invalidation). A
+    /// non-matching entry is left as it is.
     #[must_use]
-    pub fn lookup(&self, key: &CacheKey, now: Time) -> Option<Message> {
+    pub fn lookup(&self, cert: PresentedCert<'_>, key_id: &str, now: Time) -> Option<Message> {
+        let key = cache_key(cert, key_id);
         let mut inner = self.inner.lock();
-        let Some(entry) = inner.entries.get(key) else {
+        let Some(entry) = inner.entries.get(&key) else {
             inner.count_miss();
             return None;
         };
-        if now.0 <= entry.expires.0 {
+        let stored = entry.cert.as_presented();
+        if stored != cert {
+            inner.count_miss();
+            return None;
+        }
+        if now.0 <= stored.expires().0 {
             let message = entry.message.clone();
             inner.count_hit();
             return Some(message);
         }
-        inner.entries.remove(key);
+        inner.entries.remove(&key);
         inner.count_invalidations(1);
         inner.count_miss();
         None
     }
 
-    /// Memoizes a verified certificate's idealization. Past the capacity
-    /// bound, the oldest entries are evicted to make room; re-inserting a
-    /// live key refreshes it in place without moving its slot.
-    pub fn insert(
-        &self,
-        key: CacheKey,
-        message: Message,
-        expires: Time,
-        subjects: Vec<String>,
-        group: Option<String>,
-    ) {
-        self.inner.lock().entries.insert(
-            key,
-            CachedEntry {
-                message,
-                expires,
-                subjects,
-                group,
-            },
-        );
+    /// Memoizes the idealization of `cert`, which verified under the key
+    /// with id `key_id`. Past the capacity bound, the oldest entries are
+    /// evicted to make room; re-inserting a live key refreshes it in place
+    /// without moving its slot.
+    pub fn insert(&self, cert: PresentedCert<'_>, key_id: &str, message: Message) {
+        let key = Arc::new(cache_key(cert, key_id));
+        let entry = CachedEntry {
+            cert: StoredCert::of(cert),
+            message,
+        };
+        self.inner.lock().entries.insert(key, entry);
     }
 
     /// Drops every entry naming `subject` (identity revocation). Returns
@@ -242,7 +279,7 @@ impl VerifyCache {
         let mut inner = self.inner.lock();
         let dropped = inner
             .entries
-            .retain(|_, e| !e.subjects.iter().any(|s| s == subject));
+            .retain(|_, e| !e.cert.as_presented().names(subject));
         inner.count_invalidations(dropped)
     }
 
@@ -252,7 +289,7 @@ impl VerifyCache {
         let mut inner = self.inner.lock();
         let dropped = inner
             .entries
-            .retain(|_, e| e.group.as_deref() != Some(group));
+            .retain(|_, e| e.cert.as_presented().group() != Some(group));
         inner.count_invalidations(dropped)
     }
 
@@ -281,24 +318,59 @@ impl VerifyCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jaap_bigint::Nat;
+    use jaap_core::certs::Validity;
     use jaap_core::syntax::Message;
+    use jaap_crypto::rsa::RsaPublicKey;
+    use jaap_pki::ThresholdSubject;
 
     fn msg(tag: &str) -> Message {
         Message::data(tag)
     }
 
-    fn key(d: &str) -> CacheKey {
-        (jaap_crypto::Sha256::digest(d.as_bytes()), "K".to_string())
+    /// The signature residue of stand-in certificate `d`: its cache key.
+    fn key(d: &str) -> RsaSignature {
+        RsaSignature::from_value(Nat::from_bytes_be(&jaap_crypto::Sha256::digest(
+            d.as_bytes(),
+        )))
+    }
+
+    fn small_key() -> RsaPublicKey {
+        RsaPublicKey::new(Nat::from(3u64), Nat::from(65_537u64))
+    }
+
+    /// A stand-in verified identity certificate `d` for `subject`, valid
+    /// through `end`.
+    fn identity(d: &str, subject: &str, end: i64) -> IdentityCertificate {
+        IdentityCertificate {
+            issuer: "CA".into(),
+            subject: subject.into(),
+            subject_key: small_key(),
+            validity: Validity::new(Time(0), Time(end)),
+            timestamp: Time(0),
+            signature: key(d),
+        }
+    }
+
+    /// Certificate `d` naming no principal the tests revoke, valid
+    /// through 100.
+    fn plain(d: &str) -> IdentityCertificate {
+        identity(d, "P", 100)
+    }
+
+    fn id(c: &IdentityCertificate) -> PresentedCert<'_> {
+        PresentedCert::Identity(c)
     }
 
     #[test]
     fn hit_miss_and_expiry() {
         let cache = VerifyCache::new();
-        assert_eq!(cache.lookup(&key("a"), Time(0)), None);
-        cache.insert(key("a"), msg("m"), Time(10), vec!["U".into()], None);
-        assert_eq!(cache.lookup(&key("a"), Time(5)), Some(msg("m")));
+        let a = identity("a", "U", 10);
+        assert_eq!(cache.lookup(id(&a), "K", Time(0)), None);
+        cache.insert(id(&a), "K", msg("m"));
+        assert_eq!(cache.lookup(id(&a), "K", Time(5)), Some(msg("m")));
         // Past validity end: evicted, counted as miss + invalidation.
-        assert_eq!(cache.lookup(&key("a"), Time(11)), None);
+        assert_eq!(cache.lookup(id(&a), "K", Time(11)), None);
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 2);
@@ -309,14 +381,21 @@ mod tests {
     #[test]
     fn subject_and_group_invalidation() {
         let cache = VerifyCache::new();
-        cache.insert(key("id"), msg("id"), Time(100), vec!["U1".into()], None);
-        cache.insert(
-            key("ac"),
-            msg("ac"),
-            Time(100),
-            vec!["U1".into(), "U2".into()],
-            Some("G_write".into()),
-        );
+        let idc = identity("id", "U1", 100);
+        let members = ["U1", "U2"]
+            .iter()
+            .map(|m| (m.to_string(), small_key()))
+            .collect();
+        let ac = ThresholdAttributeCertificate {
+            issuer: "AA".into(),
+            subject: ThresholdSubject::new(members, 2).expect("subject"),
+            group: "G_write".into(),
+            validity: Validity::new(Time(0), Time(100)),
+            timestamp: Time(0),
+            signature: key("ac"),
+        };
+        cache.insert(id(&idc), "K", msg("id"));
+        cache.insert(PresentedCert::Threshold(&ac), "K", msg("ac"));
         assert_eq!(cache.invalidate_group("G_read"), 0);
         assert_eq!(cache.invalidate_group("G_write"), 1);
         assert_eq!(cache.invalidate_subject("U1"), 1);
@@ -327,13 +406,13 @@ mod tests {
     #[test]
     fn capacity_bound_evicts_oldest_first() {
         let cache = VerifyCache::with_capacity(Some(2));
-        cache.insert(key("a"), msg("a"), Time(100), vec![], None);
-        cache.insert(key("b"), msg("b"), Time(100), vec![], None);
-        cache.insert(key("c"), msg("c"), Time(100), vec![], None);
+        for d in ["a", "b", "c"] {
+            cache.insert(id(&plain(d)), "K", msg(d));
+        }
         // "a" (oldest) was evicted; "b" and "c" survive.
-        assert_eq!(cache.lookup(&key("a"), Time(0)), None);
-        assert_eq!(cache.lookup(&key("b"), Time(0)), Some(msg("b")));
-        assert_eq!(cache.lookup(&key("c"), Time(0)), Some(msg("c")));
+        assert_eq!(cache.lookup(id(&plain("a")), "K", Time(0)), None);
+        assert_eq!(cache.lookup(id(&plain("b")), "K", Time(0)), Some(msg("b")));
+        assert_eq!(cache.lookup(id(&plain("c")), "K", Time(0)), Some(msg("c")));
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.entries, 2);
@@ -342,29 +421,29 @@ mod tests {
     #[test]
     fn reinsert_keeps_original_order_slot() {
         let cache = VerifyCache::with_capacity(Some(2));
-        cache.insert(key("a"), msg("a"), Time(100), vec![], None);
-        cache.insert(key("b"), msg("b"), Time(100), vec![], None);
+        cache.insert(id(&plain("a")), "K", msg("a"));
+        cache.insert(id(&plain("b")), "K", msg("b"));
         // Refreshing "a" does not make it newest: it keeps its original
         // insertion slot, so it is still the first to go.
-        cache.insert(key("a"), msg("a2"), Time(100), vec![], None);
-        cache.insert(key("c"), msg("c"), Time(100), vec![], None);
-        assert_eq!(cache.lookup(&key("a"), Time(0)), None);
-        assert_eq!(cache.lookup(&key("b"), Time(0)), Some(msg("b")));
+        cache.insert(id(&plain("a")), "K", msg("a2"));
+        cache.insert(id(&plain("c")), "K", msg("c"));
+        assert_eq!(cache.lookup(id(&plain("a")), "K", Time(0)), None);
+        assert_eq!(cache.lookup(id(&plain("b")), "K", Time(0)), Some(msg("b")));
         assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]
     fn stale_order_keys_are_skipped_not_counted() {
         let cache = VerifyCache::with_capacity(Some(2));
-        cache.insert(key("a"), msg("a"), Time(100), vec!["U".into()], None);
-        cache.insert(key("b"), msg("b"), Time(100), vec![], None);
+        cache.insert(id(&identity("a", "U", 100)), "K", msg("a"));
+        cache.insert(id(&plain("b")), "K", msg("b"));
         // Invalidate "a" so its order-queue key goes stale.
         assert_eq!(cache.invalidate_subject("U"), 1);
-        cache.insert(key("c"), msg("c"), Time(100), vec![], None);
-        cache.insert(key("d"), msg("d"), Time(100), vec![], None);
+        cache.insert(id(&plain("c")), "K", msg("c"));
+        cache.insert(id(&plain("d")), "K", msg("d"));
         // The stale "a" key was skipped; "b" was the real eviction.
-        assert_eq!(cache.lookup(&key("b"), Time(0)), None);
-        assert_eq!(cache.lookup(&key("c"), Time(0)), Some(msg("c")));
+        assert_eq!(cache.lookup(id(&plain("b")), "K", Time(0)), None);
+        assert_eq!(cache.lookup(id(&plain("c")), "K", Time(0)), Some(msg("c")));
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.invalidations, 1);
@@ -374,14 +453,14 @@ mod tests {
     fn shrinking_capacity_trims_immediately() {
         let cache = VerifyCache::with_capacity(None);
         for i in 0..10 {
-            cache.insert(key(&format!("k{i}")), msg("m"), Time(100), vec![], None);
+            cache.insert(id(&plain(&format!("k{i}"))), "K", msg("m"));
         }
         assert_eq!(cache.stats().entries, 10);
         cache.set_capacity(Some(3));
         let stats = cache.stats();
         assert_eq!(stats.entries, 3);
         assert_eq!(stats.evictions, 7);
-        assert_eq!(cache.lookup(&key("k9"), Time(0)), Some(msg("m")));
+        assert_eq!(cache.lookup(id(&plain("k9")), "K", Time(0)), Some(msg("m")));
     }
 
     /// Invalidated entries must not leave their queue slots behind
@@ -392,13 +471,7 @@ mod tests {
     fn order_queue_stays_bounded_under_invalidation_churn() {
         let cache = VerifyCache::with_capacity(Some(4));
         for i in 0..10_000 {
-            cache.insert(
-                key(&format!("k{i}")),
-                msg("m"),
-                Time(100),
-                vec!["U".into()],
-                None,
-            );
+            cache.insert(id(&identity(&format!("k{i}"), "U", 100)), "K", msg("m"));
             assert_eq!(cache.invalidate_subject("U"), 1);
         }
         assert_eq!(cache.stats().entries, 0);
@@ -410,8 +483,9 @@ mod tests {
     fn order_queue_stays_bounded_under_expiry_churn() {
         let cache = VerifyCache::with_capacity(Some(4));
         for i in 0..10_000 {
-            cache.insert(key(&format!("k{i}")), msg("m"), Time(10), vec![], None);
-            assert_eq!(cache.lookup(&key(&format!("k{i}")), Time(11)), None);
+            let c = identity(&format!("k{i}"), "P", 10);
+            cache.insert(id(&c), "K", msg("m"));
+            assert_eq!(cache.lookup(id(&c), "K", Time(11)), None);
         }
         let stats = cache.stats();
         assert_eq!((stats.entries, stats.invalidations), (0, 10_000));
@@ -423,10 +497,10 @@ mod tests {
         let registry = jaap_obs::MetricsRegistry::new();
         let cache = VerifyCache::with_capacity(Some(1));
         cache.set_metrics(Some(&registry));
-        cache.insert(key("a"), msg("a"), Time(100), vec![], None);
-        assert_eq!(cache.lookup(&key("a"), Time(0)), Some(msg("a")));
-        assert_eq!(cache.lookup(&key("zzz"), Time(0)), None);
-        cache.insert(key("b"), msg("b"), Time(100), vec![], None); // evicts "a"
+        cache.insert(id(&plain("a")), "K", msg("a"));
+        assert_eq!(cache.lookup(id(&plain("a")), "K", Time(0)), Some(msg("a")));
+        assert_eq!(cache.lookup(id(&plain("zzz")), "K", Time(0)), None);
+        cache.insert(id(&plain("b")), "K", msg("b")); // evicts "a"
         assert_eq!(registry.counter_value("server.cache.hits"), Some(1));
         assert_eq!(registry.counter_value("server.cache.misses"), Some(1));
         assert_eq!(registry.counter_value("server.cache.evictions"), Some(1));
@@ -436,8 +510,9 @@ mod tests {
     fn clones_share_state() {
         let cache = VerifyCache::new();
         let other = cache.clone();
-        other.insert(key("a"), msg("m"), Time(10), vec![], None);
-        assert_eq!(cache.lookup(&key("a"), Time(0)), Some(msg("m")));
+        let a = identity("a", "P", 10);
+        other.insert(id(&a), "K", msg("m"));
+        assert_eq!(cache.lookup(id(&a), "K", Time(0)), Some(msg("m")));
         cache.clear();
         assert_eq!(other.stats().entries, 0);
     }

@@ -289,6 +289,7 @@ pub fn assemble_over_network(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jaap_bigint::Nat;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -350,6 +351,43 @@ mod tests {
             assemble_over_network(&[&u1], vec![], vec![], Operation::new("read", "O"), Time(7))
                 .expect("assemble");
         assert_eq!(req.statements.len(), 1);
+    }
+
+    /// The replay digest is journaled and compared across restarts, so its
+    /// rendering (the statements' signature hex, the digest hex) is pinned
+    /// to a known answer: a 2048-bit signature, one whose top limb has
+    /// leading zero nibbles, and a one-limb signature.
+    #[test]
+    fn digest_known_answer() {
+        let wide = Nat::from_limbs(
+            (1..=32u64)
+                .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+                .collect(),
+        );
+        let req = JointAccessRequest {
+            identity_certs: vec![],
+            threshold_certs: vec![],
+            attribute_certs: vec![],
+            statements: [
+                ("User_D1", wide),
+                ("User_D2", Nat::from_limbs(vec![0xdead_beef, 0x0000_0abc])),
+                ("User_D3", Nat::from(7u64)),
+            ]
+            .into_iter()
+            .map(|(principal, s)| WireStatement {
+                principal: principal.to_string(),
+                at: Time(41),
+                signature: RsaSignature::from_value(s),
+            })
+            .collect(),
+            operation: Operation::new("write", "Object O"),
+            at: Time(42),
+            deadline: None,
+        };
+        assert_eq!(
+            req.digest(),
+            "4f5df0bab9b74b96d3f502d891ac73845d8dcad4ac3e39df2a5c41c4b2ba72bd"
+        );
     }
 
     #[test]

@@ -168,10 +168,17 @@ impl Default for Sha256 {
     }
 }
 
-/// Hex rendering of a digest (handy in logs and certificate fingerprints).
+/// Hex rendering of a digest (handy in logs and certificate fingerprints):
+/// two lower-case digits per byte, into one pre-sized string.
 #[must_use]
 pub fn hex(digest: &[u8]) -> String {
-    digest.iter().map(|b| format!("{b:02x}")).collect()
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut s = String::with_capacity(2 * digest.len());
+    for &b in digest {
+        s.push(char::from(DIGITS[usize::from(b >> 4)]));
+        s.push(char::from(DIGITS[usize::from(b & 0xf)]));
+    }
+    s
 }
 
 #[cfg(test)]
@@ -247,5 +254,20 @@ mod tests {
     #[test]
     fn hex_format() {
         assert_eq!(hex(&[0x00, 0xff, 0x10]), "00ff10");
+    }
+
+    mod props {
+        use super::super::hex;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The nibble table renders exactly what `format!("{b:02x}")`
+            /// per byte did.
+            #[test]
+            fn hex_matches_per_byte_format(bytes in proptest::collection::vec(any::<u8>(), 0..80)) {
+                let reference: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+                prop_assert_eq!(hex(&bytes), reference);
+            }
+        }
     }
 }

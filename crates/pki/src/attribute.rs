@@ -12,7 +12,7 @@ use jaap_crypto::rsa::{RsaPublicKey, RsaSignature};
 use jaap_crypto::shared::SharedPublicKey;
 
 use crate::encoding::Encoder;
-use crate::presented::{Presentation, PresentedCert};
+use crate::presented::PresentedCert;
 use crate::{key_name, PkiError};
 
 /// The subject of a threshold attribute certificate: named principals bound
@@ -116,7 +116,7 @@ impl ThresholdAttributeCertificate {
     ///
     /// [`PkiError::BadSignature`] if verification fails.
     pub fn verify(&self, aa_key: &SharedPublicKey) -> Result<(), PkiError> {
-        Presentation::from(PresentedCert::Threshold(self)).verify(aa_key.rsa(), None)
+        PresentedCert::Threshold(self).verify(aa_key.rsa(), None)
     }
 
     /// The idealized certificate:
@@ -177,7 +177,7 @@ impl AttributeCertificate {
     ///
     /// [`PkiError::BadSignature`] if verification fails.
     pub fn verify(&self, aa_key: &SharedPublicKey) -> Result<(), PkiError> {
-        Presentation::from(PresentedCert::Attribute(self)).verify(aa_key.rsa(), None)
+        PresentedCert::Attribute(self).verify(aa_key.rsa(), None)
     }
 
     /// The idealized certificate: `⟨AA says_t (P|K ⇒ [tb,te] G)⟩_{K_AA⁻¹}`.

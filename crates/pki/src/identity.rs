@@ -5,7 +5,7 @@ use jaap_core::syntax::{Message, Time};
 use jaap_crypto::rsa::{RsaPublicKey, RsaSignature};
 
 use crate::encoding::Encoder;
-use crate::presented::{Presentation, PresentedCert};
+use crate::presented::PresentedCert;
 use crate::{key_name, PkiError};
 
 /// A byte-level identity certificate: binds a user name to a public key for
@@ -55,7 +55,7 @@ impl IdentityCertificate {
     ///
     /// [`PkiError::BadSignature`] if verification fails.
     pub fn verify(&self, issuer_key: &RsaPublicKey) -> Result<(), PkiError> {
-        Presentation::from(PresentedCert::Identity(self)).verify(issuer_key, None)
+        PresentedCert::Identity(self).verify(issuer_key, None)
     }
 
     /// The idealized certificate (paper §4.2):

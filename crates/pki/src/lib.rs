@@ -38,7 +38,7 @@ pub use attribute::{
 pub use authority::{CertificateAuthority, RevocationAuthority};
 pub use crl::{Crl, CrlEntry};
 pub use identity::{IdentityCertificate, IdentityRevocation};
-pub use presented::{Presentation, PresentedCert};
+pub use presented::PresentedCert;
 pub use truststore::TrustStore;
 
 use jaap_core::syntax::KeyId;
@@ -91,6 +91,23 @@ mod tests {
         assert_eq!(key_name(a.public()), key_name(a.public()));
         assert_ne!(key_name(a.public()), key_name(b.public()));
         assert!(key_name(a.public()).as_str().starts_with("K:"));
+    }
+
+    /// Key names are derivation, journal and audit vocabulary, so their
+    /// rendering is pinned to a known answer for a fixed 2048-bit key.
+    #[test]
+    fn key_name_known_answer() {
+        let n = jaap_bigint::Nat::from_limbs(
+            (1..=32u64)
+                .map(|i| i.wrapping_mul(0xc2b2_ae3d_27d4_eb4f) | 1)
+                .collect(),
+        );
+        let key = RsaPublicKey::new(n, jaap_bigint::Nat::from(65_537u64));
+        assert_eq!(
+            key.key_id(),
+            "ed42acbbb1cb069400083925d3e9f92fd05964b15126c6cb2f38ef5986ba8264"
+        );
+        assert_eq!(key_name(&key).as_str(), "K:ed42acbbb1cb");
     }
 
     #[test]

@@ -8,13 +8,10 @@
 //! its verification cache and its batch pre-pass each handle all three
 //! kinds in one loop.
 
-use std::cell::OnceCell;
-
 use jaap_core::certs::Certs;
 use jaap_core::syntax::{Message, Subject, Time};
 use jaap_crypto::precomp::VerifierPrecomp;
 use jaap_crypto::rsa::{RsaPublicKey, RsaSignature};
-use jaap_crypto::sha256::Sha256;
 
 use crate::attribute::{AttributeCertificate, ThresholdAttributeCertificate};
 use crate::identity::IdentityCertificate;
@@ -92,16 +89,15 @@ impl<'a> PresentedCert<'a> {
         }
     }
 
-    /// The principals the certificate names: an identity revocation of
-    /// any of them invalidates a cached verification of it.
+    /// Whether the certificate names principal `name`: an identity
+    /// revocation of any principal it names invalidates a cached
+    /// verification of it.
     #[must_use]
-    pub fn subjects(self) -> Vec<String> {
+    pub fn names(self, name: &str) -> bool {
         match self {
-            PresentedCert::Identity(c) => vec![c.subject.clone()],
-            PresentedCert::Threshold(c) => {
-                c.subject.members.iter().map(|(n, _)| n.clone()).collect()
-            }
-            PresentedCert::Attribute(c) => vec![c.subject.clone()],
+            PresentedCert::Identity(c) => c.subject == name,
+            PresentedCert::Threshold(c) => c.subject.members.iter().any(|(n, _)| n == name),
+            PresentedCert::Attribute(c) => c.subject == name,
         }
     }
 
@@ -159,54 +155,6 @@ impl<'a> PresentedCert<'a> {
             ),
         }
     }
-}
-
-/// A [`PresentedCert`] with its canonical signed bytes, serialized at most
-/// once per presentation and shared by the verification-cache digest and
-/// the signature check.
-#[derive(Debug)]
-pub struct Presentation<'a> {
-    cert: PresentedCert<'a>,
-    body: OnceCell<Vec<u8>>,
-}
-
-impl<'a> From<PresentedCert<'a>> for Presentation<'a> {
-    fn from(cert: PresentedCert<'a>) -> Self {
-        Presentation {
-            cert,
-            body: OnceCell::new(),
-        }
-    }
-}
-
-impl<'a> Presentation<'a> {
-    /// The presented certificate.
-    pub(crate) fn cert(&self) -> PresentedCert<'a> {
-        self.cert
-    }
-
-    /// The canonical signed bytes ([`PresentedCert::body_bytes`]), built
-    /// on first use.
-    pub(crate) fn body(&self) -> &[u8] {
-        self.body.get_or_init(|| self.cert.body_bytes())
-    }
-
-    /// A collision-resistant digest of body and signature, separated per
-    /// kind: the verification-cache key of a byte-identical presentation.
-    #[must_use]
-    pub fn cache_digest(&self) -> [u8; 32] {
-        let domain = match self.cert {
-            PresentedCert::Identity(_) => "jaap-cache-identity",
-            PresentedCert::Threshold(_) => "jaap-cache-threshold",
-            PresentedCert::Attribute(_) => "jaap-cache-attribute",
-        };
-        let mut h = Sha256::new();
-        h.update(domain.as_bytes());
-        h.update(self.body());
-        h.update(b"|");
-        h.update(&self.cert.signature().value().to_bytes_be());
-        h.finalize()
-    }
 
     /// Verifies the signature under `issuer_key`, through `precomp` when
     /// supplied (`recurring = true`: standing certificates are re-presented
@@ -217,23 +165,22 @@ impl<'a> Presentation<'a> {
     ///
     /// [`PkiError::BadSignature`] if verification fails.
     pub(crate) fn verify(
-        &self,
+        self,
         issuer_key: &RsaPublicKey,
         precomp: Option<&VerifierPrecomp>,
     ) -> Result<(), PkiError> {
-        let cert = self.cert;
-        if issuer_key.verify_with(precomp, true, self.body(), cert.signature()) {
+        if issuer_key.verify_with(precomp, true, &self.body_bytes(), self.signature()) {
             return Ok(());
         }
-        let named = match cert {
+        let named = match self {
             PresentedCert::Identity(c) => c.subject.as_str(),
             PresentedCert::Threshold(c) => c.group.as_str(),
             PresentedCert::Attribute(c) => c.subject.as_str(),
         };
         Err(PkiError::BadSignature(format!(
             "{} for {named} by {}",
-            cert.kind(),
-            cert.issuer()
+            self.kind(),
+            self.issuer()
         )))
     }
 
@@ -245,7 +192,7 @@ impl<'a> Presentation<'a> {
     ///
     /// [`PkiError::BadSignature`] if verification fails.
     pub(crate) fn verify_and_idealize(
-        &self,
+        self,
         issuer_key: &RsaPublicKey,
         precomp: Option<&VerifierPrecomp>,
         sig_prechecked: bool,
@@ -253,6 +200,6 @@ impl<'a> Presentation<'a> {
         if !sig_prechecked {
             self.verify(issuer_key, precomp)?;
         }
-        Ok(self.cert.idealize(issuer_key))
+        Ok(self.idealize(issuer_key))
     }
 }

@@ -23,7 +23,7 @@ use jaap_crypto::shared::SharedPublicKey;
 
 use crate::attribute::AttributeRevocation;
 use crate::identity::IdentityRevocation;
-use crate::presented::{Presentation, PresentedCert};
+use crate::presented::PresentedCert;
 use crate::{key_name, PkiError};
 
 /// Trusted verification keys for a coalition server.
@@ -156,8 +156,7 @@ impl TrustStore {
         key.ok_or_else(|| PkiError::UnknownIssuer(cert.issuer().to_string()))
     }
 
-    /// Verifies and idealizes a presented certificate (its signed body
-    /// built at most once): issuer resolution,
+    /// Verifies and idealizes a presented certificate: issuer resolution,
     /// the signature check, then idealization. `use_precomp` routes the
     /// check through the store's [`VerifierPrecomp`]; `sig_prechecked`
     /// skips it because the caller already verified the signature (a batch
@@ -170,11 +169,11 @@ impl TrustStore {
     /// [`PkiError::BadSignature`] on verification failure.
     pub fn idealize(
         &self,
-        cert: &Presentation<'_>,
+        cert: PresentedCert<'_>,
         use_precomp: bool,
         sig_prechecked: bool,
     ) -> Result<Message, PkiError> {
-        let key = self.issuer_key(cert.cert())?;
+        let key = self.issuer_key(cert)?;
         let precomp = use_precomp.then_some(self.precomp.as_ref());
         cert.verify_and_idealize(key, precomp, sig_prechecked)
     }
@@ -339,7 +338,7 @@ mod tests {
             .expect("issue");
         let msg = f
             .store
-            .idealize(&PresentedCert::Identity(&cert).into(), false, false)
+            .idealize(PresentedCert::Identity(&cert), false, false)
             .expect("idealize");
         assert!(jaap_core::certs::CertView::parse(&msg).is_some());
     }
@@ -359,7 +358,7 @@ mod tests {
             .expect("issue");
         assert!(matches!(
             f.store
-                .idealize(&PresentedCert::Identity(&cert).into(), false, false),
+                .idealize(PresentedCert::Identity(&cert), false, false),
             Err(PkiError::UnknownIssuer(_))
         ));
     }
@@ -390,7 +389,7 @@ mod tests {
         };
         assert!(matches!(
             f.store
-                .idealize(&PresentedCert::Threshold(&cert).into(), false, false),
+                .idealize(PresentedCert::Threshold(&cert), false, false),
             Err(PkiError::BadSignature(_))
         ));
     }
@@ -419,7 +418,7 @@ mod tests {
         };
         assert!(f
             .store
-            .idealize(&PresentedCert::Threshold(&cert).into(), false, false)
+            .idealize(PresentedCert::Threshold(&cert), false, false)
             .is_ok());
     }
 

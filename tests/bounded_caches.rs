@@ -10,11 +10,15 @@
 //! bytes. The proptest at the bottom drives that equivalence across random
 //! request schedules.
 
+use jaap_bigint::Nat;
 use jaap_coalition::cache::VerifyCache;
 use jaap_coalition::scenario::{Coalition, CoalitionBuilder};
 use jaap_coalition::server::CapacityConfig;
+use jaap_core::certs::Validity;
 use jaap_core::protocol::Operation;
 use jaap_core::syntax::{Message, Time};
+use jaap_crypto::rsa::{RsaPublicKey, RsaSignature};
+use jaap_pki::{IdentityCertificate, PresentedCert};
 use proptest::prelude::*;
 
 fn coalition(seed: u64) -> Coalition {
@@ -185,19 +189,27 @@ fn verify_cache_eviction_under_pressure_still_grants() {
     assert!(stats.entries <= 2, "bound holds");
 }
 
+/// A stand-in verified identity certificate whose signature residue, its
+/// cache key, is `tag`.
+fn cached_cert(tag: u64, subject: &str) -> IdentityCertificate {
+    IdentityCertificate {
+        issuer: "CA".into(),
+        subject: subject.into(),
+        subject_key: RsaPublicKey::new(Nat::from(3u64), Nat::from(65_537u64)),
+        validity: Validity::new(Time(0), Time(1_000)),
+        timestamp: Time(0),
+        signature: RsaSignature::from_value(Nat::from(tag)),
+    }
+}
+
 /// The standalone cache bound: filling far past capacity keeps the live
 /// set at the bound and counts every displaced entry.
 #[test]
 fn verify_cache_never_exceeds_capacity() {
     let cache = VerifyCache::with_capacity(Some(8));
     for i in 0..100 {
-        cache.insert(
-            ([i; 32], "K".to_string()),
-            Message::data("m"),
-            Time(1_000),
-            vec![],
-            None,
-        );
+        let cert = cached_cert(i, "P");
+        cache.insert(PresentedCert::Identity(&cert), "K", Message::data("m"));
     }
     let stats = cache.stats();
     assert_eq!(stats.entries, 8);
@@ -209,22 +221,23 @@ fn verify_cache_never_exceeds_capacity() {
 #[test]
 fn reinserted_key_after_invalidation_is_evicted_in_fifo_order() {
     let cache = VerifyCache::with_capacity(Some(2));
-    let key = |d: &str| ([d.as_bytes()[0]; 32], "K".to_string());
-    let insert = |d: &str, subjects: Vec<String>| {
-        cache.insert(key(d), Message::data(d), Time(1_000), subjects, None);
+    let cert = |d: &str, subject: &str| cached_cert(u64::from(d.as_bytes()[0]), subject);
+    let insert = |d: &str, subject: &str| {
+        cache.insert(
+            PresentedCert::Identity(&cert(d, subject)),
+            "K",
+            Message::data(d),
+        );
     };
-    insert("a", vec!["U".into()]);
+    let lookup = |d: &str| cache.lookup(PresentedCert::Identity(&cert(d, "P")), "K", Time(0));
+    insert("a", "U");
     assert_eq!(cache.invalidate_subject("U"), 1);
-    insert("b", vec![]);
-    insert("a", vec![]);
-    insert("c", vec![]);
-    assert_eq!(
-        cache.lookup(&key("b"), Time(0)),
-        None,
-        "b is the oldest live entry"
-    );
-    assert_eq!(cache.lookup(&key("a"), Time(0)), Some(Message::data("a")));
-    assert_eq!(cache.lookup(&key("c"), Time(0)), Some(Message::data("c")));
+    insert("b", "P");
+    insert("a", "P");
+    insert("c", "P");
+    assert_eq!(lookup("b"), None, "b is the oldest live entry");
+    assert_eq!(lookup("a"), Some(Message::data("a")));
+    assert_eq!(lookup("c"), Some(Message::data("c")));
     assert_eq!(cache.stats().evictions, 1);
 }
 

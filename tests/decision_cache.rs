@@ -5,8 +5,8 @@
 
 use jaap_coalition::scenario::{Coalition, CoalitionBuilder};
 use jaap_core::protocol::Operation;
-use jaap_core::syntax::Time;
-use jaap_pki::CrlEntry;
+use jaap_core::syntax::{GroupId, Time};
+use jaap_pki::{CrlEntry, PresentedCert};
 
 fn coalition(seed: u64) -> Coalition {
     CoalitionBuilder::new()
@@ -253,4 +253,94 @@ fn verify_batch_with_cache_still_grants_correctly() {
         c.server().object("Object O").expect("obj").version,
         requests.len() as u64
     );
+}
+
+/// A hit needs the presented certificate to equal the cached one field for
+/// field. A copy of each cached certificate that keeps the genuine
+/// signature but changes one body field (identity validity end, threshold
+/// subject, attribute group) is denied with the bad-signature detail, and
+/// the genuine entries are neither evicted nor overwritten. The same
+/// genuine certificate looked up under another issuer key id — what a
+/// trust-store key swap presents to the cache — misses.
+#[test]
+fn altered_copies_of_cached_certificates_are_refused() {
+    let mut c = coalition(7010);
+    c.set_verification_cache(true).expect("config");
+    let u1 = c.user("User_D1").expect("user");
+    let ac = c
+        .aa()
+        .issue_attribute_certificate(
+            "User_D1",
+            u1.public(),
+            GroupId::new("G_write"),
+            c.write_ac().validity,
+            c.server().now(),
+        )
+        .expect("attribute certificate");
+    let request = |c: &mut Coalition, t: i64| {
+        c.advance_time(Time(t)).expect("clock");
+        let mut req = c
+            .build_request(&["User_D1", "User_D2"], Operation::new("write", "Object O"))
+            .expect("request");
+        req.attribute_certs.push(ac.clone());
+        req
+    };
+
+    let warm = request(&mut c, 20);
+    let d = c.server_mut().handle_request(&warm);
+    assert!(d.granted);
+    assert_eq!(d.cached_signature_checks, 0);
+    let warmed = c.server().verification_cache().expect("cache").stats();
+    assert_eq!(warmed.entries, 4, "2 identity, 1 threshold, 1 attribute");
+
+    let mut t = 21;
+    let mut forged = Vec::new();
+    let mut req = request(&mut c, t);
+    let validity = &mut req.identity_certs[0].validity;
+    validity.end = Time(validity.end.0 + 1_000);
+    forged.push(req);
+    t += 1;
+    let mut req = request(&mut c, t);
+    req.threshold_certs[0].subject.m = 1;
+    forged.push(req);
+    t += 1;
+    let mut req = request(&mut c, t);
+    req.attribute_certs[0].group = GroupId::new("G_admin");
+    forged.push(req);
+    for req in &forged {
+        let d = c.server_mut().handle_request(req);
+        assert!(!d.granted);
+        let detail = d.detail.expect("denial detail");
+        assert!(detail.contains("bad signature"), "{detail}");
+    }
+    let stats = c.server().verification_cache().expect("cache").stats();
+    assert_eq!(stats.entries, warmed.entries, "nothing inserted or evicted");
+    assert_eq!(stats.invalidations, 0);
+    assert_eq!(stats.evictions, 0);
+    // Certificates are checked in §4.3 order and the first failure stops
+    // the request: only the unaltered ones ahead of an altered one hit.
+    assert_eq!(stats.hits - warmed.hits, 2 + 3);
+
+    t += 1;
+    let genuine = request(&mut c, t);
+    let d = c.server_mut().handle_request(&genuine);
+    assert!(d.granted);
+    assert_eq!(d.cached_signature_checks, 4, "every genuine entry survived");
+
+    // The cache key names the issuer key: under D2's CA key id instead of
+    // D1's, the genuine D1 identity certificate misses.
+    let cache = c.server().verification_cache().expect("cache").clone();
+    let cert = PresentedCert::Identity(&genuine.identity_certs[0]);
+    let ca_key = |name: &str| {
+        c.domains()
+            .iter()
+            .find(|d| d.name() == name)
+            .expect("domain")
+            .ca()
+            .public()
+            .key_id()
+    };
+    let now = c.server().now();
+    assert!(cache.lookup(cert, &ca_key("D2"), now).is_none());
+    assert!(cache.lookup(cert, &ca_key("D1"), now).is_some());
 }
