@@ -74,7 +74,7 @@ pub fn jacobi(a: &Nat, n: &Nat) -> Jacobi {
     }
 }
 
-/// Miller–Rabin probabilistic primality test with [`MR_ROUNDS`] random bases.
+/// Miller–Rabin probabilistic primality test with `MR_ROUNDS` (40) random bases.
 #[must_use]
 pub fn is_probable_prime(n: &Nat, rng: &mut dyn RngCore) -> bool {
     if n < &Nat::two() {

@@ -5,10 +5,10 @@
 //! *service* survive the primary. The write-ahead journal is already a
 //! deterministic record of every belief-changing event, so replication is
 //! log shipping: the primary's journal writes are mirrored into a
-//! [`LogOutbox`] by a [`TeeStore`], a [`Primary`] turns them into typed
-//! [`ReplMessage`]s over `jaap-net` (inheriting `FaultPlan`'s seeded
-//! drop/duplicate/delay/partition adversaries as the chaos harness), and
-//! each [`Replica`] validates and appends them to its own store. Failover
+//! [`LogOutbox`] by a [`TeeStore`](jaap_wal::TeeStore), a [`Primary`]
+//! turns them into typed [`ReplMessage`]s over `jaap-net` (inheriting
+//! `FaultPlan`'s seeded drop/duplicate/delay/partition adversaries as the
+//! chaos harness), and each [`Replica`] validates and appends them to its own store. Failover
 //! is the recovery path from §5e pointed at a replica's store:
 //! [`Replica::promote`] replays the shipped log into a fresh
 //! [`CoalitionServer`] under a higher term.
@@ -36,7 +36,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use jaap_net::{Endpoint, FaultPlan, Network, NetworkHandle, PartyId, RejectReason, ReplMessage};
+use jaap_net::{
+    Endpoint, Envelope, FaultPlan, Network, NetworkHandle, PartyId, RejectReason, ReplMessage,
+};
 use jaap_obs::{Counter, Gauge, MetricsRegistry};
 use jaap_pki::TrustStore;
 use jaap_wal::{JournalStore, LogOutbox, MemStore, TeeEvent, WalError, FORMAT_VERSION};
@@ -56,8 +58,10 @@ type MeshParts = (
 /// Records shipped to one replica per sync round before waiting for acks.
 pub const DEFAULT_SHIP_WINDOW: usize = 32;
 
-/// How long each endpoint drain waits for in-flight (possibly delayed)
-/// messages during a sync round.
+/// The loss timeout of a sync round: how long a drain waits for a message
+/// it still expects (dropped, partitioned away, or delayed) before giving
+/// up on it until the next round resends. A round whose expected messages
+/// and replies have all arrived ends without waiting on it.
 const POLL: Duration = Duration::from_millis(1);
 
 /// Monotone primary-side replication counters.
@@ -111,8 +115,8 @@ struct Progress {
 }
 
 /// The shipping side: drains the [`LogOutbox`] fed by the primary
-/// server's [`TeeStore`] and converts per-replica lag into protocol
-/// messages. Transport-agnostic — [`ReplicationNet`] pumps it over a
+/// server's [`TeeStore`](jaap_wal::TeeStore) and converts per-replica lag
+/// into protocol messages. Transport-agnostic — [`ReplicationNet`] pumps it over a
 /// `jaap-net` mesh, and tests can drive it directly.
 #[derive(Debug)]
 pub struct Primary {
@@ -643,27 +647,39 @@ impl ReplicationNet {
     /// once every replica has acknowledged the whole log. Returns the
     /// number of rounds executed. Under message loss a single round may
     /// make no progress; callers pick `max_rounds` to bound retries.
+    ///
+    /// Each drain in a round blocks (for at most the 1 ms loss timeout per
+    /// wait) only while a message sent to it in this round is still
+    /// missing. Once all have arrived it takes what is already queued —
+    /// duplicates included — and stops, so a loss-free round waits on no
+    /// timer.
     pub fn sync(&mut self, max_rounds: usize) -> usize {
         for round in 0..max_rounds {
             self.primary.absorb();
             if self.primary.all_caught_up() {
                 return round;
             }
-            for i in 0..self.replicas.len() {
+            let mut shipped = vec![0usize; self.replicas.len()];
+            for (i, sent) in shipped.iter_mut().enumerate() {
                 for msg in self.primary.pending(i, self.window) {
                     let _ = self.primary_ep.send(PartyId(i + 1), msg);
+                    *sent += 1;
                 }
             }
+            let mut replies = 0;
             for (i, ep) in self.replica_eps.iter_mut().enumerate() {
-                while let Ok(env) = ep.recv_timeout(POLL) {
+                let mut drain = Drain::new(shipped[i]);
+                while let Some(env) = drain.next(ep) {
                     if env.from != PartyId(0) {
                         continue;
                     }
                     let reply = self.replicas[i].on_message(&env.payload);
                     let _ = ep.send(PartyId(0), reply);
+                    replies += 1;
                 }
             }
-            while let Ok(env) = self.primary_ep.recv_timeout(POLL) {
+            let mut drain = Drain::new(replies);
+            while let Some(env) = drain.next(&mut self.primary_ep) {
                 let from = env.from.0;
                 if from >= 1 && from <= self.replicas.len() {
                     self.primary.on_reply(from - 1, &env.payload);
@@ -677,6 +693,37 @@ impl ReplicationNet {
     #[must_use]
     pub fn net_handle(&self) -> &NetworkHandle {
         &self.handle
+    }
+}
+
+/// One endpoint's receive loop in a sync round: blocks for at most
+/// [`POLL`] per wait while fewer than `expected` distinct messages have
+/// arrived, then only takes what is already queued. A duplicate (same
+/// send `seq`) is returned but does not count again.
+struct Drain {
+    outstanding: usize,
+    seen: Vec<u64>,
+}
+
+impl Drain {
+    fn new(expected: usize) -> Self {
+        Drain {
+            outstanding: expected,
+            seen: Vec::with_capacity(expected),
+        }
+    }
+
+    fn next(&mut self, ep: &mut Endpoint<ReplMessage>) -> Option<Envelope<ReplMessage>> {
+        let env = if self.outstanding > 0 {
+            ep.recv_timeout(POLL).ok()?
+        } else {
+            ep.try_recv().ok()??
+        };
+        if !self.seen.contains(&env.seq) {
+            self.seen.push(env.seq);
+            self.outstanding = self.outstanding.saturating_sub(1);
+        }
+        Some(env)
     }
 }
 

@@ -650,7 +650,7 @@ impl Coalition {
     }
 
     /// Proactively refreshes the AA's private-key shares over the network
-    /// (Wu et al. [27]); the public key and all certificates stay valid.
+    /// (Wu et al. \[27\]); the public key and all certificates stay valid.
     ///
     /// # Errors
     ///

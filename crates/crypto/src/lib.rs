@@ -23,7 +23,7 @@
 //!   failover so signing completes whenever a quorum of domains is live —
 //!   and fails fast with [`CryptoError::QuorumUnreachable`] otherwise.
 //! * [`refresh`] — proactive re-randomization of additive shares
-//!   (Wu et al. [27], discussed in §6).
+//!   (Wu et al. \[27\], discussed in §6).
 //! * [`collusion`] — share-combination analysis backing the paper's
 //!   collusion claims (§3.1, §6).
 //! * [`precomp`] — shared verifier precomputation: cached per-modulus

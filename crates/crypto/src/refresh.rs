@@ -1,4 +1,4 @@
-//! Proactive refresh of additive private-key shares (Wu et al. [27]).
+//! Proactive refresh of additive private-key shares (Wu et al. \[27\]).
 //!
 //! > "Wu et al. describe a refresh operation that allows re-distribution of
 //! > private key shares of an existing shared public key among the coalition

@@ -8,7 +8,7 @@
 //! (n-of-n; see [`crate::threshold`] for m-of-n).
 //!
 //! The distributed protocol ([`SharedRsaKey::generate`]) follows
-//! Boneh–Franklin [8] / Malkin–Wu–Boneh [21]:
+//! Boneh–Franklin \[8\] / Malkin–Wu–Boneh \[21\]:
 //!
 //! 1. **Sieved candidate sampling** — each party draws an additive share
 //!    `pᵢ`; blinded distributed trial division rejects any candidate

@@ -284,6 +284,65 @@ impl<M: Clone + Debug + Send + 'static> Endpoint<M> {
         self.pending.iter_mut().find_map(VecDeque::pop_front)
     }
 
+    /// Looks once, without blocking, for a message (from `from`, or from
+    /// anyone) that may surface by `deadline`: the front of each buffered
+    /// queue first, then everything already in the channel. Channel
+    /// messages from another sender, or not due by `deadline`, are
+    /// buffered for a later receive.
+    fn take_due(
+        &mut self,
+        from: Option<PartyId>,
+        deadline: Instant,
+    ) -> Result<Option<Wire<M>>, NetError> {
+        let queues = from.map_or(0..self.n, |p| p.0..p.0 + 1);
+        for i in queues {
+            if self.pending[i].front().is_some_and(|w| w.due_by(deadline)) {
+                return Ok(self.pending[i].pop_front());
+            }
+        }
+        loop {
+            match self.receiver.try_recv() {
+                Ok(w) if from.is_none_or(|p| w.env.from == p) && w.due_by(deadline) => {
+                    return Ok(Some(w));
+                }
+                Ok(w) => self.pending[w.env.from.0].push_back(w),
+                Err(RecvTimeoutError::Timeout) => return Ok(None),
+                Err(RecvTimeoutError::Disconnected) => return Err(NetError::Disconnected),
+            }
+        }
+    }
+
+    /// Waits up to `deadline` for a message from `from` (or from anyone),
+    /// after one non-blocking look ([`Endpoint::take_due`]) — so a zero
+    /// budget still returns a message that has already arrived. An expiry
+    /// is counted in [`crate::NetworkStats::receive_timeouts`].
+    fn wait_due(&mut self, from: Option<PartyId>, deadline: Instant) -> Result<Wire<M>, NetError> {
+        if let Some(w) = self.take_due(from, deadline)? {
+            return Ok(w);
+        }
+        loop {
+            let now = Instant::now();
+            let Some(budget) = deadline
+                .checked_duration_since(now)
+                .filter(|b| !b.is_zero())
+            else {
+                break;
+            };
+            match self.receiver.recv_timeout(budget) {
+                Ok(w) if from.is_none_or(|p| w.env.from == p) && w.due_by(deadline) => {
+                    return Ok(w);
+                }
+                // Another sender's, or not due yet: keep it for a later
+                // receive, keep waiting.
+                Ok(w) => self.pending[w.env.from.0].push_back(w),
+                Err(RecvTimeoutError::Timeout) => break,
+                Err(RecvTimeoutError::Disconnected) => return Err(NetError::Disconnected),
+            }
+        }
+        self.shared.stats.lock().receive_timeouts += 1;
+        Err(NetError::Timeout)
+    }
+
     /// Receives the next message in arrival order, blocking (including
     /// through any injected delay). Messages previously buffered by
     /// [`Endpoint::recv_from`] are returned first in sender-id order.
@@ -301,38 +360,30 @@ impl<M: Clone + Debug + Send + 'static> Endpoint<M> {
             .map_err(|_| NetError::Disconnected)
     }
 
+    /// Receives a message that has already arrived and is due, without
+    /// blocking: buffered messages first (in sender-id order), then the
+    /// channel. `Ok(None)` when nothing is ready; a message whose injected
+    /// delay has not yet run out stays buffered. Finding nothing is not
+    /// counted as a receive timeout.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Disconnected`] if all senders are gone.
+    pub fn try_recv(&mut self) -> Result<Option<Envelope<M>>, NetError> {
+        Ok(self.take_due(None, Instant::now())?.map(Wire::surface))
+    }
+
     /// Like [`Endpoint::recv`] with a timeout. A message whose injected
     /// delay extends past the timeout is kept buffered (it will surface on a
-    /// later receive) and [`NetError::Timeout`] is returned.
+    /// later receive) and [`NetError::Timeout`] is returned. A message that
+    /// has already arrived is returned even with a zero timeout.
     ///
     /// # Errors
     ///
     /// [`NetError::Timeout`] if nothing surfaces within `dur`;
     /// [`NetError::Disconnected`] if all senders are gone.
     pub fn recv_timeout(&mut self, dur: Duration) -> Result<Envelope<M>, NetError> {
-        let deadline = Instant::now() + dur;
-        for q in &mut self.pending {
-            if q.front().is_some_and(|w| w.due_by(deadline)) {
-                let w = q.pop_front().expect("nonempty queue");
-                return Ok(w.surface());
-            }
-        }
-        loop {
-            let now = Instant::now();
-            let Some(budget) = deadline
-                .checked_duration_since(now)
-                .filter(|b| !b.is_zero())
-            else {
-                return Err(NetError::Timeout);
-            };
-            match self.receiver.recv_timeout(budget) {
-                Ok(w) if w.due_by(deadline) => return Ok(w.surface()),
-                // Not due yet: keep it for a later receive, keep waiting.
-                Ok(w) => self.pending[w.env.from.0].push_back(w),
-                Err(RecvTimeoutError::Timeout) => return Err(NetError::Timeout),
-                Err(RecvTimeoutError::Disconnected) => return Err(NetError::Disconnected),
-            }
-        }
+        self.wait_due(None, Instant::now() + dur).map(Wire::surface)
     }
 
     /// Receives the next message *from a specific sender*, buffering
@@ -360,7 +411,8 @@ impl<M: Clone + Debug + Send + 'static> Endpoint<M> {
 
     /// Like [`Endpoint::recv_from`] with a timeout: the bounded wait every
     /// signing-session round uses so no protocol step can hang on a crashed
-    /// or partitioned peer.
+    /// or partitioned peer. A message from `from` that has already arrived
+    /// is returned even with a zero timeout.
     ///
     /// # Errors
     ///
@@ -371,31 +423,8 @@ impl<M: Clone + Debug + Send + 'static> Endpoint<M> {
         if from.0 >= self.n {
             return Err(NetError::UnknownParty(from));
         }
-        let deadline = Instant::now() + dur;
-        if self.pending[from.0]
-            .front()
-            .is_some_and(|w| w.due_by(deadline))
-        {
-            let w = self.pending[from.0].pop_front().expect("nonempty queue");
-            return Ok(w.surface().payload);
-        }
-        loop {
-            let now = Instant::now();
-            let Some(budget) = deadline
-                .checked_duration_since(now)
-                .filter(|b| !b.is_zero())
-            else {
-                return Err(NetError::Timeout);
-            };
-            match self.receiver.recv_timeout(budget) {
-                Ok(w) if w.env.from == from && w.due_by(deadline) => {
-                    return Ok(w.surface().payload);
-                }
-                Ok(w) => self.pending[w.env.from.0].push_back(w),
-                Err(RecvTimeoutError::Timeout) => return Err(NetError::Timeout),
-                Err(RecvTimeoutError::Disconnected) => return Err(NetError::Disconnected),
-            }
-        }
+        self.wait_due(Some(from), Instant::now() + dur)
+            .map(|w| w.surface().payload)
     }
 
     /// Receives exactly one message from every other party, returning
@@ -528,12 +557,96 @@ mod tests {
 
     #[test]
     fn timeout_on_silence() {
-        let (mut eps, _h) = Network::<u8>::mesh(2);
+        let (mut eps, handle) = Network::<u8>::mesh(2);
         let mut ep = eps.remove(0);
         assert_eq!(
             ep.recv_timeout(Duration::from_millis(10)),
             Err(NetError::Timeout)
         );
+        assert_eq!(handle.stats().receive_timeouts, 1);
+    }
+
+    #[test]
+    fn zero_budget_returns_a_delivered_message() {
+        let (mut eps, handle) = Network::<u8>::mesh(2);
+        let mut receiver = eps.remove(1);
+        let sender = eps.remove(0);
+        sender.send(PartyId(1), 1).expect("send");
+        sender.send(PartyId(1), 2).expect("send");
+        let env = receiver
+            .recv_timeout(Duration::ZERO)
+            .expect("already delivered");
+        assert_eq!((env.from, env.payload), (PartyId(0), 1));
+        assert_eq!(
+            receiver.recv_from_timeout(PartyId(0), Duration::ZERO),
+            Ok(2)
+        );
+        assert_eq!(
+            receiver.recv_timeout(Duration::ZERO),
+            Err(NetError::Timeout)
+        );
+        assert_eq!(handle.stats().receive_timeouts, 1);
+    }
+
+    #[test]
+    fn zero_budget_leaves_a_message_that_is_not_yet_due() {
+        let plan = FaultPlan::seeded(3).with_delay(1.0, Duration::from_secs(60));
+        let (mut eps, handle) = Network::<u8>::mesh_with(2, plan, true);
+        let mut receiver = eps.remove(1);
+        let sender = eps.remove(0);
+        sender.send(PartyId(1), 7).expect("send");
+        let delay = match handle.transcript()[0].event {
+            crate::TranscriptEvent::Delayed(d) => d,
+            ref other => panic!("expected a delay, got {other:?}"),
+        };
+        assert!(delay >= Duration::from_secs(1), "seeded delay {delay:?}");
+        assert_eq!(
+            receiver.recv_timeout(Duration::ZERO),
+            Err(NetError::Timeout)
+        );
+        assert_eq!(
+            receiver.recv_from_timeout(PartyId(0), Duration::ZERO),
+            Err(NetError::Timeout)
+        );
+        assert_eq!(receiver.try_recv(), Ok(None));
+        assert_eq!(handle.stats().receive_timeouts, 2);
+    }
+
+    #[test]
+    fn try_recv_on_an_empty_channel_finds_nothing_and_counts_no_timeout() {
+        let (mut eps, handle) = Network::<u8>::mesh(2);
+        assert_eq!(eps[0].try_recv(), Ok(None));
+        assert_eq!(eps[1].try_recv(), Ok(None));
+        assert_eq!(handle.stats().receive_timeouts, 0);
+    }
+
+    #[test]
+    fn try_recv_returns_messages_buffered_by_recv_from() {
+        let (mut eps, _h) = Network::<u32>::mesh(3);
+        let mut receiver = eps.remove(0);
+        eps[0].send(PartyId(0), 11).expect("send from 1");
+        eps[1].send(PartyId(0), 22).expect("send from 2");
+        // Waiting on party 2 buffers party 1's earlier message.
+        assert_eq!(receiver.recv_from(PartyId(2)), Ok(22));
+        let env = receiver.try_recv().expect("no error").expect("buffered");
+        assert_eq!((env.from, env.payload), (PartyId(1), 11));
+        assert_eq!(receiver.try_recv(), Ok(None));
+    }
+
+    #[test]
+    fn try_recv_after_the_peer_disconnected() {
+        let (mut eps, _h) = Network::<u8>::mesh(2);
+        let peer = eps.remove(1);
+        peer.send(PartyId(0), 5).expect("send");
+        drop(peer);
+        let ep = &mut eps[0];
+        // What the peer sent before leaving is still delivered; after that
+        // there is nothing, and no error: every endpoint holds a sender to
+        // its own channel, so it never disconnects.
+        let env = ep.try_recv().expect("no error").expect("delivered");
+        assert_eq!((env.from, env.payload), (PartyId(1), 5));
+        assert_eq!(ep.try_recv(), Ok(None));
+        assert_eq!(ep.send(PartyId(1), 6), Err(NetError::Disconnected));
     }
 
     #[test]

@@ -35,6 +35,10 @@ pub struct NetworkStats {
     pub messages_blocked: u64,
     /// Parties that have crash-stopped (exhausted their send budget).
     pub parties_crashed: u64,
+    /// Timed receives (`recv_timeout`, `recv_from_timeout`) that expired
+    /// with nothing to return: the idle waits a protocol spent on loss.
+    /// A `try_recv` that finds nothing is not counted.
+    pub receive_timeouts: u64,
 }
 
 /// Pre-resolved per-link counters for an observed mesh: one row per

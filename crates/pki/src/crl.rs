@@ -2,7 +2,7 @@
 //!
 //! The paper (§4.3): "It is essential to verify the most recent available
 //! revocation information before granting access to an object." Its
-//! revocation model builds on Stubblebine–Wright [25], where verifiers
+//! revocation model builds on Stubblebine–Wright \[25\], where verifiers
 //! enforce *recency* on revocation data. A [`Crl`] batches attribute
 //! revocations under one RA signature with a sequence number and timestamp;
 //! the coalition server can require its revocation information to be no

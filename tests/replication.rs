@@ -17,7 +17,7 @@ use jaap_core::syntax::{GroupId, Time};
 use jaap_net::FaultPlan;
 use jaap_obs::MetricsRegistry;
 use jaap_pki::CrlEntry;
-use jaap_wal::{parse_log, LogOutbox, MemStore, TeeStore};
+use jaap_wal::{parse_log, Journal, LogOutbox, MemStore, TeeStore};
 use proptest::prelude::*;
 
 const USERS: [&str; 3] = ["User_D1", "User_D2", "User_D3"];
@@ -454,4 +454,85 @@ fn shipped_frames_carry_primary_term() {
     // stamped with the primary's term.
     assert_eq!(*log.terms.last().expect("terms"), PRIMARY_TERM);
     assert!(h.net.replicas[0].stats().duplicates > 0 || h.net.primary.stats().shipped > 0);
+}
+
+/// A journal teed into a one-replica [`ReplicationNet`] over `plan`, with
+/// `records` raw records already appended; the returned store shares
+/// the journal's bytes.
+fn shipped_journal(plan: FaultPlan, records: usize) -> (MemStore, ReplicationNet) {
+    let disk = MemStore::new();
+    let outbox = LogOutbox::new();
+    let mut journal = Journal::new(Box::new(TeeStore::new(disk.clone(), outbox.clone())));
+    journal.set_term(PRIMARY_TERM);
+    for i in 0..records {
+        journal
+            .append(format!("record {i}").as_bytes())
+            .expect("append");
+    }
+    let mut net = ReplicationNet::new(PRIMARY_TERM, 1, outbox, plan).expect("net");
+    net.set_window(records);
+    (disk, net)
+}
+
+/// Directed test: on a reliable mesh a whole window ships, applies and is
+/// acknowledged in one round, and no receive ever waits out its timeout
+/// (counted, not timed: the stress job runs these oversubscribed).
+#[test]
+fn loss_free_sync_ends_in_one_round_without_a_receive_timeout() {
+    let (disk, mut net) = shipped_journal(FaultPlan::reliable(), 64);
+    assert_eq!(net.sync(8), 1);
+    assert!(net.primary.all_caught_up());
+    assert_eq!(net.replicas[0].stats().applied, 64);
+    assert_eq!(net.replicas[0].store().snapshot(), disk.snapshot());
+    assert_eq!(net.net_handle().stats().receive_timeouts, 0);
+}
+
+/// Directed test: duplicates delivered in a round are handled in that
+/// round (re-acked, not re-applied) and cost no timeout either.
+#[test]
+fn duplicated_sync_ends_in_one_round_without_a_receive_timeout() {
+    let (disk, mut net) = shipped_journal(FaultPlan::seeded(3).with_duplicate(1.0), 64);
+    assert_eq!(net.sync(8), 1);
+    let stats = net.replicas[0].stats();
+    assert_eq!((stats.applied, stats.duplicates), (64, 64));
+    assert_eq!(net.replicas[0].store().snapshot(), disk.snapshot());
+    assert!(net.net_handle().stats().messages_duplicated >= 64);
+    assert_eq!(net.net_handle().stats().receive_timeouts, 0);
+}
+
+/// Directed test: a dropped message is waited for until the loss timeout
+/// (counted), then resent by a later round until the replica converges.
+#[test]
+fn lossy_sync_times_out_on_drops_and_still_converges() {
+    let (disk, mut net) = shipped_journal(FaultPlan::seeded(7).with_drop(0.3), 64);
+    let rounds = net.sync(400);
+    assert!(
+        net.primary.all_caught_up(),
+        "no convergence in {rounds} rounds"
+    );
+    assert!(rounds > 1);
+    let stats = net.net_handle().stats();
+    assert!(stats.messages_dropped > 0);
+    assert!(stats.receive_timeouts > 0);
+    assert_eq!(net.replicas[0].store().snapshot(), disk.snapshot());
+}
+
+/// Directed test: delays of 1–4 ms (so both within and past the 1 ms loss
+/// timeout of a round) mixed with duplicates still converge to a log that
+/// byte-matches the primary's.
+#[test]
+fn delayed_and_duplicated_sync_converges_to_the_primary_log() {
+    let plan = FaultPlan::seeded(11)
+        .with_duplicate(0.2)
+        .with_delay(0.4, std::time::Duration::from_millis(4));
+    let (disk, mut net) = shipped_journal(plan, 64);
+    let rounds = net.sync(400);
+    assert!(
+        net.primary.all_caught_up(),
+        "no convergence in {rounds} rounds"
+    );
+    let stats = net.net_handle().stats();
+    assert!(stats.messages_delayed > 0 && stats.messages_duplicated > 0);
+    assert_eq!(net.replicas[0].stats().applied, 64);
+    assert_eq!(net.replicas[0].store().snapshot(), disk.snapshot());
 }
