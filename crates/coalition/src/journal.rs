@@ -21,9 +21,10 @@
 //! [`JournalRecord::ReplaySeen`]): a snapshot rewrite compacts the decision
 //! history into final object states plus audit/replay rows, while
 //! *admission-class* records (certificates, revocations, CRLs) are retained
-//! verbatim with their original clock interleaving — beliefs cannot be
-//! serialized (their proofs hold interned terms), so they are always
-//! re-derived from the original signed artifacts.
+//! verbatim with their original clock interleaving — beliefs are never
+//! serialized (each one's proof rests on signatures the recovered server
+//! must check again), so they are always re-derived from the original
+//! signed artifacts.
 
 use jaap_core::certs::Validity;
 use jaap_core::protocol::{Acl, Operation};

@@ -254,6 +254,14 @@ pub struct CapacityConfig {
     pub verify_cache: Option<usize>,
     /// Derivation-memo bound; `None` leaves the memo's bound as it is
     /// (the engine default is 1024).
+    ///
+    /// Each entry holds its request, ACL and decision by value, proof tree
+    /// included. Heap bytes per entry, map overhead included (a counting
+    /// allocator over 2 000 fresh requests; the same at 192- and 512-bit
+    /// keys, since the idealized request carries no signature bytes):
+    /// about 2 470 for a 2-of-3 write and 1 710 for a one-signer read. At
+    /// [`CapacityConfig::million_principals`]'s 65 536 entries that is
+    /// about 162 MB of writes or 112 MB of reads.
     pub derivation_memo: Option<usize>,
     /// Cold-tier page budget for an attached [`CertStore`]; `None` keeps
     /// the store's configured budget.
@@ -320,12 +328,7 @@ struct ServerMetrics {
     memo_hits: Arc<Counter>,
     memo_misses: Arc<Counter>,
     memo_evictions: Arc<Counter>,
-    memo_invalidations: Arc<Counter>,
     memo_entries: Arc<Gauge>,
-    interner_symbols: Arc<Gauge>,
-    interner_subjects: Arc<Gauge>,
-    interner_messages: Arc<Gauge>,
-    interner_formulas: Arc<Gauge>,
     journal_appends: Arc<Counter>,
     journal_bytes: Arc<Counter>,
     journal_snapshots: Arc<Counter>,
@@ -356,12 +359,7 @@ impl ServerMetrics {
             memo_hits: registry.counter("server.memo.hits"),
             memo_misses: registry.counter("server.memo.misses"),
             memo_evictions: registry.counter("server.memo.evictions"),
-            memo_invalidations: registry.counter("server.memo.invalidations"),
             memo_entries: registry.gauge("server.memo.entries"),
-            interner_symbols: registry.gauge("server.interner.symbols"),
-            interner_subjects: registry.gauge("server.interner.subjects"),
-            interner_messages: registry.gauge("server.interner.messages"),
-            interner_formulas: registry.gauge("server.interner.formulas"),
             journal_appends: registry.counter("server.journal.appends"),
             journal_bytes: registry.counter("server.journal.bytes"),
             journal_snapshots: registry.counter("server.journal.snapshots"),
@@ -892,8 +890,7 @@ impl CoalitionServer {
     /// (`server.{decisions,granted,denied}`), replay-dedup counters
     /// (`server.replay.{hits,evictions}`), audit rotation
     /// (`server.audit.evictions`), derivation-memo counters and
-    /// size (`server.memo.{hits,misses,evictions,invalidations,entries}`),
-    /// interner table sizes (`server.interner.*`) and — when the
+    /// size (`server.memo.{hits,misses,evictions,entries}`) and — when the
     /// verification cache is on —
     /// `server.cache.{hits,misses,invalidations,evictions}`.
     /// Handles are resolved once here; pass `None` to detach, restoring a
@@ -932,12 +929,6 @@ impl CoalitionServer {
     #[must_use]
     pub fn derivation_memo_stats(&self) -> Option<MemoStats> {
         self.engine.derivation_memo_stats()
-    }
-
-    /// Sizes of the engine's hash-consing arena tables.
-    #[must_use]
-    pub fn interner_stats(&self) -> jaap_core::syntax::InternStats {
-        self.engine.interner_stats()
     }
 
     /// Sizes every bounded structure from one [`CapacityConfig`] — the only
@@ -1688,9 +1679,9 @@ impl CoalitionServer {
         decision
     }
 
-    /// Mirrors the engine-owned derivation-memo and interner statistics
-    /// into the attached registry: counters get the delta since the last
-    /// mirror (they are monotone in the engine), gauges are set absolutely.
+    /// Mirrors the engine-owned derivation-memo statistics into the
+    /// attached registry: counters get the delta since the last mirror
+    /// (they are monotone in the engine), the entry gauge is set absolutely.
     /// No-op without a registry; the memo gauges stay untouched with the
     /// memo off.
     fn mirror_logic_instruments(&mut self) {
@@ -1701,8 +1692,6 @@ impl CoalitionServer {
             m.memo_misses.add(stats.misses.saturating_sub(prev.misses));
             m.memo_evictions
                 .add(stats.evictions.saturating_sub(prev.evictions));
-            m.memo_invalidations
-                .add(stats.invalidations.saturating_sub(prev.invalidations));
             m.memo_entries
                 .set(i64::try_from(stats.entries).unwrap_or(i64::MAX));
             self.memo_mirrored = stats;
@@ -1714,12 +1703,6 @@ impl CoalitionServer {
         m.crypto_precomp_hits
             .add(precomp_hits.saturating_sub(self.precomp_mirrored));
         self.precomp_mirrored = precomp_hits;
-        let interner = self.engine.interner_stats();
-        let as_i64 = |n: usize| i64::try_from(n).unwrap_or(i64::MAX);
-        m.interner_symbols.set(as_i64(interner.symbols));
-        m.interner_subjects.set(as_i64(interner.subjects));
-        m.interner_messages.set(as_i64(interner.messages));
-        m.interner_formulas.set(as_i64(interner.formulas));
     }
 
     /// The write-ahead step of every belief-changing mutation: encodes and
@@ -2002,8 +1985,8 @@ impl CoalitionServer {
             server.apply_record(record)?;
         }
         // Derived state never survives a crash: bump the belief epoch
-        // (clears the derivation memo and retires any epoch-tagged state
-        // of the pre-crash process) and restart the verify cache empty.
+        // (retires every memoized decision and any epoch-tagged state of
+        // the pre-crash process) and restart the verify cache empty.
         server.engine.invalidate_derived_state();
         if server.verify_cache.is_some() {
             // Restart empty, but at the journaled capacity bound.

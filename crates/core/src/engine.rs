@@ -30,10 +30,7 @@ use crate::certs::CertView;
 use crate::derivation::{Derivation, Rule};
 use crate::memo::{DerivationMemo, MemoKey, MemoStats};
 use crate::protocol::{AccessDecision, AccessRequest, Acl};
-use crate::syntax::{
-    Formula, FormulaId, GroupId, InternStats, Interner, KeyId, Message, PrincipalId, Subject, Time,
-    TimeRef,
-};
+use crate::syntax::{Formula, GroupId, KeyId, Message, PrincipalId, Subject, Time, TimeRef};
 use crate::LogicError;
 
 /// The verifier's initial beliefs, as assumption schemas.
@@ -159,25 +156,24 @@ pub struct Engine {
     freshness_window: i64,
     /// Count of axiom applications performed (experiment E8 metric).
     axiom_count: usize,
-    /// The hash-consing arena for formulas/messages/subjects.
-    interner: Interner,
     /// Belief epoch: bumped whenever the belief state changes (new
     /// certificate body admitted, revocation/CRL entry, freshness-window
-    /// move). Part of every memo key, and any bump clears the memo.
+    /// move). Part of every memo key, so a bump retires every memoized
+    /// decision without touching the memo.
     epoch: u64,
     /// Monotone version of *all* decision-relevant engine state: bumped on
     /// every belief-epoch bump **and** on every actual clock move. The
     /// belief epoch deliberately ignores clock advances (memo keys already
-    /// include the clock, so moving time must not flush the memo), but a
+    /// include the clock, so moving time need not retire memo entries), but a
     /// published decision snapshot captures `now` and therefore goes stale
     /// when the clock moves. This is the one version number that all
     /// derived state (memo, verify cache, snapshot) can be validated
     /// against.
     state_version: u64,
-    /// Interned bodies of every admitted certificate/revocation, so
-    /// re-admitting the same certificate neither duplicates belief entries
-    /// nor bumps the epoch.
-    admitted_bodies: HashSet<FormulaId>,
+    /// Bodies of every admitted certificate/revocation, so re-admitting
+    /// the same certificate neither duplicates belief entries nor bumps
+    /// the epoch.
+    admitted_bodies: HashSet<Formula>,
     /// The derivation memo (None = off, the default).
     memo: Option<DerivationMemo>,
 }
@@ -202,7 +198,6 @@ impl Engine {
             key_revocations_by_key: HashMap::new(),
             freshness_window: i64::MAX,
             axiom_count: 0,
-            interner: Interner::new(),
             epoch: 0,
             state_version: 0,
             admitted_bodies: HashSet::new(),
@@ -213,7 +208,7 @@ impl Engine {
     /// Sets the freshness acceptance window for certificate timestamps
     /// (how far in the past `t_CA` may lie; axiom A21 side condition).
     ///
-    /// Changes admission outcomes, so it bumps the belief epoch (clearing
+    /// Changes admission outcomes, so it bumps the belief epoch (retiring
     /// any memoized decisions).
     pub fn set_freshness_window(&mut self, window: i64) {
         self.freshness_window = window;
@@ -256,18 +251,9 @@ impl Engine {
         self.memo.as_ref().map(DerivationMemo::stats)
     }
 
-    /// Sizes of the hash-consing arena's tables.
-    #[must_use]
-    pub fn interner_stats(&self) -> InternStats {
-        self.interner.stats()
-    }
-
     fn bump_epoch(&mut self) {
         self.epoch += 1;
         self.state_version += 1;
-        if let Some(memo) = &mut self.memo {
-            memo.invalidate_all();
-        }
     }
 
     /// Records an admitted certificate body. Returns `true` — bumping the
@@ -275,40 +261,32 @@ impl Engine {
     /// re-admission (every repeated request re-presents its certificates)
     /// leaves the belief state and the epoch untouched.
     fn remember_admission(&mut self, body: &Formula) -> bool {
-        let id = self.interner.intern_formula(body);
-        let new = self.admitted_bodies.insert(id);
-        if new {
-            self.bump_epoch();
+        if self.admitted_bodies.contains(body) {
+            return false;
         }
-        new
+        self.admitted_bodies.insert(body.clone());
+        self.bump_epoch();
+        true
     }
 
     pub(crate) fn memo_enabled(&self) -> bool {
         self.memo.is_some()
     }
 
-    pub(crate) fn memo_key(&mut self, request: &AccessRequest, acl: &Acl) -> MemoKey {
-        MemoKey::build(&mut self.interner, self.epoch, self.now, request, acl)
+    pub(crate) fn memo_key(&self, request: &AccessRequest, acl: &Acl) -> MemoKey {
+        MemoKey::new(self.epoch, self.now, request, acl)
     }
 
     pub(crate) fn memo_lookup(&mut self, key: &MemoKey) -> Option<AccessDecision> {
         self.memo.as_mut().and_then(|memo| memo.lookup(key))
     }
 
-    pub(crate) fn memo_store(
-        &mut self,
-        request: &AccessRequest,
-        acl: &Acl,
-        decision: AccessDecision,
-    ) {
-        if self.memo.is_none() {
-            return;
-        }
-        // Key under the *current* (post-run) epoch: admitting this
-        // request's certificates may have bumped it mid-run.
-        let key = MemoKey::build(&mut self.interner, self.epoch, self.now, request, acl);
+    /// Stores `decision` under `key` re-stamped with the *current*
+    /// (post-run) epoch: admitting the request's certificates may have
+    /// bumped it mid-run.
+    pub(crate) fn memo_store(&mut self, key: MemoKey, decision: AccessDecision) {
         if let Some(memo) = &mut self.memo {
-            memo.store(key, decision);
+            memo.store(key.at_epoch(self.epoch), decision);
         }
     }
 
@@ -335,8 +313,8 @@ impl Engine {
         }
         if to > self.now {
             // The clock is part of every decision's inputs, so an actual
-            // move retires published snapshots — without clearing the memo
-            // (memo keys carry the clock themselves).
+            // move retires published snapshots. It leaves the belief epoch
+            // alone: memo keys carry the clock themselves.
             self.state_version += 1;
         }
         self.now = to;
@@ -344,7 +322,7 @@ impl Engine {
     }
 
     /// Discards every piece of derived (non-belief) state: bumps the
-    /// belief epoch, which also clears the derivation memo.
+    /// belief epoch, which retires every memoized decision.
     ///
     /// Belief replay after a crash reconstructs admitted formulas exactly,
     /// but memoized decisions and epoch-tagged caches from the pre-crash

@@ -5,19 +5,19 @@
 //! the same parties present the same certificates for the same operation
 //! under the same trust state, that search re-derives the identical proof
 //! tree. The memo keys a finished [`AccessDecision`] on everything the
-//! derivation depends on:
+//! derivation depends on, held by value:
 //!
 //! - the engine's **belief epoch** — a counter bumped whenever the belief
 //!   state changes (a new certificate admitted, a revocation or CRL entry
-//!   landing, the freshness window moving). Any epoch bump eagerly clears
-//!   the memo, the same eager-invalidation discipline as the coalition
-//!   `VerifyCache`, so a memoized proof can never outlive a revocation;
-//! - the engine's **clock** and the request's claimed time — freshness
-//!   and validity-interval side conditions read both;
-//! - the **interned certificate-view set and statement set** of the
-//!   request ([`MsgId`]s / [`Sym`]s from the hash-consing arena, so key
-//!   comparison is id-tuple comparison, not tree comparison);
-//! - the **ACL rows** for the object.
+//!   landing, the freshness window moving). An entry stored under an
+//!   older epoch can never match a lookup again, so a memoized proof can
+//!   never outlive a revocation. The bump does not clear the memo: stale
+//!   entries stay until the capacity bound displaces them;
+//! - the engine's **clock** — freshness and validity-interval side
+//!   conditions read it;
+//! - the **request** itself: certificates, signed statements, operation
+//!   and claimed time;
+//! - the object's **ACL**.
 //!
 //! A hit replays the cached decision (sharing its proof tree via `Arc`)
 //! without re-running axiom search. The map is bounded with
@@ -25,81 +25,41 @@
 //! `VerifyCache` (`tests/bounded_caches.rs` documents that discipline).
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use crate::protocol::{AccessDecision, AccessRequest, Acl};
-use crate::syntax::{Interner, MsgId, Sym, Time};
+use crate::syntax::Time;
 
 /// Default bound on memoized decisions.
 pub const DEFAULT_MEMO_CAPACITY: usize = 1024;
 
-/// Everything a derivation's outcome depends on, as interned ids.
+/// Everything a derivation's outcome depends on.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct MemoKey {
     epoch: u64,
     now: Time,
-    at: Time,
-    identity_certs: Vec<MsgId>,
-    attribute_certs: Vec<MsgId>,
-    /// Per signed statement: (principal, signing key, claimed time, payload).
-    statements: Vec<(Sym, Sym, Time, MsgId)>,
-    operation: (Sym, Sym),
-    acl: Vec<(Sym, Sym)>,
+    request: AccessRequest,
+    acl: Acl,
 }
 
 impl MemoKey {
-    pub(crate) fn build(
-        interner: &mut Interner,
-        epoch: u64,
-        now: Time,
-        request: &AccessRequest,
-        acl: &Acl,
-    ) -> MemoKey {
+    pub(crate) fn new(epoch: u64, now: Time, request: &AccessRequest, acl: &Acl) -> MemoKey {
         MemoKey {
             epoch,
             now,
-            at: request.at,
-            identity_certs: request
-                .identity_certs
-                .iter()
-                .map(|m| interner.intern_message(m))
-                .collect(),
-            attribute_certs: request
-                .attribute_certs
-                .iter()
-                .map(|m| interner.intern_message(m))
-                .collect(),
-            statements: request
-                .signed_statements
-                .iter()
-                .map(|s| {
-                    (
-                        interner.intern_str(s.principal.as_str()),
-                        interner.intern_str(s.key.as_str()),
-                        s.at,
-                        interner.intern_message(&s.message),
-                    )
-                })
-                .collect(),
-            operation: (
-                interner.intern_str(&request.operation.action),
-                interner.intern_str(&request.operation.object),
-            ),
-            acl: acl
-                .entries()
-                .iter()
-                .map(|e| {
-                    (
-                        interner.intern_str(e.group.as_str()),
-                        interner.intern_str(&e.action),
-                    )
-                })
-                .collect(),
+            request: request.clone(),
+            acl: acl.clone(),
         }
+    }
+
+    /// The same key under another belief epoch.
+    pub(crate) fn at_epoch(self, epoch: u64) -> MemoKey {
+        MemoKey { epoch, ..self }
     }
 }
 
-/// Hit/miss/eviction counters and the live entry count, in the same shape
-/// as the coalition `CacheStats`.
+/// Hit/miss/eviction counters and the entry count, in the same shape as
+/// the coalition `CacheStats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
     /// Decisions replayed from the memo.
@@ -108,27 +68,26 @@ pub struct MemoStats {
     pub misses: u64,
     /// Entries displaced by the capacity bound.
     pub evictions: u64,
-    /// Entries dropped by an epoch change (certificate admission,
-    /// revocation/CRL, freshness-window change).
-    pub invalidations: u64,
-    /// Live entries.
+    /// Stored entries, including stale ones from older belief epochs
+    /// that no lookup can match any more and that wait for the capacity
+    /// bound to displace them.
     pub entries: usize,
 }
 
 /// A bounded map from [`MemoKey`] to a finished decision.
 ///
-/// Plain struct, no interior locking: the logic phase runs serially
-/// behind `&mut Engine` (even under `verify_batch`, which only fans out
-/// the crypto phase).
+/// Each key is stored once, shared by the map and the insertion-order
+/// queue. Plain struct, no interior locking: the logic phase runs
+/// serially behind `&mut Engine` (even under `verify_batch`, which only
+/// fans out the crypto phase).
 #[derive(Debug)]
 pub(crate) struct DerivationMemo {
-    entries: HashMap<MemoKey, AccessDecision>,
-    order: VecDeque<MemoKey>,
+    entries: HashMap<Arc<MemoKey>, AccessDecision>,
+    order: VecDeque<Arc<MemoKey>>,
     capacity: Option<usize>,
     hits: u64,
     misses: u64,
     evictions: u64,
-    invalidations: u64,
 }
 
 impl Default for DerivationMemo {
@@ -140,7 +99,6 @@ impl Default for DerivationMemo {
             hits: 0,
             misses: 0,
             evictions: 0,
-            invalidations: 0,
         }
     }
 }
@@ -173,17 +131,11 @@ impl DerivationMemo {
         if self.capacity == Some(0) {
             return;
         }
-        if self.entries.insert(key.clone(), decision).is_none() {
+        let key = Arc::new(key);
+        if self.entries.insert(Arc::clone(&key), decision).is_none() {
             self.order.push_back(key);
             self.trim();
         }
-    }
-
-    /// Drops every entry (the belief state changed under it).
-    pub(crate) fn invalidate_all(&mut self) {
-        self.invalidations += self.entries.len() as u64;
-        self.entries.clear();
-        self.order.clear();
     }
 
     fn trim(&mut self) {
@@ -204,7 +156,6 @@ impl DerivationMemo {
             hits: self.hits,
             misses: self.misses,
             evictions: self.evictions,
-            invalidations: self.invalidations,
             entries: self.entries.len(),
         }
     }
@@ -215,7 +166,7 @@ mod tests {
     use super::*;
     use crate::protocol::{AccessDecision, Operation};
 
-    fn key(interner: &mut Interner, epoch: u64, t: i64) -> MemoKey {
+    fn key(epoch: u64, t: i64) -> MemoKey {
         let request = AccessRequest {
             identity_certs: vec![],
             attribute_certs: vec![],
@@ -223,7 +174,7 @@ mod tests {
             operation: Operation::new("write", "Object O"),
             at: Time(t),
         };
-        MemoKey::build(interner, epoch, Time(t), &request, &Acl::new())
+        MemoKey::new(epoch, Time(t), &request, &Acl::new())
     }
 
     fn grant() -> AccessDecision {
@@ -238,9 +189,8 @@ mod tests {
 
     #[test]
     fn lookup_after_store_hits() {
-        let mut interner = Interner::new();
         let mut memo = DerivationMemo::new();
-        let k = key(&mut interner, 0, 5);
+        let k = key(0, 5);
         assert!(memo.lookup(&k).is_none());
         memo.store(k.clone(), grant());
         assert!(memo.lookup(&k).expect("hit").granted);
@@ -250,47 +200,49 @@ mod tests {
 
     #[test]
     fn epoch_is_part_of_the_key() {
-        let mut interner = Interner::new();
         let mut memo = DerivationMemo::new();
-        memo.store(key(&mut interner, 0, 5), grant());
-        assert!(memo.lookup(&key(&mut interner, 1, 5)).is_none());
+        memo.store(key(0, 5), grant());
+        assert!(memo.lookup(&key(1, 5)).is_none());
     }
 
     #[test]
     fn capacity_bound_evicts_in_insertion_order() {
-        let mut interner = Interner::new();
         let mut memo = DerivationMemo::new();
         memo.set_capacity(Some(2));
         for t in 0..5 {
-            memo.store(key(&mut interner, 0, t), grant());
+            memo.store(key(0, t), grant());
         }
         let s = memo.stats();
         assert_eq!(s.entries, 2);
         assert_eq!(s.evictions, 3);
         // The two newest survive; the oldest three are gone.
-        assert!(memo.lookup(&key(&mut interner, 0, 0)).is_none());
-        assert!(memo.lookup(&key(&mut interner, 0, 4)).is_some());
+        assert!(memo.lookup(&key(0, 0)).is_none());
+        assert!(memo.lookup(&key(0, 4)).is_some());
     }
 
     #[test]
-    fn invalidate_all_counts_and_clears() {
-        let mut interner = Interner::new();
+    fn stale_epoch_entry_is_never_served_and_is_displaced_by_the_bound() {
         let mut memo = DerivationMemo::new();
-        memo.store(key(&mut interner, 0, 1), grant());
-        memo.store(key(&mut interner, 0, 2), grant());
-        memo.invalidate_all();
+        memo.set_capacity(Some(2));
+        memo.store(key(0, 1), grant());
+        // The epoch moves: the old entry stays stored but cannot match.
+        assert!(memo.lookup(&key(1, 1)).is_none());
+        assert_eq!(memo.stats().entries, 1);
+        // Two entries under the new epoch push the stale one out.
+        memo.store(key(1, 1), grant());
+        memo.store(key(1, 2), grant());
         let s = memo.stats();
-        assert_eq!(s.entries, 0);
-        assert_eq!(s.invalidations, 2);
-        assert!(memo.lookup(&key(&mut interner, 0, 1)).is_none());
+        assert_eq!((s.entries, s.evictions), (2, 1));
+        assert!(memo.lookup(&key(0, 1)).is_none());
+        assert!(memo.lookup(&key(1, 1)).is_some());
+        assert_eq!(memo.stats().hits, 1);
     }
 
     #[test]
     fn zero_capacity_stores_nothing() {
-        let mut interner = Interner::new();
         let mut memo = DerivationMemo::new();
         memo.set_capacity(Some(0));
-        memo.store(key(&mut interner, 0, 1), grant());
+        memo.store(key(0, 1), grant());
         assert_eq!(memo.stats().entries, 0);
     }
 }

@@ -59,7 +59,7 @@ impl fmt::Display for Operation {
 
 /// One signer's component of a joint access request (Message 1-4):
 /// `⟨User_Dᵢ says_{tᵢ} "op" O⟩_{K_uᵢ⁻¹}`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SignedStatement {
     /// The claimed signer.
     pub principal: PrincipalId,
@@ -88,7 +88,7 @@ impl SignedStatement {
 }
 
 /// A joint access request, as assembled by the requestor (Figure 2(b)).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AccessRequest {
     /// Identity certificates for the signers (Messages 1-1, 1-2).
     pub identity_certs: Vec<Message>,
@@ -104,7 +104,7 @@ pub struct AccessRequest {
 
 /// One ACL expression `Eᵢ = (G, access permission)` (§4.3: "The ACL is a
 /// simple disjunction of expressions").
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AclEntry {
     /// The group.
     pub group: GroupId,
@@ -113,7 +113,7 @@ pub struct AclEntry {
 }
 
 /// An object's ACL: a disjunction of `(group, permission)` expressions.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Acl {
     entries: Vec<AclEntry>,
 }
@@ -256,13 +256,13 @@ impl AccessDecision {
 /// previously admitted revocations* (believe-until-revoked).
 ///
 /// When the engine's derivation memo is on
-/// ([`Engine::set_derivation_memo`]), a request whose interned
-/// certificate/statement set, operation, ACL, clock and belief epoch all
-/// match a previous run replays that decision without re-running axiom
-/// search. Any belief change (certificate admission, revocation/CRL,
-/// freshness-window move) bumps the epoch and clears the memo first, so a
-/// replayed decision is always one the current belief state would
-/// re-derive verbatim.
+/// ([`Engine::set_derivation_memo`]), a request whose certificates,
+/// statements, operation, ACL, clock and belief epoch all equal a
+/// previous run's replays that decision without re-running axiom search.
+/// Any belief change (certificate admission, revocation/CRL,
+/// freshness-window move) bumps the epoch, and every key carries the
+/// epoch it was stored under, so a replayed decision is always one the
+/// current belief state would re-derive verbatim.
 #[must_use]
 pub fn authorize(engine: &mut Engine, request: &AccessRequest, acl: &Acl) -> AccessDecision {
     if !engine.memo_enabled() {
@@ -274,10 +274,10 @@ pub fn authorize(engine: &mut Engine, request: &AccessRequest, acl: &Acl) -> Acc
     }
     let decision = authorize_uncached(engine, request, acl);
     // Store under the *post-run* epoch: the first run of a request admits
-    // its certificates, which bumps the epoch (clearing the memo); once
-    // the beliefs are in, re-running the same request is a no-op on the
-    // belief state and the key is stable.
-    engine.memo_store(request, acl, decision.clone());
+    // its certificates, which bumps the epoch; once the beliefs are in,
+    // re-running the same request is a no-op on the belief state and the
+    // key is stable.
+    engine.memo_store(key, decision.clone());
     decision
 }
 

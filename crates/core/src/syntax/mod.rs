@@ -2,14 +2,12 @@
 //! (paper Appendix A, rules M1–M3 and F1–F22).
 
 mod formula;
-pub mod intern;
 mod message;
 pub mod parser;
 mod principal;
 mod time;
 
 pub use formula::Formula;
-pub use intern::{FormulaId, InternStats, Interner, MsgId, SubjectId, Sym};
 pub use message::Message;
 pub use parser::{parse_formula, parse_subject, ParseFormulaError, Vocabulary};
 pub use principal::{GroupId, KeyId, PrincipalId, Subject};

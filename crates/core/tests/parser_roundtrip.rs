@@ -1,14 +1,10 @@
-//! Property tests over randomly generated formulas:
-//!
-//! * `parse(display(f)) == f` — validates the `Display` implementations
-//!   and the parser against each other across the whole syntax
-//!   (Appendix A), including the `Arc`-shared recursive variants.
-//! * `resolve(intern(f)) == f` and `intern(resolve(intern(f))) ==
-//!   intern(f)` — the hash-consing arena loses nothing and assigns one id
-//!   per structurally distinct term.
+//! Property test over randomly generated formulas: `parse(display(f)) ==
+//! f` validates the `Display` implementations and the parser against each
+//! other across the whole syntax (Appendix A), including the `Arc`-shared
+//! recursive variants.
 
 use jaap_core::syntax::{
-    parse_formula, Formula, GroupId, Interner, KeyId, Message, PrincipalId, Subject, Time, TimeRef,
+    parse_formula, Formula, GroupId, KeyId, Message, PrincipalId, Subject, Time, TimeRef,
     Vocabulary,
 };
 use proptest::prelude::*;
@@ -205,43 +201,5 @@ proptest! {
             Ok(parsed) => prop_assert_eq!(parsed, f, "text: {}", text),
             Err(e) => prop_assert!(false, "failed to parse {:?}: {}", text, e),
         }
-    }
-
-    #[test]
-    fn intern_then_resolve_is_identity(f in arb_formula()) {
-        let mut interner = Interner::new();
-        let id = interner.intern_formula(&f);
-        let resolved = interner.resolve_formula(id);
-        prop_assert_eq!(&resolved, &f);
-        // Hash-consing: the resolved copy re-interns to the same id, and
-        // so does the original again (idempotence).
-        prop_assert_eq!(interner.intern_formula(&resolved), id);
-        prop_assert_eq!(interner.intern_formula(&f), id);
-    }
-
-    #[test]
-    fn message_intern_round_trips(m in arb_message()) {
-        let mut interner = Interner::new();
-        let id = interner.intern_message(&m);
-        prop_assert_eq!(&interner.resolve_message(id), &m);
-        prop_assert_eq!(interner.intern_message(&m), id);
-    }
-
-    #[test]
-    fn subject_intern_round_trips(s in arb_subject()) {
-        let mut interner = Interner::new();
-        let id = interner.intern_subject(&s);
-        prop_assert_eq!(&interner.resolve_subject(id), &s);
-        prop_assert_eq!(interner.intern_subject(&s), id);
-    }
-
-    /// The display of an interned-then-resolved formula matches the
-    /// original's display — pretty-printing resolves through the arena
-    /// without drift.
-    #[test]
-    fn display_is_stable_through_the_arena(f in arb_formula()) {
-        let mut interner = Interner::new();
-        let id = interner.intern_formula(&f);
-        prop_assert_eq!(interner.resolve_formula(id).to_string(), f.to_string());
     }
 }

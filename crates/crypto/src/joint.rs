@@ -15,7 +15,6 @@
 use jaap_bigint::Nat;
 use jaap_net::{Endpoint, FaultPlan, Network, NetworkStats, PartyId};
 
-use crate::batch;
 use crate::fdh;
 use crate::precomp::ModulusPrecomp;
 use crate::rsa::RsaSignature;
@@ -99,20 +98,11 @@ pub fn combine(
         pairs.push((&h, &correction));
     }
     let sig = RsaSignature::from_value(mp.context().multi_modpow(&pairs));
-    // Self-check through the batch-verification machinery (a one-item
-    // batch is the exact serial check, minus a redundant context build
-    // and FDH re-encode). A failure — any corrupt share — must surface
-    // as SelfCheckFailed, never a panic.
-    let checked = batch::verify_batch(
-        &mp,
-        &[batch::BatchItem {
-            h,
-            sig: sig.value().clone(),
-        }],
-        0,
-        false,
-    );
-    if checked.results == [true] {
+    // Self-check: the exact verify against the already-built context and
+    // FDH encoding, behind the verifier's range check. A failure — any
+    // corrupt share — must surface as SelfCheckFailed, never a panic.
+    let s = sig.value();
+    if !s.is_zero() && s < mp.context().modulus() && mp.verify(&h, s, false) {
         Ok(sig)
     } else {
         Err(CryptoError::SelfCheckFailed)

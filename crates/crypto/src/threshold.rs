@@ -23,7 +23,6 @@
 use jaap_bigint::{Int, Nat};
 use rand::RngCore;
 
-use crate::batch;
 use crate::fdh;
 use crate::precomp::ModulusPrecomp;
 use crate::rsa::{RsaKeyPair, RsaPublicKey, RsaSignature};
@@ -294,18 +293,11 @@ pub fn combine(
     }
     let fin_pairs: Vec<(&Nat, &Nat)> = fin.iter().map(|(x, y)| (x, y)).collect();
     let sig = RsaSignature::from_value(ctx.multi_modpow(&fin_pairs));
-    // Self-check via the batch machinery (one-item batch = exact check);
-    // bad shares must always land here as SelfCheckFailed, never panic.
-    let checked = batch::verify_batch(
-        &mp,
-        &[batch::BatchItem {
-            h,
-            sig: sig.value().clone(),
-        }],
-        0,
-        false,
-    );
-    if checked.results == [true] {
+    // Self-check: the exact verify against the already-built context and
+    // FDH encoding, behind the verifier's range check. A failure — any
+    // corrupt share — must surface as SelfCheckFailed, never a panic.
+    let s = sig.value();
+    if !s.is_zero() && s < mp.context().modulus() && mp.verify(&h, s, false) {
         Ok(sig)
     } else {
         Err(CryptoError::SelfCheckFailed)

@@ -8,8 +8,8 @@
 //!   produce byte-identical grants, denial details, audit logs, and
 //!   rendered proof trees over random request schedules.
 //! * **Revocation safety**: a memoized grant never outlives a revocation —
-//!   admitting a revocation bumps the belief epoch, which eagerly clears
-//!   the memo.
+//!   admitting a revocation bumps the belief epoch, and every memo key
+//!   carries the epoch it was stored under, so no older entry can match.
 //! * **Bounding**: the memo respects its capacity with insertion-order
 //!   eviction, and evictions only cost re-derivation, never correctness.
 
@@ -65,8 +65,9 @@ fn repeated_request_replays_identical_decision() {
     assert_eq!(c.server().audit_log().len(), 2);
 }
 
-/// Admitting a revocation bumps the belief epoch and clears the memo, so
-/// the previously memoized grant is re-evaluated — and denied.
+/// Admitting a revocation bumps the belief epoch, so the previously
+/// memoized grant no longer matches: the request is re-derived — and
+/// denied.
 #[test]
 fn memoized_grant_never_outlives_revocation() {
     let mut c = coalition(0xE1);
@@ -84,15 +85,21 @@ fn memoized_grant_never_outlives_revocation() {
     c.revoke_write_ac(Time(20)).expect("revoke");
     c.advance_time(Time(21)).expect("clock");
 
+    let before = c.server().derivation_memo_stats().expect("memo on");
     let after = c.server_mut().handle_request(&req);
     assert!(
         !after.granted,
         "revocation must deny the previously memoized request"
     );
     let stats = c.server().derivation_memo_stats().expect("memo on");
-    assert!(
-        stats.invalidations >= 1,
-        "the revocation must have cleared the memo: {stats:?}"
+    assert_eq!(
+        stats.hits, before.hits,
+        "no pre-revocation entry may be served: {stats:?}"
+    );
+    assert_eq!(
+        stats.misses,
+        before.misses + 1,
+        "the request must be re-derived: {stats:?}"
     );
 }
 
@@ -156,13 +163,6 @@ fn memo_and_interner_metrics_are_mirrored() {
     assert_eq!(registry.counter_value("server.memo.hits"), Some(1));
     assert_eq!(registry.counter_value("server.memo.misses"), Some(1));
     assert!(registry.gauge_value("server.memo.entries").unwrap_or(0) >= 1);
-    assert!(
-        registry
-            .gauge_value("server.interner.formulas")
-            .unwrap_or(0)
-            > 0,
-        "interner table sizes must be exported"
-    );
 }
 
 proptest! {
