@@ -10,7 +10,9 @@
 //!    harness runs ship → apply → ack rounds until both replicas have
 //!    acknowledged the whole log; the average number of rounds and the
 //!    per-record ship wall-clock quantify how loss stretches the
-//!    replication pipeline.
+//!    replication pipeline. Messages shipped (append windows plus
+//!    snapshots) are reported next to records acknowledged, since one
+//!    window carries many records.
 //! 2. **failover time** — the primary is "crashed" and the designated
 //!    replica is promoted through the recovery replay path
 //!    (`Replica::promote`, a higher fencing term); the clock runs from
@@ -27,7 +29,7 @@
 
 use criterion::{criterion_group, Criterion};
 use jaap_bench::table_header;
-use jaap_coalition::replication::{Primary, Replica, ReplicationNet};
+use jaap_coalition::replication::{Primary, Replica, ReplicationNet, DEFAULT_SHIP_WINDOW};
 use jaap_coalition::request::JointAccessRequest;
 use jaap_coalition::scenario::{Coalition, CoalitionBuilder};
 use jaap_core::protocol::Operation;
@@ -51,6 +53,7 @@ struct Cell {
     drop_prob: f64,
     requests: usize,
     records_acked: u64,
+    messages_shipped: u64,
     avg_sync_rounds: f64,
     ship_us_per_record: f64,
     catchups: u64,
@@ -142,6 +145,7 @@ fn measure_cell(bits: usize, requests: usize, drop_prob: f64) -> Cell {
         drop_prob,
         requests,
         records_acked: primary_stats.acked_records,
+        messages_shipped: primary_stats.shipped,
         avg_sync_rounds: total_rounds as f64 / requests as f64,
         ship_us_per_record: ship_elapsed.as_secs_f64() * 1e6 / requests as f64,
         catchups: primary_stats.catchups,
@@ -188,6 +192,7 @@ fn print_sweep() {
             "drop p",
             "requests",
             "acked recs",
+            "msgs shipped",
             "avg rounds",
             "ship µs/rec",
             "catchups",
@@ -200,10 +205,11 @@ fn print_sweep() {
     for &p in &drop_probs {
         let cell = measure_cell(bits, requests, p);
         println!(
-            "{:.2} | {} | {} | {:.2} | {:.1} | {} | {} | {:.2} | {}",
+            "{:.2} | {} | {} | {} | {:.2} | {:.1} | {} | {} | {:.2} | {}",
             cell.drop_prob,
             cell.requests,
             cell.records_acked,
+            cell.messages_shipped,
             cell.avg_sync_rounds,
             cell.ship_us_per_record,
             cell.catchups,
@@ -245,10 +251,11 @@ fn print_sweep() {
         .iter()
         .map(|p| {
             format!(
-                "{{\"drop_prob\":{:.2},\"requests\":{},\"records_acked\":{},\"avg_sync_rounds\":{:.3},\"ship_us_per_record\":{:.1},\"catchups\":{},\"net_dropped\":{},\"failover_ms\":{:.3},\"records_replayed\":{}}}",
+                "{{\"drop_prob\":{:.2},\"requests\":{},\"records_acked\":{},\"messages_shipped\":{},\"avg_sync_rounds\":{:.3},\"ship_us_per_record\":{:.1},\"catchups\":{},\"net_dropped\":{},\"failover_ms\":{:.3},\"records_replayed\":{}}}",
                 p.drop_prob,
                 p.requests,
                 p.records_acked,
+                p.messages_shipped,
                 p.avg_sync_rounds,
                 p.ship_us_per_record,
                 p.catchups,
@@ -275,24 +282,30 @@ fn print_sweep() {
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e18_replication");
 
-    // Ship one record through the Primary/Replica state machines directly
-    // (no mesh): the pure protocol cost of an append round trip.
+    // Ship one default-sized window of 128 B records through the
+    // Primary/Replica state machines directly (no mesh): the pure protocol
+    // cost of an append round trip, one validation pass and one store
+    // write for the whole window.
     let outbox = LogOutbox::new();
     let mut primary = Primary::new(PRIMARY_TERM, 1, outbox.clone());
     let mut replica = Replica::new(0);
-    let frame = frame_record_with_term(PRIMARY_TERM, &[0x5A; 128]);
+    let window = DEFAULT_SHIP_WINDOW as u64;
+    let frames: Vec<u8> = (0..window)
+        .flat_map(|_| frame_record_with_term(PRIMARY_TERM, &[0x5A; 128]))
+        .collect();
     let mut offset = 0u64;
-    group.bench_function("ship_one_record_direct", |b| {
+    group.bench_function("ship_one_window_direct", |b| {
         b.iter(|| {
             let msg = ReplMessage::Append {
                 term: PRIMARY_TERM,
                 gen: 0,
                 offset,
-                frame: frame.clone(),
+                frames: frames.clone(),
+                count: window,
             };
             let reply = replica.on_message(&msg);
             primary.on_reply(0, &reply);
-            offset += 1;
+            offset += window;
         });
     });
 

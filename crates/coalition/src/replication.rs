@@ -26,12 +26,16 @@
 //!   `server.repl.{i}.rejected_stale_term`), so a deposed primary cannot
 //!   mutate replicas that have heard from its successor. A primary that
 //!   sees a higher term in any reply marks itself deposed.
-//! * **Idempotence.** Duplicated appends (offset below the replica's
-//!   watermark) are re-acked, not re-applied; gaps are rejected with the
-//!   replica's actual position so the primary rewinds. Every shipped
-//!   frame is strictly decoded ([`jaap_wal::decode_frames`]) before it
-//!   touches the replica's log — corruption and format-version skew are
-//!   typed rejections, never silent truncation.
+//! * **Windows.** An append ships a contiguous run of frames as one
+//!   message and is answered by one ack. The replica strictly decodes the
+//!   whole window in one pass ([`jaap_wal::decode_frames`]) before any of
+//!   it touches the log: one corrupt, version-skewed or over-term frame
+//!   refuses the whole window with a typed rejection, never a silent
+//!   truncation or a partial append.
+//! * **Idempotence.** A window wholly below the replica's watermark is
+//!   re-acked, not re-applied; one that straddles the watermark applies
+//!   only its unseen suffix; gaps are rejected with the replica's actual
+//!   position so the primary rewinds.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -55,7 +59,8 @@ type MeshParts = (
     NetworkHandle,
 );
 
-/// Records shipped to one replica per sync round before waiting for acks.
+/// Most frames one `Append` window carries. A sync round ships a
+/// replica's whole backlog, in as many windows as that takes.
 pub const DEFAULT_SHIP_WINDOW: usize = 32;
 
 /// The loss timeout of a sync round: how long a drain waits for a message
@@ -67,7 +72,8 @@ const POLL: Duration = Duration::from_millis(1);
 /// Monotone primary-side replication counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrimaryStats {
-    /// Messages shipped (appends + snapshots, before network faults).
+    /// Messages shipped (append windows + snapshots, before network
+    /// faults).
     pub shipped: u64,
     /// Records newly acknowledged by replicas (one per record per replica).
     pub acked_records: u64,
@@ -84,7 +90,8 @@ pub struct ReplicaStats {
     pub applied: u64,
     /// Snapshot images installed.
     pub snapshots_installed: u64,
-    /// Duplicate appends re-acked without re-applying.
+    /// Deliveries re-acked without re-applying: one per already-held
+    /// frame of an append window, one per duplicate snapshot.
     pub duplicates: u64,
     /// Messages rejected under the fencing rule.
     pub rejected_stale_term: u64,
@@ -124,7 +131,15 @@ pub struct Primary {
     gen: u64,
     base: Vec<u8>,
     base_records: u64,
-    tail: Vec<Vec<u8>>,
+    /// Frames appended since the base that some replica has not yet
+    /// acknowledged, back to back; the first is record `tail_start`.
+    tail: Vec<u8>,
+    /// `tail_ends[i]` is the byte offset in `tail` just past record
+    /// `tail_start + i`.
+    tail_ends: Vec<usize>,
+    /// Records of this generation every replica has acknowledged, which
+    /// `tail` no longer holds.
+    tail_start: u64,
     outbox: LogOutbox,
     progress: Vec<Progress>,
     deposed_by: Option<u64>,
@@ -145,6 +160,8 @@ impl Primary {
             base: Vec::new(),
             base_records: 0,
             tail: Vec::new(),
+            tail_ends: Vec::new(),
+            tail_start: 0,
             outbox,
             progress: vec![
                 Progress {
@@ -176,8 +193,12 @@ impl Primary {
 
     /// Pulls everything the local journal wrote since the last call into
     /// the shipping state: appends extend the tail, a reset starts a new
-    /// generation with the reset image as its base.
+    /// generation with the reset image as its base. Frames every replica
+    /// has acknowledged are dropped from the tail first, so the primary
+    /// holds only the unacknowledged suffix of its log, not a second copy
+    /// of all of it.
     pub fn absorb(&mut self) {
+        self.drop_acknowledged();
         // Mirror events the bounded outbox refused since the last absorb:
         // each is a tail record every replica will miss until the next
         // snapshot catch-up, so the saturation counter is the lag signal.
@@ -191,25 +212,33 @@ impl Primary {
         }
         for event in self.outbox.drain() {
             match event {
-                TeeEvent::Append(frame) => self.tail.push(frame),
+                TeeEvent::Append(frame) => {
+                    self.tail.extend_from_slice(&frame);
+                    self.tail_ends.push(self.tail.len());
+                }
                 TeeEvent::Reset(image) => {
                     self.gen += 1;
-                    self.base_records = jaap_wal::parse_log(&image).records.len() as u64;
+                    self.base_records = jaap_wal::decode_frames(&image)
+                        .map_while(Result::ok)
+                        .count() as u64;
                     self.base = image;
                     self.tail.clear();
+                    self.tail_ends.clear();
+                    self.tail_start = 0;
                 }
             }
         }
     }
 
     /// The messages to ship to `replica` right now: a snapshot when it is
-    /// on a stale generation (counted as a catch-up), then up to `window`
-    /// unacknowledged tail records.
+    /// on a stale generation (counted as a catch-up), then its whole
+    /// unacknowledged tail as `Append` windows of at most `window` frames
+    /// each. A window is one slice of the tail buffer.
     pub fn pending(&mut self, replica: usize, window: usize) -> Vec<ReplMessage> {
         let p = self.progress[replica];
         let mut out = Vec::new();
         let from = if p.gen == self.gen {
-            p.next_offset as usize
+            p.next_offset
         } else {
             self.stats.catchups += 1;
             if let Some(ins) = self.instruments.get(replica) {
@@ -222,13 +251,20 @@ impl Primary {
             });
             0
         };
-        for (offset, frame) in self.tail.iter().enumerate().skip(from).take(window) {
+        // Below `tail_start` every replica already holds the records.
+        let mut i = usize::try_from(from.saturating_sub(self.tail_start)).unwrap_or(usize::MAX);
+        let held = self.tail_ends.len();
+        while i < held {
+            let to = held.min(i.saturating_add(window.max(1)));
+            let start = i.checked_sub(1).map_or(0, |j| self.tail_ends[j]);
             out.push(ReplMessage::Append {
                 term: self.term,
                 gen: self.gen,
-                offset: offset as u64,
-                frame: frame.clone(),
+                offset: self.tail_start + i as u64,
+                frames: self.tail[start..self.tail_ends[to - 1]].to_vec(),
+                count: (to - i) as u64,
             });
+            i = to;
         }
         self.stats.shipped += out.len() as u64;
         if let Some(ins) = self.instruments.get(replica) {
@@ -272,8 +308,12 @@ impl Primary {
                 RejectReason::OutOfSync { gen, next_offset } => {
                     let p = &mut self.progress[replica];
                     if *gen == self.gen {
+                        // A reply that was overtaken can report a position
+                        // below `tail_start`; the replica has since
+                        // acknowledged at least that far, and a replica's
+                        // position never moves back within a generation.
                         p.gen = *gen;
-                        p.next_offset = *next_offset;
+                        p.next_offset = (*next_offset).max(self.tail_start);
                     } else {
                         // Wrong generation: force the snapshot path.
                         p.gen = *gen;
@@ -290,15 +330,43 @@ impl Primary {
         }
     }
 
+    /// Drops the frames every replica has acknowledged from the tail.
+    fn drop_acknowledged(&mut self) {
+        let acked = self
+            .progress
+            .iter()
+            .map(|p| if p.gen == self.gen { p.next_offset } else { 0 })
+            .min()
+            .unwrap_or(0);
+        let n = usize::try_from(acked.saturating_sub(self.tail_start))
+            .map_or(self.tail_ends.len(), |n| n.min(self.tail_ends.len()));
+        if n == 0 {
+            return;
+        }
+        let cut = self.tail_ends[n - 1];
+        self.tail.drain(..cut);
+        self.tail_ends.drain(..n);
+        for end in &mut self.tail_ends {
+            *end -= cut;
+        }
+        self.tail_start += n as u64;
+    }
+
+    /// Records this generation's tail holds, acknowledged or not.
+    fn tail_records(&self) -> u64 {
+        self.tail_start + self.tail_ends.len() as u64
+    }
+
     /// Records `replica` has not yet acknowledged (counting the whole
     /// base image when it is a generation behind).
     #[must_use]
     pub fn lag(&self, replica: usize) -> u64 {
         let p = self.progress[replica];
+        let tail = self.tail_records();
         if p.gen == self.gen {
-            (self.tail.len() as u64).saturating_sub(p.next_offset)
+            tail.saturating_sub(p.next_offset)
         } else {
-            self.base_records + self.tail.len() as u64
+            self.base_records + tail
         }
     }
 
@@ -307,7 +375,7 @@ impl Primary {
     pub fn all_caught_up(&self) -> bool {
         self.progress
             .iter()
-            .all(|p| p.gen == self.gen && p.next_offset == self.tail.len() as u64)
+            .all(|p| p.gen == self.gen && p.next_offset == self.tail_records())
     }
 
     /// The higher term that fenced this primary off, if any reply carried
@@ -389,8 +457,12 @@ impl Replica {
         match msg {
             ReplMessage::Snapshot { gen, image, .. } => self.install_snapshot(*gen, image),
             ReplMessage::Append {
-                gen, offset, frame, ..
-            } => self.apply_append(*gen, *offset, frame),
+                gen,
+                offset,
+                frames,
+                count,
+                ..
+            } => self.apply_window(*gen, *offset, frames, *count),
             // Replicas only ever receive primary→replica traffic; anything
             // else is a protocol error worth flagging as out of sync.
             ReplMessage::Ack { .. } | ReplMessage::Reject { .. } => self.reject_out_of_sync(),
@@ -404,8 +476,8 @@ impl Replica {
             self.stats.duplicates += 1;
             return self.ack();
         }
-        match self.validate(image) {
-            Ok(records) => {
+        match self.validate(image, 0) {
+            Ok((records, _)) => {
                 self.store.reset(image).expect("mem store reset");
                 self.gen = gen;
                 self.next_offset = 0;
@@ -417,54 +489,64 @@ impl Replica {
         }
     }
 
-    fn apply_append(&mut self, gen: u64, offset: u64, frame: &[u8]) -> ReplMessage {
-        if gen != self.gen {
+    /// Applies the window of `count` frames starting at `offset`: a
+    /// window wholly below the watermark is re-acked, one that straddles
+    /// it lands only its unseen suffix, in one store write.
+    fn apply_window(&mut self, gen: u64, offset: u64, frames: &[u8], count: u64) -> ReplMessage {
+        if gen != self.gen || offset > self.next_offset {
             return self.reject_out_of_sync();
         }
-        if offset < self.next_offset {
-            self.stats.duplicates += 1;
+        let held = self.next_offset - offset;
+        if count <= held {
+            self.stats.duplicates += count;
             return self.ack();
         }
-        if offset > self.next_offset {
-            return self.reject_out_of_sync();
-        }
-        match self.validate(frame) {
-            Ok(1) => {
-                self.store.append(frame).expect("mem store append");
-                self.next_offset += 1;
-                self.stats.applied += 1;
+        match self.validate(frames, held) {
+            Ok((n, suffix)) if n == count => {
+                self.store
+                    .append(&frames[suffix..])
+                    .expect("mem store append");
+                self.next_offset += count - held;
+                self.stats.applied += count - held;
+                self.stats.duplicates += held;
                 self.ack()
             }
-            Ok(n) => self.reject(RejectReason::Corrupt {
-                detail: format!("append carried {n} frames, expected exactly 1"),
+            Ok((n, _)) => self.reject(RejectReason::Corrupt {
+                detail: format!("window carried {n} frames, message says {count}"),
             }),
             Err(reason) => self.reject(reason),
         }
     }
 
-    /// Strictly decodes shipped bytes, returning the record count.
-    fn validate(&self, bytes: &[u8]) -> Result<u64, RejectReason> {
-        match jaap_wal::decode_frames(bytes) {
-            Ok(frames) => {
-                for f in &frames {
-                    if f.term > self.term {
-                        return Err(RejectReason::Corrupt {
-                            detail: format!(
-                                "frame stamped with term {} above shipping term {}",
-                                f.term, self.term
-                            ),
-                        });
-                    }
+    /// Strictly decodes shipped bytes in one pass, without copying a
+    /// payload: returns the frame count and the byte offset just past the
+    /// first `skip` frames. Every frame is checked, skipped ones included.
+    fn validate(&self, bytes: &[u8], skip: u64) -> Result<(u64, usize), RejectReason> {
+        let mut frames = jaap_wal::decode_frames(bytes);
+        let (mut count, mut suffix) = (0u64, 0usize);
+        while let Some(frame) = frames.next() {
+            let frame = frame.map_err(|e| match e {
+                WalError::IncompatibleVersion { found, supported } => {
+                    RejectReason::IncompatibleFormat { found, supported }
                 }
-                Ok(frames.len() as u64)
+                e => RejectReason::Corrupt {
+                    detail: e.to_string(),
+                },
+            })?;
+            if frame.term > self.term {
+                return Err(RejectReason::Corrupt {
+                    detail: format!(
+                        "frame stamped with term {} above shipping term {}",
+                        frame.term, self.term
+                    ),
+                });
             }
-            Err(WalError::IncompatibleVersion { found, supported }) => {
-                Err(RejectReason::IncompatibleFormat { found, supported })
+            count += 1;
+            if count == skip {
+                suffix = frames.position();
             }
-            Err(e) => Err(RejectReason::Corrupt {
-                detail: e.to_string(),
-            }),
         }
+        Ok((count, suffix))
     }
 
     fn ack(&self) -> ReplMessage {
@@ -638,7 +720,8 @@ impl ReplicationNet {
         }
     }
 
-    /// Overrides the per-round ship window.
+    /// Overrides the most frames one `Append` window carries (at least
+    /// one).
     pub fn set_window(&mut self, window: usize) {
         self.window = window.max(1);
     }
@@ -731,6 +814,7 @@ impl Drain {
 mod tests {
     use super::*;
     use jaap_wal::{frame_record_with_term, Journal, TeeStore};
+    use proptest::prelude::*;
 
     fn shipping_pair(term: u64) -> (Journal, Primary, Replica) {
         let outbox = LogOutbox::new();
@@ -749,6 +833,52 @@ mod tests {
         }
     }
 
+    /// The frames `payloads` stamped with `terms`, back to back.
+    fn framed(terms: &[u64], payloads: &[&[u8]]) -> Vec<u8> {
+        terms
+            .iter()
+            .zip(payloads)
+            .flat_map(|(&term, payload)| frame_record_with_term(term, payload))
+            .collect()
+    }
+
+    /// A term-1, generation-0 window of `count` frames from `offset`.
+    fn window(offset: u64, frames: Vec<u8>, count: u64) -> ReplMessage {
+        ReplMessage::Append {
+            term: 1,
+            gen: 0,
+            offset,
+            frames,
+            count,
+        }
+    }
+
+    const FIVE: [&[u8]; 5] = [b"r0", b"r1", b"r2", b"r3", b"r4"];
+
+    /// A replica holding `FIVE[..held]`, applied as one window.
+    fn replica_holding(held: usize) -> Replica {
+        let mut replica = Replica::new(0);
+        if held > 0 {
+            let reply = replica.on_message(&window(
+                0,
+                framed(&[1; 5][..held], &FIVE[..held]),
+                held as u64,
+            ));
+            assert!(matches!(reply, ReplMessage::Ack { .. }), "{reply:?}");
+        }
+        replica
+    }
+
+    fn is_corrupt(reply: &ReplMessage) -> bool {
+        matches!(
+            reply,
+            ReplMessage::Reject {
+                reason: RejectReason::Corrupt { .. },
+                ..
+            }
+        )
+    }
+
     #[test]
     fn appends_ship_in_order_and_ack() {
         let (mut journal, mut primary, mut replica) = shipping_pair(1);
@@ -759,9 +889,97 @@ mod tests {
         assert!(primary.all_caught_up());
         assert_eq!(primary.lag(0), 0);
         assert_eq!(replica.stats().applied, 2);
+        assert_eq!(primary.stats().shipped, 1, "one window for both records");
         let shipped = jaap_wal::parse_log(&replica.store().snapshot());
         assert_eq!(shipped.records, vec![b"r1".to_vec(), b"r2".to_vec()]);
         assert_eq!(shipped.terms, vec![1, 1]);
+    }
+
+    #[test]
+    fn backlog_ships_in_windows_of_at_most_window_frames() {
+        let (mut journal, mut primary, mut replica) = shipping_pair(1);
+        journal.set_term(1);
+        for i in 0..7u8 {
+            journal.append(&[i]).expect("append");
+        }
+        primary.absorb();
+        let msgs = primary.pending(0, 3);
+        let shape: Vec<(u64, u64)> = msgs
+            .iter()
+            .map(|m| match m {
+                ReplMessage::Append { offset, count, .. } => (*offset, *count),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(shape, vec![(0, 3), (3, 3), (6, 1)]);
+        for msg in &msgs {
+            let reply = replica.on_message(msg);
+            primary.on_reply(0, &reply);
+        }
+        assert!(primary.all_caught_up());
+        assert_eq!(primary.stats().acked_records, 7);
+        assert_eq!(replica.store().snapshot(), {
+            let mut log = Vec::new();
+            for i in 0..7u8 {
+                log.extend_from_slice(&frame_record_with_term(1, &[i]));
+            }
+            log
+        });
+    }
+
+    #[test]
+    fn frames_leave_the_primary_once_every_replica_acknowledged_them() {
+        let outbox = LogOutbox::new();
+        let mut journal = Journal::new(Box::new(TeeStore::new(MemStore::new(), outbox.clone())));
+        journal.set_term(1);
+        let mut primary = Primary::new(1, 2, outbox);
+        let mut replicas = [Replica::new(0), Replica::new(1)];
+        for payload in [b"r0", b"r1", b"r2"] {
+            journal.append(payload).expect("append");
+        }
+        let mut ship = |primary: &mut Primary, to: usize| {
+            primary.absorb();
+            for msg in primary.pending(to, 8) {
+                let reply = replicas[to].on_message(&msg);
+                primary.on_reply(to, &reply);
+            }
+        };
+        ship(&mut primary, 0);
+        primary.absorb();
+        assert_eq!(primary.tail_ends.len(), 3, "replica 1 still needs them");
+        ship(&mut primary, 1);
+        primary.absorb();
+        assert!(primary.all_caught_up());
+        assert!(primary.tail.is_empty() && primary.tail_ends.is_empty());
+        assert_eq!(primary.lag(0), 0);
+        // An overtaken out-of-sync reply from before the acks cannot
+        // strand a replica below the frames the primary still holds.
+        primary.on_reply(
+            0,
+            &ReplMessage::Reject {
+                term: 1,
+                reason: RejectReason::OutOfSync {
+                    gen: 0,
+                    next_offset: 0,
+                },
+            },
+        );
+        assert!(primary.all_caught_up());
+        journal.append(b"r3").expect("append");
+        primary.absorb();
+        let msgs = primary.pending(0, 8);
+        assert!(
+            matches!(
+                msgs.as_slice(),
+                [ReplMessage::Append {
+                    offset: 3,
+                    count: 1,
+                    ..
+                }]
+            ),
+            "{msgs:?}"
+        );
+        assert_eq!(primary.lag(1), 1);
     }
 
     #[test]
@@ -784,6 +1002,17 @@ mod tests {
     }
 
     #[test]
+    fn reset_image_records_count_toward_lag() {
+        let (mut journal, mut primary, _) = shipping_pair(1);
+        journal
+            .rewrite(&[b"a".to_vec(), b"b".to_vec(), b"c".to_vec()])
+            .expect("rewrite");
+        journal.append(b"d").expect("append");
+        primary.absorb();
+        assert_eq!(primary.lag(0), 4, "3 image records + 1 tail record");
+    }
+
+    #[test]
     fn duplicate_append_is_reacked_not_reapplied() {
         let (mut journal, mut primary, mut replica) = shipping_pair(1);
         journal.set_term(1);
@@ -799,25 +1028,92 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_window_is_reacked_whole_and_leaves_the_log() {
+        let mut replica = replica_holding(5);
+        let before = replica.store().snapshot();
+        let reply = replica.on_message(&window(1, framed(&[1; 3], &FIVE[1..4]), 3));
+        assert_eq!(
+            reply,
+            ReplMessage::Ack {
+                term: 1,
+                gen: 0,
+                next_offset: 5
+            }
+        );
+        assert_eq!(replica.store().snapshot(), before);
+        assert_eq!(
+            (replica.stats().applied, replica.stats().duplicates),
+            (5, 3)
+        );
+    }
+
+    #[test]
+    fn straddling_window_applies_only_its_unseen_suffix() {
+        let mut replica = replica_holding(2);
+        let reply = replica.on_message(&window(0, framed(&[1; 5], &FIVE), 5));
+        assert_eq!(
+            reply,
+            ReplMessage::Ack {
+                term: 1,
+                gen: 0,
+                next_offset: 5
+            }
+        );
+        assert_eq!(replica.store().snapshot(), framed(&[1; 5], &FIVE));
+        assert_eq!(
+            (replica.stats().applied, replica.stats().duplicates),
+            (5, 2)
+        );
+    }
+
+    #[test]
     fn gap_is_rejected_with_replica_position() {
-        let mut replica = Replica::new(0);
-        let frame = frame_record_with_term(1, b"future");
-        let reply = replica.on_message(&ReplMessage::Append {
-            term: 1,
-            gen: 0,
-            offset: 5,
-            frame,
-        });
+        let mut replica = replica_holding(1);
+        let reply = replica.on_message(&window(3, framed(&[1; 2], &FIVE[3..]), 2));
         assert!(matches!(
             reply,
             ReplMessage::Reject {
                 reason: RejectReason::OutOfSync {
                     gen: 0,
-                    next_offset: 0
+                    next_offset: 1
                 },
                 ..
             }
         ));
+        assert_eq!(replica.store().snapshot(), framed(&[1], &FIVE[..1]));
+        assert_eq!(replica.stats().rejected_out_of_sync, 1);
+    }
+
+    #[test]
+    fn window_with_a_frame_above_the_term_is_refused_whole() {
+        let mut replica = replica_holding(1);
+        let before = replica.store().snapshot();
+        let frames = framed(&[1, 2, 1], &FIVE[1..4]);
+        let reply = replica.on_message(&window(1, frames, 3));
+        assert!(is_corrupt(&reply), "{reply:?}");
+        assert_eq!(replica.store().snapshot(), before);
+        assert_eq!(replica.position(), (0, 1));
+    }
+
+    #[test]
+    fn window_with_one_corrupt_frame_is_refused_whole() {
+        let mut replica = replica_holding(1);
+        let before = replica.store().snapshot();
+        let mut frames = framed(&[1; 3], &FIVE[1..4]);
+        let second_payload = 2 * jaap_wal::frame::HEADER_LEN + FIVE[1].len();
+        frames[second_payload] ^= 0x04;
+        let reply = replica.on_message(&window(1, frames, 3));
+        assert!(is_corrupt(&reply), "{reply:?}");
+        assert_eq!(replica.store().snapshot(), before);
+        assert_eq!(replica.position(), (0, 1));
+    }
+
+    #[test]
+    fn window_whose_count_disagrees_with_its_frames_is_refused() {
+        let mut replica = Replica::new(0);
+        let reply = replica.on_message(&window(0, framed(&[1; 2], &FIVE[..2]), 3));
+        assert!(is_corrupt(&reply), "{reply:?}");
+        assert!(replica.store().snapshot().is_empty());
     }
 
     #[test]
@@ -830,16 +1126,12 @@ mod tests {
             term: 3,
             gen: 0,
             offset: 0,
-            frame: frame_record_with_term(3, b"new-regime"),
+            frames: frame_record_with_term(3, b"new-regime"),
+            count: 1,
         });
         // A deposed term-1 primary is rejected without touching the log.
         let before = replica.store().snapshot();
-        let reply = replica.on_message(&ReplMessage::Append {
-            term: 1,
-            gen: 0,
-            offset: 1,
-            frame: frame_record_with_term(1, b"zombie"),
-        });
+        let reply = replica.on_message(&window(1, frame_record_with_term(1, b"zombie"), 1));
         assert!(matches!(
             reply,
             ReplMessage::Reject {
@@ -874,12 +1166,7 @@ mod tests {
         let mut replica = Replica::new(0);
         let mut frame = frame_record_with_term(1, b"from-the-future");
         frame[2] = FORMAT_VERSION + 1;
-        let reply = replica.on_message(&ReplMessage::Append {
-            term: 1,
-            gen: 0,
-            offset: 0,
-            frame,
-        });
+        let reply = replica.on_message(&window(0, frame, 1));
         assert!(matches!(
             reply,
             ReplMessage::Reject {
@@ -900,19 +1187,8 @@ mod tests {
         let mut frame = frame_record_with_term(1, b"soon-corrupt");
         let last = frame.len() - 1;
         frame[last] ^= 0x10;
-        let reply = replica.on_message(&ReplMessage::Append {
-            term: 1,
-            gen: 0,
-            offset: 0,
-            frame,
-        });
-        assert!(matches!(
-            reply,
-            ReplMessage::Reject {
-                reason: RejectReason::Corrupt { .. },
-                ..
-            }
-        ));
+        let reply = replica.on_message(&window(0, frame, 1));
+        assert!(is_corrupt(&reply), "{reply:?}");
         assert_eq!(replica.stats().applied, 0);
     }
 
@@ -933,5 +1209,53 @@ mod tests {
             assert_eq!(log.records.len(), 20);
         }
         assert!(net.net_handle().stats().messages_dropped > 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Decoder robustness: a window of 1–8 valid frames with one bit
+        /// flipped, or arbitrary bytes under an arbitrary header, never
+        /// panics the replica, and a rejection never changes its log.
+        #[test]
+        fn mangled_windows_never_panic_and_rejections_leave_the_log(
+            held in 0usize..3,
+            payloads in proptest::collection::vec(
+                proptest::collection::vec(any::<u8>(), 0..48),
+                1..=8,
+            ),
+            flip in any::<u64>(),
+            noise in proptest::collection::vec(any::<u8>(), 0..96),
+            use_noise in any::<bool>(),
+            offset in 0u64..4,
+            count in 0u64..10,
+        ) {
+            let mut replica = replica_holding(held);
+            let before = replica.store().snapshot();
+            let frames = if use_noise {
+                noise
+            } else {
+                let mut frames: Vec<u8> = payloads
+                    .iter()
+                    .flat_map(|p| frame_record_with_term(1, p))
+                    .collect();
+                let bit = (flip % (frames.len() as u64 * 8)) as usize;
+                frames[bit / 8] ^= 1 << (bit % 8);
+                frames
+            };
+            let reply = replica.on_message(&window(offset, frames, count));
+            match reply {
+                ReplMessage::Reject { .. } => {
+                    prop_assert_eq!(replica.store().snapshot(), before);
+                    prop_assert_eq!(replica.position(), (0, held as u64));
+                }
+                ReplMessage::Ack { next_offset, .. } => {
+                    // Only a window that lands nothing new may be acked.
+                    prop_assert_eq!(next_offset, held as u64);
+                    prop_assert_eq!(replica.store().snapshot(), before);
+                }
+                other => prop_assert!(false, "unexpected reply {:?}", other),
+            }
+        }
     }
 }

@@ -13,21 +13,29 @@
 //!   wholesale (snapshot compaction, bootstrap), and `offset` counts
 //!   records appended since that rewrite. A replica on the wrong
 //!   generation must be re-seeded with a [`ReplMessage::Snapshot`] before
-//!   any [`ReplMessage::Append`] can land.
+//!   any [`ReplMessage::Append`] can land;
+//! * an [`ReplMessage::Append`] is a *window*: a contiguous run of `count`
+//!   framed records starting at `offset`, shipped as one byte string and
+//!   answered by one [`ReplMessage::Ack`] or [`ReplMessage::Reject`] for
+//!   the whole window.
 
 /// A replication protocol message shipped over an `Endpoint`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplMessage {
-    /// Primary → replica: one framed record at `(gen, offset)`.
+    /// Primary → replica: `count` contiguous framed records, the first
+    /// at `(gen, offset)`.
     Append {
         /// The shipping primary's term.
         term: u64,
-        /// Log generation the record belongs to.
+        /// Log generation the records belong to.
         gen: u64,
-        /// Record index within the generation (0-based).
+        /// Record index of the window's first frame within the generation
+        /// (0-based).
         offset: u64,
-        /// The framed record bytes, exactly as stored locally.
-        frame: Vec<u8>,
+        /// The framed records back to back, exactly as stored locally.
+        frames: Vec<u8>,
+        /// How many frames `frames` holds.
+        count: u64,
     },
     /// Primary → replica: a full log image starting generation `gen`
     /// (late-joiner bootstrap or post-compaction catch-up).
@@ -40,7 +48,7 @@ pub enum ReplMessage {
         image: Vec<u8>,
     },
     /// Replica → primary: everything below `(gen, next_offset)` is
-    /// durably applied.
+    /// durably applied. One per delivered window or snapshot.
     Ack {
         /// The replica's current term (a primary seeing a higher term
         /// here learns it has been deposed).
@@ -90,14 +98,15 @@ pub enum RejectReason {
         /// Next record offset the replica expects.
         next_offset: u64,
     },
-    /// The shipped frame was written by an incompatible format version.
+    /// A shipped frame was written by an incompatible format version.
     IncompatibleFormat {
         /// Version byte found in the frame.
         found: u8,
         /// Version the replica supports.
         supported: u8,
     },
-    /// The shipped bytes failed strict frame decoding.
+    /// The shipped bytes failed strict frame decoding, or did not hold
+    /// the frames the message claimed.
     Corrupt {
         /// Human-readable defect description.
         detail: String,
@@ -138,7 +147,8 @@ mod tests {
                 term: 1,
                 gen: 0,
                 offset: 0,
-                frame: vec![],
+                frames: vec![],
+                count: 0,
             },
             ReplMessage::Snapshot {
                 term: 2,

@@ -363,13 +363,13 @@ impl Inner {
             m.reads.inc();
             m.resident_bytes.set(self.resident_bytes() as i64);
         }
-        let frames = decode_frames(&bytes).map_err(|e| {
-            StoreError::Corrupt(format!("frame at offset {} undecodable: {e}", loc.offset))
-        })?;
-        let payload = frames
-            .first()
-            .ok_or_else(|| StoreError::Corrupt(format!("empty frame span at {}", loc.offset)))?;
-        StoreRecord::decode(&payload.payload)
+        let frame = decode_frames(&bytes)
+            .next()
+            .ok_or_else(|| StoreError::Corrupt(format!("empty frame span at {}", loc.offset)))?
+            .map_err(|e| {
+                StoreError::Corrupt(format!("frame at offset {} undecodable: {e}", loc.offset))
+            })?;
+        StoreRecord::decode(frame.payload)
     }
 
     fn flush(&mut self) -> Result<(), StoreError> {
@@ -1169,6 +1169,29 @@ mod tests {
             Some(identity("U7", "CA_D1", 7))
         );
         recovered.verify_integrity().expect("consistent");
+    }
+
+    #[test]
+    fn store_from_the_previous_frame_format_is_refused_untouched() {
+        let medium = MemStore::new();
+        let store = CertStore::open(Box::new(medium.clone()), tiny_config()).expect("open");
+        store
+            .put_identity_cert(&identity("U1", "CA_D1", 1))
+            .expect("put");
+        store.flush().expect("flush");
+        let mut bytes = medium.snapshot();
+        bytes[2] = jaap_wal::FORMAT_VERSION - 1;
+        let old = MemStore::from_bytes(bytes.clone());
+        let Err(err) = CertStore::open(Box::new(old.clone()), tiny_config()) else {
+            panic!("a store from the previous frame format must not open");
+        };
+        let previous = jaap_wal::FORMAT_VERSION - 1;
+        assert!(
+            err.to_string()
+                .contains(&format!("incompatible frame format version {previous}")),
+            "{err}"
+        );
+        assert_eq!(old.snapshot(), bytes, "the refused store is not trimmed");
     }
 
     #[test]

@@ -211,14 +211,14 @@ mod tests {
 
     #[test]
     fn replay_refuses_a_log_from_another_format_version_untouched() {
-        let mut old = frame::frame_record(b"signed under v1");
-        old[2] = 1;
+        let mut old = frame::frame_record(b"written under the previous version");
+        old[2] = frame::FORMAT_VERSION - 1;
         let store = MemStore::from_bytes(old.clone());
         let mut j = Journal::new(Box::new(store.clone()));
         assert_eq!(
             j.replay().map(|r| r.records),
             Err(WalError::IncompatibleVersion {
-                found: 1,
+                found: frame::FORMAT_VERSION - 1,
                 supported: frame::FORMAT_VERSION,
             })
         );

@@ -4,8 +4,8 @@
 //! * [`frame`] — the on-disk record format: `magic || version || term ||
 //!   len || checksum || payload`, with a recovery parser that stops at the
 //!   first torn or corrupt record instead of replaying garbage, and a
-//!   strict replication decoder ([`decode_frames`]) that turns defects
-//!   into typed errors instead of silent truncation.
+//!   strict, zero-copy replication decoder ([`decode_frames`]) that turns
+//!   defects into typed errors instead of silent truncation.
 //! * [`store`] — the [`JournalStore`] byte-store abstraction with an
 //!   in-memory backend ([`MemStore`], shared buffer so a "crashed" owner's
 //!   bytes survive), a file backend ([`FileStore`], durability governed by
@@ -28,8 +28,8 @@ pub mod store;
 
 pub use fault::{FaultKind, FaultStats, FaultyStore, StoreFaultPlan};
 pub use frame::{
-    check_log_version, checksum64, decode_frames, frame_record, frame_record_with_term, parse_log,
-    Frame, ParsedLog, Tail, FORMAT_VERSION,
+    check_log_version, decode_frames, frame_record, frame_record_with_term, parse_log, Frame,
+    Frames, ParsedLog, Tail, FORMAT_VERSION,
 };
 pub use journal::{Journal, JournalStats, Replay};
 pub use store::{FileStore, JournalStore, LogOutbox, MemStore, SyncPolicy, TeeEvent, TeeStore};

@@ -496,8 +496,47 @@ fn duplicated_sync_ends_in_one_round_without_a_receive_timeout() {
     let stats = net.replicas[0].stats();
     assert_eq!((stats.applied, stats.duplicates), (64, 64));
     assert_eq!(net.replicas[0].store().snapshot(), disk.snapshot());
-    assert!(net.net_handle().stats().messages_duplicated >= 64);
-    assert_eq!(net.net_handle().stats().receive_timeouts, 0);
+    // Every message, the window and each ack alike, went out twice.
+    let net_stats = net.net_handle().stats();
+    assert!(net_stats.messages_sent >= 2);
+    assert_eq!(net_stats.messages_duplicated, net_stats.messages_sent);
+    assert_eq!(net_stats.receive_timeouts, 0);
+}
+
+/// Directed counter test: a loss-free sync ships a replica's backlog as
+/// windows of at most `set_window` frames, all in one round, and each
+/// record is acknowledged once.
+#[test]
+fn loss_free_sync_ships_one_append_per_window() {
+    let registry = MetricsRegistry::new();
+    let disk = MemStore::new();
+    let outbox = LogOutbox::new();
+    let mut journal = Journal::new(Box::new(TeeStore::new(disk.clone(), outbox.clone())));
+    journal.set_term(PRIMARY_TERM);
+    for i in 0..64 {
+        journal
+            .append(format!("record {i}").as_bytes())
+            .expect("append");
+    }
+    let mut net = ReplicationNet::new(PRIMARY_TERM, 2, outbox, FaultPlan::reliable()).expect("net");
+    net.set_metrics(&registry);
+    net.set_window(32);
+    assert_eq!(net.sync(8), 1);
+    assert!(net.primary.all_caught_up());
+    assert_eq!(net.primary.stats().shipped, 2 * 2, "2 windows per replica");
+    assert_eq!(net.primary.stats().acked_records, 2 * 64);
+    for i in 0..2 {
+        assert_eq!(
+            registry.counter_value(&format!("server.repl.{i}.shipped")),
+            Some(2)
+        );
+        assert_eq!(
+            registry.counter_value(&format!("server.repl.{i}.acked")),
+            Some(64)
+        );
+        assert_eq!(net.replicas[i].stats().applied, 64);
+        assert_eq!(net.replicas[i].store().snapshot(), disk.snapshot());
+    }
 }
 
 /// Directed test: a dropped message is waited for until the loss timeout
@@ -526,6 +565,8 @@ fn delayed_and_duplicated_sync_converges_to_the_primary_log() {
         .with_duplicate(0.2)
         .with_delay(0.4, std::time::Duration::from_millis(4));
     let (disk, mut net) = shipped_journal(plan, 64);
+    // Eight windows in flight at once, so delays also reorder them.
+    net.set_window(8);
     let rounds = net.sync(400);
     assert!(
         net.primary.all_caught_up(),
