@@ -15,7 +15,6 @@ use crate::Nat;
 
 /// The sign of an [`Int`]. Zero is always [`Sign::Plus`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Sign {
     /// Non-negative.
     Plus,
@@ -36,7 +35,6 @@ pub enum Sign {
 /// assert_eq!(a.rem_euclid(&Nat::from(5u64)), Nat::from(3u64));
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Int {
     sign: Sign,
     mag: Nat,

@@ -25,7 +25,6 @@ use core::ops::{Add, AddAssign, BitAnd, Mul, Rem, Shl, Shr, Sub, SubAssign};
 /// assert_eq!(a.div_rem(&b), (Nat::from(2u64), Nat::from(2u64)));
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Nat {
     /// Little-endian limbs; invariant: `limbs.last() != Some(&0)`.
     pub(crate) limbs: Vec<u64>,

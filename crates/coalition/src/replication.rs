@@ -4,11 +4,12 @@
 //! §5e made a single server crash-recoverable; this module makes the
 //! *service* survive the primary. The write-ahead journal is already a
 //! deterministic record of every belief-changing event, so replication is
-//! log shipping: the primary's journal writes are mirrored into a
-//! [`LogOutbox`] by a [`TeeStore`](jaap_wal::TeeStore), a [`Primary`]
-//! turns them into typed [`ReplMessage`]s over `jaap-net` (inheriting
+//! log shipping: a [`TeeStore`](jaap_wal::TeeStore) writes the primary's
+//! journal into one shared [`LogOutbox`], a [`Primary`] cuts typed
+//! [`ReplMessage`]s straight from it over `jaap-net` (inheriting
 //! `FaultPlan`'s seeded drop/duplicate/delay/partition adversaries as the
-//! chaos harness), and each [`Replica`] validates and appends them to its own store. Failover
+//! chaos harness) and trims what every replica has acknowledged, and
+//! each [`Replica`] validates and appends them to its own store. Failover
 //! is the recovery path from §5e pointed at a replica's store:
 //! [`Replica::promote`] replays the shipped log into a fresh
 //! [`CoalitionServer`] under a higher term.
@@ -45,7 +46,7 @@ use jaap_net::{
 };
 use jaap_obs::{Counter, Gauge, MetricsRegistry};
 use jaap_pki::TrustStore;
-use jaap_wal::{JournalStore, LogOutbox, MemStore, TeeEvent, WalError, FORMAT_VERSION};
+use jaap_wal::{JournalStore, LogOutbox, MemStore, WalError, FORMAT_VERSION};
 
 use crate::server::{CoalitionServer, RecoveryReport};
 use crate::CoalitionError;
@@ -109,9 +110,6 @@ struct ReplicaInstruments {
     acked: Arc<Counter>,
     lag: Arc<Gauge>,
     catchups: Arc<Counter>,
-    /// Outbox events refused at the bounded tee (`LogOutbox` cap): typed
-    /// replication lag, healed by the next snapshot catch-up.
-    outbox_saturated: Arc<Counter>,
 }
 
 /// What the primary believes one replica holds.
@@ -121,48 +119,30 @@ struct Progress {
     next_offset: u64,
 }
 
-/// The shipping side: drains the [`LogOutbox`] fed by the primary
-/// server's [`TeeStore`](jaap_wal::TeeStore) and converts per-replica lag
-/// into protocol messages. Transport-agnostic — [`ReplicationNet`] pumps it over a
-/// `jaap-net` mesh, and tests can drive it directly.
+/// The shipping side: cuts protocol messages for each replica's lag
+/// straight from the [`LogOutbox`] the primary server's
+/// [`TeeStore`](jaap_wal::TeeStore) writes, and trims that log once every
+/// replica has acknowledged a frame. Transport-agnostic —
+/// [`ReplicationNet`] pumps it over a `jaap-net` mesh, and tests can
+/// drive it directly.
 #[derive(Debug)]
 pub struct Primary {
     term: u64,
-    gen: u64,
-    base: Vec<u8>,
-    base_records: u64,
-    /// Frames appended since the base that some replica has not yet
-    /// acknowledged, back to back; the first is record `tail_start`.
-    tail: Vec<u8>,
-    /// `tail_ends[i]` is the byte offset in `tail` just past record
-    /// `tail_start + i`.
-    tail_ends: Vec<usize>,
-    /// Records of this generation every replica has acknowledged, which
-    /// `tail` no longer holds.
-    tail_start: u64,
-    outbox: LogOutbox,
+    log: LogOutbox,
     progress: Vec<Progress>,
     deposed_by: Option<u64>,
     stats: PrimaryStats,
     instruments: Vec<ReplicaInstruments>,
-    /// `LogOutbox::dropped()` already mirrored into the instruments.
-    outbox_dropped_seen: u64,
 }
 
 impl Primary {
-    /// A primary at `term` shipping to `replicas` followers, fed by
-    /// `outbox` (the tee on the primary server's journal store).
+    /// A primary at `term` shipping to `replicas` followers from `log`
+    /// (the one the tee on the primary server's journal store writes).
     #[must_use]
-    pub fn new(term: u64, replicas: usize, outbox: LogOutbox) -> Self {
+    pub fn new(term: u64, replicas: usize, log: LogOutbox) -> Self {
         Primary {
             term,
-            gen: 0,
-            base: Vec::new(),
-            base_records: 0,
-            tail: Vec::new(),
-            tail_ends: Vec::new(),
-            tail_start: 0,
-            outbox,
+            log,
             progress: vec![
                 Progress {
                     gen: 0,
@@ -173,7 +153,6 @@ impl Primary {
             deposed_by: None,
             stats: PrimaryStats::default(),
             instruments: Vec::new(),
-            outbox_dropped_seen: 0,
         }
     }
 
@@ -186,85 +165,50 @@ impl Primary {
                 acked: registry.counter(&format!("server.repl.{i}.acked")),
                 lag: registry.gauge(&format!("server.repl.{i}.lag_records")),
                 catchups: registry.counter(&format!("server.repl.{i}.catchups")),
-                outbox_saturated: registry.counter(&format!("server.repl.{i}.outbox_saturated")),
             })
             .collect();
-    }
-
-    /// Pulls everything the local journal wrote since the last call into
-    /// the shipping state: appends extend the tail, a reset starts a new
-    /// generation with the reset image as its base. Frames every replica
-    /// has acknowledged are dropped from the tail first, so the primary
-    /// holds only the unacknowledged suffix of its log, not a second copy
-    /// of all of it.
-    pub fn absorb(&mut self) {
-        self.drop_acknowledged();
-        // Mirror events the bounded outbox refused since the last absorb:
-        // each is a tail record every replica will miss until the next
-        // snapshot catch-up, so the saturation counter is the lag signal.
-        let dropped = self.outbox.dropped();
-        if dropped > self.outbox_dropped_seen {
-            let delta = dropped - self.outbox_dropped_seen;
-            self.outbox_dropped_seen = dropped;
-            for ins in &self.instruments {
-                ins.outbox_saturated.add(delta);
-            }
-        }
-        for event in self.outbox.drain() {
-            match event {
-                TeeEvent::Append(frame) => {
-                    self.tail.extend_from_slice(&frame);
-                    self.tail_ends.push(self.tail.len());
-                }
-                TeeEvent::Reset(image) => {
-                    self.gen += 1;
-                    self.base_records = jaap_wal::decode_frames(&image)
-                        .map_while(Result::ok)
-                        .count() as u64;
-                    self.base = image;
-                    self.tail.clear();
-                    self.tail_ends.clear();
-                    self.tail_start = 0;
-                }
-            }
-        }
     }
 
     /// The messages to ship to `replica` right now: a snapshot when it is
     /// on a stale generation (counted as a catch-up), then its whole
     /// unacknowledged tail as `Append` windows of at most `window` frames
-    /// each. A window is one slice of the tail buffer.
+    /// each. A window is one copy of a slice of the shared log.
     pub fn pending(&mut self, replica: usize, window: usize) -> Vec<ReplMessage> {
         let p = self.progress[replica];
-        let mut out = Vec::new();
-        let from = if p.gen == self.gen {
-            p.next_offset
-        } else {
+        let term = self.term;
+        let out = self.log.read(|log| {
+            let gen = log.gen();
+            let mut out = Vec::new();
+            let mut from = if p.gen == gen {
+                p.next_offset
+            } else {
+                out.push(ReplMessage::Snapshot {
+                    term,
+                    gen,
+                    image: log.base().to_vec(),
+                });
+                0
+            };
+            // Below the first held record every replica already holds
+            // the records.
+            from = from.max(log.first_held());
+            while let Some((frames, count)) = log.window(from, window) {
+                out.push(ReplMessage::Append {
+                    term,
+                    gen,
+                    offset: from,
+                    frames: frames.to_vec(),
+                    count,
+                });
+                from += count;
+            }
+            out
+        });
+        if matches!(out.first(), Some(ReplMessage::Snapshot { .. })) {
             self.stats.catchups += 1;
             if let Some(ins) = self.instruments.get(replica) {
                 ins.catchups.inc();
             }
-            out.push(ReplMessage::Snapshot {
-                term: self.term,
-                gen: self.gen,
-                image: self.base.clone(),
-            });
-            0
-        };
-        // Below `tail_start` every replica already holds the records.
-        let mut i = usize::try_from(from.saturating_sub(self.tail_start)).unwrap_or(usize::MAX);
-        let held = self.tail_ends.len();
-        while i < held {
-            let to = held.min(i.saturating_add(window.max(1)));
-            let start = i.checked_sub(1).map_or(0, |j| self.tail_ends[j]);
-            out.push(ReplMessage::Append {
-                term: self.term,
-                gen: self.gen,
-                offset: self.tail_start + i as u64,
-                frames: self.tail[start..self.tail_ends[to - 1]].to_vec(),
-                count: (to - i) as u64,
-            });
-            i = to;
         }
         self.stats.shipped += out.len() as u64;
         if let Some(ins) = self.instruments.get(replica) {
@@ -280,14 +224,15 @@ impl Primary {
         if msg.term() > self.term {
             self.deposed_by = Some(msg.term());
         }
+        let (log_gen, first_held) = self.log.read(|log| (log.gen(), log.first_held()));
         match msg {
             ReplMessage::Ack {
                 gen, next_offset, ..
             } => {
-                if *gen == self.gen {
+                if *gen == log_gen {
                     let p = &mut self.progress[replica];
-                    if p.gen != self.gen {
-                        p.gen = self.gen;
+                    if p.gen != log_gen {
+                        p.gen = log_gen;
                         p.next_offset = 0;
                     }
                     if *next_offset > p.next_offset {
@@ -297,6 +242,14 @@ impl Primary {
                             ins.acked.add(delta);
                         }
                         p.next_offset = *next_offset;
+                        // The slowest ack bounds what the log still holds.
+                        let slowest = self
+                            .progress
+                            .iter()
+                            .map(|p| if p.gen == log_gen { p.next_offset } else { 0 })
+                            .min()
+                            .unwrap_or(0);
+                        self.log.trim(log_gen, slowest);
                     }
                 }
             }
@@ -307,13 +260,14 @@ impl Primary {
                 }
                 RejectReason::OutOfSync { gen, next_offset } => {
                     let p = &mut self.progress[replica];
-                    if *gen == self.gen {
+                    if *gen == log_gen {
                         // A reply that was overtaken can report a position
-                        // below `tail_start`; the replica has since
-                        // acknowledged at least that far, and a replica's
-                        // position never moves back within a generation.
+                        // below the first held record; the replica has
+                        // since acknowledged at least that far, and a
+                        // replica's position never moves back within a
+                        // generation.
                         p.gen = *gen;
-                        p.next_offset = (*next_offset).max(self.tail_start);
+                        p.next_offset = (*next_offset).max(first_held);
                     } else {
                         // Wrong generation: force the snapshot path.
                         p.gen = *gen;
@@ -330,52 +284,28 @@ impl Primary {
         }
     }
 
-    /// Drops the frames every replica has acknowledged from the tail.
-    fn drop_acknowledged(&mut self) {
-        let acked = self
-            .progress
-            .iter()
-            .map(|p| if p.gen == self.gen { p.next_offset } else { 0 })
-            .min()
-            .unwrap_or(0);
-        let n = usize::try_from(acked.saturating_sub(self.tail_start))
-            .map_or(self.tail_ends.len(), |n| n.min(self.tail_ends.len()));
-        if n == 0 {
-            return;
-        }
-        let cut = self.tail_ends[n - 1];
-        self.tail.drain(..cut);
-        self.tail_ends.drain(..n);
-        for end in &mut self.tail_ends {
-            *end -= cut;
-        }
-        self.tail_start += n as u64;
-    }
-
-    /// Records this generation's tail holds, acknowledged or not.
-    fn tail_records(&self) -> u64 {
-        self.tail_start + self.tail_ends.len() as u64
-    }
-
     /// Records `replica` has not yet acknowledged (counting the whole
     /// base image when it is a generation behind).
     #[must_use]
     pub fn lag(&self, replica: usize) -> u64 {
         let p = self.progress[replica];
-        let tail = self.tail_records();
-        if p.gen == self.gen {
-            tail.saturating_sub(p.next_offset)
-        } else {
-            self.base_records + tail
-        }
+        self.log.read(|log| {
+            if p.gen == log.gen() {
+                log.records().saturating_sub(p.next_offset)
+            } else {
+                log.base_records() + log.records()
+            }
+        })
     }
 
     /// True when every replica has acknowledged the entire log.
     #[must_use]
     pub fn all_caught_up(&self) -> bool {
-        self.progress
-            .iter()
-            .all(|p| p.gen == self.gen && p.next_offset == self.tail_records())
+        self.log.read(|log| {
+            self.progress
+                .iter()
+                .all(|p| p.gen == log.gen() && p.next_offset == log.records())
+        })
     }
 
     /// The higher term that fenced this primary off, if any reply carried
@@ -738,7 +668,6 @@ impl ReplicationNet {
     /// timer.
     pub fn sync(&mut self, max_rounds: usize) -> usize {
         for round in 0..max_rounds {
-            self.primary.absorb();
             if self.primary.all_caught_up() {
                 return round;
             }
@@ -813,7 +742,7 @@ impl Drain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jaap_wal::{frame_record_with_term, Journal, TeeStore};
+    use jaap_wal::{frame_record_with_term, Journal, ShippingLog, TeeStore};
     use proptest::prelude::*;
 
     fn shipping_pair(term: u64) -> (Journal, Primary, Replica) {
@@ -825,7 +754,6 @@ mod tests {
 
     fn pump_direct(primary: &mut Primary, replica: &mut Replica, rounds: usize) {
         for _ in 0..rounds {
-            primary.absorb();
             for msg in primary.pending(0, DEFAULT_SHIP_WINDOW) {
                 let reply = replica.on_message(&msg);
                 primary.on_reply(0, &reply);
@@ -902,7 +830,6 @@ mod tests {
         for i in 0..7u8 {
             journal.append(&[i]).expect("append");
         }
-        primary.absorb();
         let msgs = primary.pending(0, 3);
         let shape: Vec<(u64, u64)> = msgs
             .iter()
@@ -932,28 +859,32 @@ mod tests {
         let outbox = LogOutbox::new();
         let mut journal = Journal::new(Box::new(TeeStore::new(MemStore::new(), outbox.clone())));
         journal.set_term(1);
-        let mut primary = Primary::new(1, 2, outbox);
+        let mut primary = Primary::new(1, 2, outbox.clone());
         let mut replicas = [Replica::new(0), Replica::new(1)];
         for payload in [b"r0", b"r1", b"r2"] {
             journal.append(payload).expect("append");
         }
         let mut ship = |primary: &mut Primary, to: usize| {
-            primary.absorb();
             for msg in primary.pending(to, 8) {
                 let reply = replicas[to].on_message(&msg);
                 primary.on_reply(to, &reply);
             }
         };
         ship(&mut primary, 0);
-        primary.absorb();
-        assert_eq!(primary.tail_ends.len(), 3, "replica 1 still needs them");
+        assert_eq!(
+            outbox.read(ShippingLog::held_records),
+            3,
+            "replica 1 still needs them"
+        );
         ship(&mut primary, 1);
-        primary.absorb();
         assert!(primary.all_caught_up());
-        assert!(primary.tail.is_empty() && primary.tail_ends.is_empty());
+        assert_eq!(
+            outbox.read(|log| (log.held_records(), log.held_bytes())),
+            (0, 0)
+        );
         assert_eq!(primary.lag(0), 0);
         // An overtaken out-of-sync reply from before the acks cannot
-        // strand a replica below the frames the primary still holds.
+        // strand a replica below the frames the log still holds.
         primary.on_reply(
             0,
             &ReplMessage::Reject {
@@ -966,7 +897,6 @@ mod tests {
         );
         assert!(primary.all_caught_up());
         journal.append(b"r3").expect("append");
-        primary.absorb();
         let msgs = primary.pending(0, 8);
         assert!(
             matches!(
@@ -1003,12 +933,11 @@ mod tests {
 
     #[test]
     fn reset_image_records_count_toward_lag() {
-        let (mut journal, mut primary, _) = shipping_pair(1);
+        let (mut journal, primary, _) = shipping_pair(1);
         journal
             .rewrite(&[b"a".to_vec(), b"b".to_vec(), b"c".to_vec()])
             .expect("rewrite");
         journal.append(b"d").expect("append");
-        primary.absorb();
         assert_eq!(primary.lag(0), 4, "3 image records + 1 tail record");
     }
 
@@ -1017,7 +946,6 @@ mod tests {
         let (mut journal, mut primary, mut replica) = shipping_pair(1);
         journal.set_term(1);
         journal.append(b"once").expect("append");
-        primary.absorb();
         let msgs = primary.pending(0, 8);
         assert_eq!(msgs.len(), 1);
         let first = replica.on_message(&msgs[0]);

@@ -9,7 +9,6 @@ use core::fmt;
 
 /// An axiom schema or inference rule of the logic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[allow(missing_docs)] // the variants are the paper's axiom numbers
 pub enum Axiom {
     R1,

@@ -20,7 +20,6 @@ use crate::syntax::{Formula, GroupId, KeyId, Message, PrincipalId, Subject, Time
 
 /// A certificate validity period `[tb, te]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Validity {
     /// Begin time `tb`.
     pub begin: Time,

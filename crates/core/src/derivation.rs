@@ -12,7 +12,6 @@ use crate::syntax::Formula;
 
 /// The justification attached to a derivation node.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Rule {
     /// An axiom schema application.
     Axiom(Axiom),
@@ -44,7 +43,6 @@ impl fmt::Display for Rule {
 /// bump rather than a subtree copy. Rendering and traversal are unchanged
 /// (an `Arc<Derivation>` dereferences like a `Derivation`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Derivation {
     /// The formula this node concludes.
     pub conclusion: Formula,

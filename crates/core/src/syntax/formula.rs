@@ -17,7 +17,6 @@ use super::{GroupId, KeyId, Message, PrincipalId, Subject, Time, TimeRef};
 /// engine does constantly when assembling [`Derivation`](crate::Derivation)
 /// proof steps — is a shallow reference-count bump, never a deep tree copy.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Formula {
     /// F1: a primitive proposition.
     Prop(String),

@@ -14,7 +14,6 @@ use super::{Formula, KeyId, PrincipalId, Time};
 ///
 /// Like [`Formula`], submessages sit behind [`Arc`] so clones are shallow.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Message {
     /// M1: a formula used as a message (e.g. the body of a certificate).
     Formula(Arc<Formula>),

@@ -101,30 +101,6 @@ impl From<&str> for GroupId {
     }
 }
 
-#[cfg(feature = "serde")]
-mod serde_impls {
-    use super::{GroupId, KeyId, PrincipalId};
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    macro_rules! string_newtype_serde {
-        ($ty:ident) => {
-            impl Serialize for $ty {
-                fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-                    s.serialize_str(self.as_str())
-                }
-            }
-            impl<'de> Deserialize<'de> for $ty {
-                fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-                    Ok($ty::new(String::deserialize(d)?))
-                }
-            }
-        };
-    }
-    string_newtype_serde!(PrincipalId);
-    string_newtype_serde!(KeyId);
-    string_newtype_serde!(GroupId);
-}
-
 /// A *subject*: anything that can own keys, say messages, or appear on the
 /// left of a speaks-for arrow.
 ///
@@ -132,7 +108,6 @@ mod serde_impls {
 /// (F13), compound principals `CP = {P₁,…,Pₙ}` (F5/F14), key-bound
 /// compounds `CP|K` (F16), and threshold compounds `CP_{m,n}` (F10/F15).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Subject {
     /// A single system principal.
     Principal(PrincipalId),

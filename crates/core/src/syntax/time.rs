@@ -9,7 +9,6 @@ use core::fmt;
 
 /// A point in (some principal's) time, in discrete ticks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Time(pub i64);
 
 impl Time {
@@ -45,7 +44,6 @@ impl From<i64> for Time {
 /// A temporal qualifier on a formula: a point, a closed interval (`[t1,t2]`,
 /// "at all times"), or an existential interval (`⟨t1,t2⟩`, "at some time").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TimeRef {
     /// Holds at exactly `t`.
     At(Time),

@@ -17,15 +17,13 @@ pub const PUBLIC_EXPONENT: u64 = 65_537;
 
 /// An RSA public key: modulus `N` and exponent `e`.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RsaPublicKey {
     n: Nat,
     e: Nat,
     /// Memoized [`RsaPublicKey::key_id`]. Every certificate idealization
     /// names both the issuer and subject keys, so without the memo the
     /// hot path re-hashes and re-hexes the modulus on every decision.
-    /// Identity (`PartialEq`/`Hash`) and serialization ignore it.
-    #[cfg_attr(feature = "serde", serde(skip))]
+    /// Identity (`PartialEq`/`Hash`) ignores it.
     id: std::sync::OnceLock<String>,
 }
 
@@ -134,7 +132,6 @@ impl RsaPublicKey {
 
 /// An RSA signature (a residue mod `N`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RsaSignature {
     pub(crate) s: Nat,
 }
@@ -155,7 +152,6 @@ impl RsaSignature {
 
 /// An RSA ciphertext: a sequence of residues, one per plaintext block.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RsaCiphertext {
     blocks: Vec<Nat>,
 }

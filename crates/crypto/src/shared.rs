@@ -57,7 +57,6 @@ const BIPRIMALITY_ROUNDS: usize = 24;
 /// share the private exponent and the public additive correction `r` with
 /// `Σ dᵢ + r = d`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SharedPublicKey {
     public: RsaPublicKey,
     n_parties: usize,
@@ -123,7 +122,6 @@ impl SharedPublicKey {
 
 /// One party's share of the private exponent of a shared RSA key.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KeyShare {
     index: usize,
     d_share: Int,

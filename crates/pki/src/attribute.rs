@@ -18,7 +18,6 @@ use crate::{key_name, PkiError};
 /// The subject of a threshold attribute certificate: named principals bound
 /// to their public keys, with a threshold `m`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ThresholdSubject {
     /// `(principal name, bound public key)` pairs.
     pub members: Vec<(String, RsaPublicKey)>,
@@ -75,7 +74,6 @@ impl ThresholdSubject {
 /// A threshold attribute certificate, jointly signed by all member domains
 /// with the AA's shared key.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ThresholdAttributeCertificate {
     /// Issuer name (the coalition AA).
     pub issuer: String,
@@ -130,7 +128,6 @@ impl ThresholdAttributeCertificate {
 /// A single-subject attribute certificate (`P|K ⇒ G`), also jointly signed
 /// by the AA.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AttributeCertificate {
     /// Issuer name (the coalition AA).
     pub issuer: String,
@@ -192,7 +189,6 @@ impl AttributeCertificate {
 /// (§2.2): `CP|K_cp ⇒ G`, where access requests are jointly signed under
 /// `K_cp` (axiom A37).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CompoundAttributeCertificate {
     /// Issuer name (the coalition AA).
     pub issuer: String,
@@ -283,7 +279,6 @@ impl CompoundAttributeCertificate {
 /// A revocation of a threshold attribute certificate, issued by a
 /// revocation authority (§4.3 Message 2).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AttributeRevocation {
     /// Issuer (the RA).
     pub issuer: String,

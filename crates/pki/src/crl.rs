@@ -17,7 +17,6 @@ use crate::PkiError;
 
 /// One CRL entry: a revoked threshold attribute certificate.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CrlEntry {
     /// The revoked certificate's subject.
     pub subject: ThresholdSubject,
@@ -29,7 +28,6 @@ pub struct CrlEntry {
 
 /// A signed certificate revocation list.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Crl {
     /// Issuing revocation authority.
     pub issuer: String,

@@ -11,7 +11,6 @@ use crate::{key_name, PkiError};
 /// A byte-level identity certificate: binds a user name to a public key for
 /// a validity period, signed by a domain CA.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IdentityCertificate {
     /// Issuing CA name.
     pub issuer: String,
@@ -68,7 +67,6 @@ impl IdentityCertificate {
 
 /// Revocation of an identity certificate.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IdentityRevocation {
     /// Issuing CA name.
     pub issuer: String,

@@ -18,8 +18,7 @@
 //!   [`jaap_core::engine::TrustAssumptions`].
 //!
 //! Certificates are encoded with a deterministic TLV scheme
-//! ([`encoding::Encoder`]) so signatures are over canonical bytes — no
-//! serde/JSON dependency.
+//! ([`encoding::Encoder`]) so signatures are over canonical bytes.
 
 #![forbid(unsafe_code)]
 

@@ -9,8 +9,9 @@
 //! * [`store`] — the [`JournalStore`] byte-store abstraction with an
 //!   in-memory backend ([`MemStore`], shared buffer so a "crashed" owner's
 //!   bytes survive), a file backend ([`FileStore`], durability governed by
-//!   [`SyncPolicy`]), and a [`TeeStore`] that mirrors every write into a
-//!   [`LogOutbox`] so a replication layer can ship it.
+//!   [`SyncPolicy`]), and a [`TeeStore`] that writes every append and
+//!   rewrite into a [`LogOutbox`], the one shared log a replication layer
+//!   ships windows from and trims once every follower holds them.
 //! * [`fault`] — seeded torn-write / bit-flip / short-read injection in
 //!   the style of `jaap_net::fault`, for chaos-testing recovery.
 //! * [`journal`] — the [`Journal`]: append framed records, rewrite the log
@@ -32,7 +33,7 @@ pub use frame::{
     Frames, ParsedLog, Tail, FORMAT_VERSION,
 };
 pub use journal::{Journal, JournalStats, Replay};
-pub use store::{FileStore, JournalStore, LogOutbox, MemStore, SyncPolicy, TeeEvent, TeeStore};
+pub use store::{FileStore, JournalStore, LogOutbox, MemStore, ShippingLog, SyncPolicy, TeeStore};
 
 /// Errors raised by the journal layer.
 #[derive(Debug, Clone, PartialEq, Eq)]

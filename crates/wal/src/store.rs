@@ -356,106 +356,155 @@ impl JournalStore for FileStore {
     }
 }
 
-/// One write event captured by a [`TeeStore`], in store-call granularity:
-/// the journal layer appends exactly one framed record per `append`, so
-/// `Append` carries one whole frame, and `Reset` carries the full log
-/// image written by a snapshot rewrite (or bootstrap).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TeeEvent {
-    /// Bytes appended at the end of the log (one framed record).
-    Append(Vec<u8>),
-    /// The log was replaced wholesale with this image.
-    Reset(Vec<u8>),
-}
-
-/// Shared queue of [`TeeEvent`]s drained by a replication layer. Cloning
-/// yields another handle on the same queue.
+/// The shipping log: the one copy of the primary's journal that
+/// replication reads. A [`TeeStore`] writes every frame into it in place,
+/// and a shipper cuts windows straight from it under its lock
+/// ([`LogOutbox::read`]). Cloning yields another handle on the same log.
 ///
-/// The queue can be bounded ([`LogOutbox::with_capacity`]): when the
-/// shipper stops draining (a partitioned pump, a wedged primary) a capped
-/// outbox drops the newest event instead of growing without limit, and
-/// counts the drop in [`LogOutbox::dropped`]. Droppage is safe for the
-/// replication protocol — a replica that misses tail frames falls behind
-/// and is healed by the snapshot catch-up path at the next generation —
-/// but it is *lag*, so the replication layer surfaces it as a typed
-/// saturation metric rather than hiding it.
+/// The log holds the current generation's base image (the last wholesale
+/// rewrite) and the frames appended since, minus the prefix every
+/// follower has acknowledged ([`LogOutbox::trim`]). It never drops a frame
+/// no follower holds, so a follower that falls behind is lag, never a
+/// divergence.
 #[derive(Debug, Clone, Default)]
 pub struct LogOutbox {
-    events: Arc<Mutex<Vec<TeeEvent>>>,
-    capacity: Arc<std::sync::atomic::AtomicUsize>,
-    dropped: Arc<std::sync::atomic::AtomicU64>,
+    log: Arc<Mutex<ShippingLog>>,
 }
 
 impl LogOutbox {
-    /// An empty, unbounded outbox.
+    /// An empty log at generation 0.
     #[must_use]
     pub fn new() -> Self {
         LogOutbox::default()
     }
 
-    /// An empty outbox holding at most `capacity` pending events
-    /// (`0` means unbounded).
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        let outbox = LogOutbox::default();
-        outbox.set_capacity(capacity);
-        outbox
+    /// Runs `f` on the log; the tee cannot write until it returns, so
+    /// every value `f` reads belongs to one consistent state.
+    pub fn read<R>(&self, f: impl FnOnce(&ShippingLog) -> R) -> R {
+        f(&self.lock())
     }
 
-    /// Re-bounds the pending queue (`0` means unbounded). Events already
-    /// queued are kept even if they exceed the new bound; only future
-    /// pushes are refused.
-    pub fn set_capacity(&self, capacity: usize) {
-        self.capacity
-            .store(capacity, std::sync::atomic::Ordering::Release);
+    /// Drops the held frames before record `upto` of generation `gen`
+    /// (every follower holds them). A stale `gen` trims nothing.
+    pub fn trim(&self, gen: u64, upto: u64) {
+        self.lock().trim(gen, upto);
     }
 
-    /// The configured bound (`0` means unbounded).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity.load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    /// Events refused because the queue was at capacity.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    /// Takes all pending events, oldest first.
-    #[must_use]
-    pub fn drain(&self) -> Vec<TeeEvent> {
-        std::mem::take(&mut *self.events.lock().expect("outbox lock"))
-    }
-
-    /// Pending event count.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.lock().expect("outbox lock").len()
-    }
-
-    /// `true` when nothing is pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn push(&self, event: TeeEvent) {
-        let cap = self.capacity();
-        let mut events = self.events.lock().expect("outbox lock");
-        if cap != 0 && events.len() >= cap {
-            drop(events);
-            self.dropped
-                .fetch_add(1, std::sync::atomic::Ordering::AcqRel);
-            return;
-        }
-        events.push(event);
+    fn lock(&self) -> std::sync::MutexGuard<'_, ShippingLog> {
+        self.log.lock().expect("shipping log lock")
     }
 }
 
-/// A store wrapper that mirrors every successful write into a
-/// [`LogOutbox`] — how a replication primary observes its own journal
-/// writes in order to ship them. Reads pass straight through.
+/// The state behind a [`LogOutbox`]. Records are numbered from 0 within a
+/// generation; the base image's records are not numbered.
+#[derive(Debug, Default)]
+pub struct ShippingLog {
+    gen: u64,
+    base: Vec<u8>,
+    base_records: u64,
+    /// The held frames, back to back; the first is record `first`.
+    tail: Vec<u8>,
+    /// `ends[i]` is the byte offset in `tail` just past record `first + i`.
+    ends: Vec<usize>,
+    first: u64,
+}
+
+impl ShippingLog {
+    /// The generation: bumped by every wholesale rewrite of the log.
+    #[must_use]
+    pub fn gen(&self) -> u64 {
+        self.gen
+    }
+
+    /// The image this generation started from.
+    #[must_use]
+    pub fn base(&self) -> &[u8] {
+        &self.base
+    }
+
+    /// Frames in the base image.
+    #[must_use]
+    pub fn base_records(&self) -> u64 {
+        self.base_records
+    }
+
+    /// Records appended in this generation, trimmed or not.
+    #[must_use]
+    pub fn records(&self) -> u64 {
+        self.first + self.ends.len() as u64
+    }
+
+    /// The first record still held: every earlier one was trimmed.
+    #[must_use]
+    pub fn first_held(&self) -> u64 {
+        self.first
+    }
+
+    /// Records held, from [`ShippingLog::first_held`] to the end.
+    #[must_use]
+    pub fn held_records(&self) -> u64 {
+        self.ends.len() as u64
+    }
+
+    /// Bytes of the held records.
+    #[must_use]
+    pub fn held_bytes(&self) -> usize {
+        self.tail.len()
+    }
+
+    /// Up to `max` (at least one) contiguous frames from record `from`,
+    /// with their count, as one slice of the tail; `None` when `from` is
+    /// trimmed or past the end.
+    #[must_use]
+    pub fn window(&self, from: u64, max: usize) -> Option<(&[u8], u64)> {
+        let i = usize::try_from(from.checked_sub(self.first)?).ok()?;
+        if i >= self.ends.len() {
+            return None;
+        }
+        let to = self.ends.len().min(i.saturating_add(max.max(1)));
+        let start = i.checked_sub(1).map_or(0, |j| self.ends[j]);
+        Some((&self.tail[start..self.ends[to - 1]], (to - i) as u64))
+    }
+
+    fn append(&mut self, frame: &[u8]) {
+        self.tail.extend_from_slice(frame);
+        self.ends.push(self.tail.len());
+    }
+
+    fn reset(&mut self, image: &[u8]) {
+        self.gen += 1;
+        self.base.clear();
+        self.base.extend_from_slice(image);
+        self.base_records = crate::frame::decode_frames(image)
+            .map_while(Result::ok)
+            .count() as u64;
+        self.tail.clear();
+        self.ends.clear();
+        self.first = 0;
+    }
+
+    fn trim(&mut self, gen: u64, upto: u64) {
+        if gen != self.gen {
+            return;
+        }
+        let n = usize::try_from(upto.saturating_sub(self.first))
+            .map_or(self.ends.len(), |n| n.min(self.ends.len()));
+        if n == 0 {
+            return;
+        }
+        let cut = self.ends[n - 1];
+        self.tail.drain(..cut);
+        self.ends.drain(..n);
+        for end in &mut self.ends {
+            *end -= cut;
+        }
+        self.first += n as u64;
+    }
+}
+
+/// A store wrapper that writes every successful append and rewrite into
+/// a [`LogOutbox`] as well — how a replication primary observes its own
+/// journal writes in order to ship them. Reads pass straight through.
 #[derive(Debug)]
 pub struct TeeStore<S: JournalStore> {
     inner: S,
@@ -463,7 +512,7 @@ pub struct TeeStore<S: JournalStore> {
 }
 
 impl<S: JournalStore> TeeStore<S> {
-    /// Wraps `inner`, mirroring writes into `outbox`.
+    /// Wraps `inner`, writing every write into `outbox` too.
     #[must_use]
     pub fn new(inner: S, outbox: LogOutbox) -> Self {
         TeeStore { inner, outbox }
@@ -483,13 +532,13 @@ impl<S: JournalStore> JournalStore for TeeStore<S> {
 
     fn append(&mut self, bytes: &[u8]) -> Result<(), WalError> {
         self.inner.append(bytes)?;
-        self.outbox.push(TeeEvent::Append(bytes.to_vec()));
+        self.outbox.lock().append(bytes);
         Ok(())
     }
 
     fn reset(&mut self, bytes: &[u8]) -> Result<(), WalError> {
         self.inner.reset(bytes)?;
-        self.outbox.push(TeeEvent::Reset(bytes.to_vec()));
+        self.outbox.lock().reset(bytes);
         Ok(())
     }
 
@@ -632,50 +681,51 @@ mod tests {
     }
 
     #[test]
-    fn capped_outbox_drops_newest_and_counts() {
-        let outbox = LogOutbox::with_capacity(2);
-        assert_eq!(outbox.capacity(), 2);
-        let mut tee = TeeStore::new(MemStore::new(), outbox.clone());
-        tee.append(b"one").expect("append");
-        tee.append(b"two").expect("append");
-        tee.append(b"three").expect("append");
-        // The inner log has everything; the outbox refused the overflow.
-        assert_eq!(tee.read().expect("read"), b"onetwothree");
-        assert_eq!(outbox.len(), 2);
-        assert_eq!(outbox.dropped(), 1);
-        assert_eq!(
-            outbox.drain(),
-            vec![
-                TeeEvent::Append(b"one".to_vec()),
-                TeeEvent::Append(b"two".to_vec())
-            ]
-        );
-        // Draining frees capacity again.
-        tee.append(b"four").expect("append");
-        assert_eq!(outbox.len(), 1);
-        assert_eq!(outbox.dropped(), 1);
-    }
-
-    #[test]
-    fn tee_store_mirrors_writes_into_outbox() {
+    fn tee_store_writes_the_shipping_log() {
         let outbox = LogOutbox::new();
         let inner = MemStore::new();
         let mut tee = TeeStore::new(inner.clone(), outbox.clone());
-        tee.append(b"one").expect("append");
-        tee.append(b"two").expect("append");
-        tee.reset(b"image").expect("reset");
-        tee.append(b"three").expect("append");
-        assert_eq!(inner.snapshot(), b"imagethree");
-        assert_eq!(tee.read().expect("read"), b"imagethree");
-        assert_eq!(
-            outbox.drain(),
-            vec![
-                TeeEvent::Append(b"one".to_vec()),
-                TeeEvent::Append(b"two".to_vec()),
-                TeeEvent::Reset(b"image".to_vec()),
-                TeeEvent::Append(b"three".to_vec()),
-            ]
-        );
-        assert!(outbox.is_empty());
+        let frames = |payloads: &[&[u8]]| -> Vec<u8> {
+            payloads
+                .iter()
+                .flat_map(|p| crate::frame_record(p))
+                .collect()
+        };
+        // Base plus every window from record 0 is the inner store's log.
+        let shipped = |outbox: &LogOutbox, window: usize| {
+            outbox.read(|log| {
+                let mut bytes = log.base().to_vec();
+                let mut from = 0;
+                while let Some((frames, count)) = log.window(from, window) {
+                    bytes.extend_from_slice(frames);
+                    from += count;
+                }
+                assert_eq!(from, log.records());
+                (log.gen(), log.base_records(), bytes)
+            })
+        };
+        tee.append(&frames(&[b"one"])).expect("append");
+        tee.append(&frames(&[b"two"])).expect("append");
+        assert_eq!(shipped(&outbox, 1), (0, 0, inner.snapshot()));
+        tee.reset(&frames(&[b"im", b"age"])).expect("reset");
+        tee.append(&frames(&[b"three"])).expect("append");
+        tee.append(&frames(&[b"four"])).expect("append");
+        tee.append(&frames(&[b"five"])).expect("append");
+        assert_eq!(shipped(&outbox, 2), (1, 2, inner.snapshot()));
+        tee.reset(&frames(&[b"again"])).expect("reset");
+        tee.append(&frames(&[b"six"])).expect("append");
+        assert_eq!(shipped(&outbox, 8), (2, 1, inner.snapshot()));
+        assert_eq!(tee.read().expect("read"), inner.snapshot());
+        // Trimming drops only the held prefix of the named generation.
+        outbox.trim(1, 1);
+        assert_eq!(outbox.read(ShippingLog::held_records), 1);
+        outbox.trim(2, 1);
+        outbox.read(|log| {
+            assert_eq!(
+                (log.first_held(), log.held_records(), log.held_bytes()),
+                (1, 0, 0)
+            );
+            assert_eq!(log.window(0, 8), None);
+        });
     }
 }

@@ -35,6 +35,9 @@ enum Plan {
     RevokeWrite,
     Crl,
     SetContent(u8),
+    /// Snapshot compaction: starts a new log generation while earlier
+    /// frames may still be unacknowledged or in flight.
+    Compact,
 }
 
 #[derive(Debug, Clone)]
@@ -249,6 +252,13 @@ impl ReplHarness {
                 Op::Crl(crl)
             }
             Plan::SetContent(b) => Op::SetContent(vec![*b; 4]),
+            Plan::Compact => {
+                // Compaction rewrites the log, not the beliefs: the twin
+                // needs no matching op.
+                self.c.server_mut().snapshot_journal().expect("snapshot");
+                self.net.sync(sync_rounds);
+                return;
+            }
         };
         apply(self.c.server_mut(), &op);
         self.ops.push(op);
@@ -294,17 +304,19 @@ fn plan_strategy() -> impl Strategy<Value = Plan> {
         Just(Plan::RevokeWrite),
         Just(Plan::Crl),
         (0u8..255).prop_map(Plan::SetContent),
+        Just(Plan::Compact),
     ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The tentpole property: ship a randomized workload through a faulty
-    /// network (drops + duplicates, plus a partition of one replica that
-    /// heals at the end), promote the designated replica after a primary
-    /// crash, and require byte-identical state and probe decisions
-    /// against the never-crashed primary.
+    /// The tentpole property: ship a randomized workload, compactions
+    /// included, through a faulty network (drops + duplicates, plus a
+    /// partition of one replica that heals at the end), promote the
+    /// designated replica after a primary crash, and require
+    /// byte-identical state and probe decisions against the never-crashed
+    /// primary.
     #[test]
     fn promoted_replica_matches_never_crashed_twin_under_chaos(
         seed in 0u64..64,
