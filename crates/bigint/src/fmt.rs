@@ -43,12 +43,6 @@ impl Nat {
     pub fn to_hex(&self) -> String {
         format!("{self:x}")
     }
-
-    /// Decimal string.
-    #[must_use]
-    pub fn to_decimal(&self) -> String {
-        self.to_string()
-    }
 }
 
 impl FromStr for Nat {

@@ -145,12 +145,6 @@ impl Domain {
         self.users.iter().find(|u| u.name() == name)
     }
 
-    /// Mutable lookup.
-    #[must_use]
-    pub fn user_mut(&mut self, name: &str) -> Option<&mut UserAgent> {
-        self.users.iter_mut().find(|u| u.name() == name)
-    }
-
     /// All registered users.
     #[must_use]
     pub fn users(&self) -> &[UserAgent] {

@@ -13,7 +13,11 @@
 //! signed over ([`jaap_pki::encoding`]): a record is
 //! `domain || tag(u64) || fields…`, and whole certificates travel with
 //! their signatures so recovery re-verifies them instead of trusting the
-//! log. The framing layer beneath ([`jaap_wal::frame`]) adds per-record
+//! log. This module owns only the container: its domain string, the
+//! record tags and the fields of records that are not signed artifacts.
+//! Certificates, revocations, CRLs and ACLs are written and read by the
+//! artifact codec in [`jaap_pki::encoding`], the one the cert store uses
+//! too. The framing layer beneath ([`jaap_wal::frame`]) adds per-record
 //! checksums, so a torn or bit-flipped tail is detected and truncated —
 //! never replayed.
 //!
@@ -26,15 +30,13 @@
 //! must check again), so they are always re-derived from the original
 //! signed artifacts.
 
-use jaap_core::certs::Validity;
 use jaap_core::protocol::{Acl, Operation};
-use jaap_core::syntax::{GroupId, Time};
-use jaap_crypto::rsa::{RsaPublicKey, RsaSignature};
-use jaap_pki::attribute::{
-    AttributeCertificate, AttributeRevocation, ThresholdAttributeCertificate, ThresholdSubject,
-};
+use jaap_core::syntax::Time;
 use jaap_pki::encoding::{Decoder, Encoder};
-use jaap_pki::{Crl, CrlEntry, IdentityCertificate, IdentityRevocation};
+use jaap_pki::{
+    AttributeCertificate, AttributeRevocation, Crl, IdentityCertificate, IdentityRevocation,
+    PkiError, ThresholdAttributeCertificate,
+};
 use jaap_wal::{Journal, JournalStats, JournalStore};
 
 use crate::CoalitionError;
@@ -88,8 +90,8 @@ impl ConfigKind {
         }
     }
 
-    fn from_code(code: u64) -> Result<Self, CoalitionError> {
-        Ok(match code {
+    fn from_code(code: u64) -> Option<Self> {
+        Some(match code {
             1 => ConfigKind::LogicChecking,
             2 => ConfigKind::ReplayProtection,
             3 => ConfigKind::ReplayCapacity,
@@ -101,11 +103,7 @@ impl ConfigKind {
             9 => ConfigKind::CryptoPrecomp,
             10 => ConfigKind::BatchVerify,
             11 => ConfigKind::VerifyCacheCapacity,
-            other => {
-                return Err(CoalitionError::Journal(format!(
-                    "unknown config kind {other}"
-                )))
-            }
+            _ => return None,
         })
     }
 }
@@ -276,39 +274,20 @@ impl JournalRecord {
             }
             JournalRecord::ObjectAdded { name, acl } | JournalRecord::AclSet { name, acl } => {
                 e.put_str(name);
-                put_acl(&mut e, acl);
+                e.put_acl(acl);
             }
             JournalRecord::ContentSet { name, content } => {
                 e.put_str(name);
                 e.put_bytes(content);
             }
             JournalRecord::IdentityRevocation(rev) => {
-                e.put_str(&rev.issuer);
-                e.put_str(&rev.subject);
-                put_key(&mut e, &rev.subject_key);
-                e.put_i64(rev.revoked_from.0);
-                e.put_i64(rev.timestamp.0);
-                put_sig(&mut e, &rev.signature);
+                e.put_identity_revocation(rev);
             }
             JournalRecord::AttributeRevocation(rev) => {
-                e.put_str(&rev.issuer);
-                put_subject(&mut e, &rev.subject);
-                e.put_str(rev.group.as_str());
-                e.put_i64(rev.revoked_from.0);
-                e.put_i64(rev.timestamp.0);
-                put_sig(&mut e, &rev.signature);
+                e.put_attribute_revocation(rev);
             }
             JournalRecord::Crl(crl) => {
-                e.put_str(&crl.issuer);
-                e.put_u64(crl.sequence);
-                e.put_i64(crl.timestamp.0);
-                e.put_list(crl.entries.len());
-                for entry in &crl.entries {
-                    put_subject(&mut e, &entry.subject);
-                    e.put_str(entry.group.as_str());
-                    e.put_i64(entry.revoked_from.0);
-                }
-                put_sig(&mut e, &crl.signature);
+                e.put_crl(crl);
             }
             JournalRecord::RequestCerts {
                 identity,
@@ -317,15 +296,15 @@ impl JournalRecord {
             } => {
                 e.put_list(identity.len());
                 for cert in identity {
-                    put_identity_cert(&mut e, cert);
+                    e.put_identity_cert(cert);
                 }
                 e.put_list(threshold.len());
                 for cert in threshold {
-                    put_threshold_cert(&mut e, cert);
+                    e.put_threshold_cert(cert);
                 }
                 e.put_list(attribute.len());
                 for cert in attribute {
-                    put_attribute_cert(&mut e, cert);
+                    e.put_attribute_cert(cert);
                 }
             }
             JournalRecord::Decision(d) => {
@@ -353,7 +332,7 @@ impl JournalRecord {
                 content,
             } => {
                 e.put_str(name);
-                put_acl(&mut e, acl);
+                e.put_acl(acl);
                 e.put_u64(*version);
                 e.put_bytes(content);
             }
@@ -377,18 +356,24 @@ impl JournalRecord {
     /// [`CoalitionError::Journal`] for any malformed or unknown record —
     /// recovery treats this as corruption, not as something to skip.
     pub fn decode(bytes: &[u8]) -> Result<Self, CoalitionError> {
-        let mut d = Decoder::new(bytes, DOMAIN).map_err(journal_err)?;
-        let tag = d.take_u64().map_err(journal_err)?;
+        Self::decode_fields(bytes)
+            .map_err(|e| CoalitionError::Journal(format!("undecodable record: {e}")))
+    }
+
+    fn decode_fields(bytes: &[u8]) -> Result<Self, PkiError> {
+        let mut d = Decoder::new(bytes, DOMAIN)?;
+        let tag = d.take_u64()?;
         let record = match tag {
-            1 => JournalRecord::ClockAdvance(take_time(&mut d)?),
+            1 => JournalRecord::ClockAdvance(Time(d.take_i64()?)),
             2 => {
-                let kind = ConfigKind::from_code(d.take_u64().map_err(journal_err)?)?;
-                let value = d.take_i64().map_err(journal_err)?;
-                JournalRecord::Config(kind, value)
+                let code = d.take_u64()?;
+                let kind = ConfigKind::from_code(code)
+                    .ok_or_else(|| PkiError::Malformed(format!("unknown config kind {code}")))?;
+                JournalRecord::Config(kind, d.take_i64()?)
             }
             3 | 4 => {
-                let name = d.take_str().map_err(journal_err)?;
-                let acl = take_acl(&mut d)?;
+                let name = d.take_str()?.to_owned();
+                let acl = d.take_acl()?;
                 if tag == 3 {
                     JournalRecord::ObjectAdded { name, acl }
                 } else {
@@ -396,100 +381,39 @@ impl JournalRecord {
                 }
             }
             5 => JournalRecord::ContentSet {
-                name: d.take_str().map_err(journal_err)?,
-                content: d.take_bytes().map_err(journal_err)?,
+                name: d.take_str()?.to_owned(),
+                content: d.take_bytes()?.to_vec(),
             },
-            6 => JournalRecord::IdentityRevocation(IdentityRevocation {
-                issuer: d.take_str().map_err(journal_err)?,
-                subject: d.take_str().map_err(journal_err)?,
-                subject_key: take_key(&mut d)?,
-                revoked_from: take_time(&mut d)?,
-                timestamp: take_time(&mut d)?,
-                signature: take_sig(&mut d)?,
+            6 => JournalRecord::IdentityRevocation(d.take_identity_revocation()?),
+            7 => JournalRecord::AttributeRevocation(d.take_attribute_revocation()?),
+            8 => JournalRecord::Crl(d.take_crl()?),
+            9 => JournalRecord::RequestCerts {
+                identity: d.take_list_of(Decoder::take_identity_cert)?,
+                threshold: d.take_list_of(Decoder::take_threshold_cert)?,
+                attribute: d.take_list_of(Decoder::take_attribute_cert)?,
+            },
+            10 => JournalRecord::Decision(DecisionRecord {
+                at: Time(d.take_i64()?),
+                principals: d.take_list_of(|d| Ok(d.take_str()?.to_owned()))?,
+                operation: Operation::new(d.take_str()?, d.take_str()?),
+                granted: take_bool(&mut d)?,
+                detail: d.take_str()?.to_owned(),
+                cached_checks: take_usize(&mut d)?,
+                retry_trace: take_opt_str(&mut d)?,
+                axioms: take_usize(&mut d)?,
+                signature_checks: take_usize(&mut d)?,
+                unavailable: take_bool(&mut d)?,
+                version_bump: take_bool(&mut d)?,
+                replay_digest: take_opt_str(&mut d)?,
             }),
-            7 => JournalRecord::AttributeRevocation(AttributeRevocation {
-                issuer: d.take_str().map_err(journal_err)?,
-                subject: take_subject(&mut d)?,
-                group: GroupId::new(&d.take_str().map_err(journal_err)?),
-                revoked_from: take_time(&mut d)?,
-                timestamp: take_time(&mut d)?,
-                signature: take_sig(&mut d)?,
-            }),
-            8 => {
-                let issuer = d.take_str().map_err(journal_err)?;
-                let sequence = d.take_u64().map_err(journal_err)?;
-                let timestamp = take_time(&mut d)?;
-                let count = d.take_list().map_err(journal_err)?;
-                let mut entries = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    entries.push(CrlEntry {
-                        subject: take_subject(&mut d)?,
-                        group: GroupId::new(&d.take_str().map_err(journal_err)?),
-                        revoked_from: take_time(&mut d)?,
-                    });
-                }
-                JournalRecord::Crl(Crl {
-                    issuer,
-                    sequence,
-                    timestamp,
-                    entries,
-                    signature: take_sig(&mut d)?,
-                })
-            }
-            9 => {
-                let n = d.take_list().map_err(journal_err)?;
-                let mut identity = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    identity.push(take_identity_cert(&mut d)?);
-                }
-                let n = d.take_list().map_err(journal_err)?;
-                let mut threshold = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    threshold.push(take_threshold_cert(&mut d)?);
-                }
-                let n = d.take_list().map_err(journal_err)?;
-                let mut attribute = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    attribute.push(take_attribute_cert(&mut d)?);
-                }
-                JournalRecord::RequestCerts {
-                    identity,
-                    threshold,
-                    attribute,
-                }
-            }
-            10 => {
-                let at = take_time(&mut d)?;
-                let count = d.take_list().map_err(journal_err)?;
-                let mut principals = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    principals.push(d.take_str().map_err(journal_err)?);
-                }
-                let action = d.take_str().map_err(journal_err)?;
-                let object = d.take_str().map_err(journal_err)?;
-                JournalRecord::Decision(DecisionRecord {
-                    at,
-                    principals,
-                    operation: Operation::new(action, object),
-                    granted: take_bool(&mut d)?,
-                    detail: d.take_str().map_err(journal_err)?,
-                    cached_checks: take_usize(&mut d)?,
-                    retry_trace: take_opt_str(&mut d)?,
-                    axioms: take_usize(&mut d)?,
-                    signature_checks: take_usize(&mut d)?,
-                    unavailable: take_bool(&mut d)?,
-                    version_bump: take_bool(&mut d)?,
-                    replay_digest: take_opt_str(&mut d)?,
-                })
-            }
             11 => JournalRecord::ObjectState {
-                name: d.take_str().map_err(journal_err)?,
-                acl: take_acl(&mut d)?,
-                version: d.take_u64().map_err(journal_err)?,
-                content: d.take_bytes().map_err(journal_err)?,
+                name: d.take_str()?.to_owned(),
+                acl: d.take_acl()?,
+                version: d.take_u64()?,
+                content: d.take_bytes()?.to_vec(),
             },
             12 => JournalRecord::ReplaySeen(ReplayRecord {
-                digest: d.take_str().map_err(journal_err)?,
+                digest: d.take_str()?.to_owned(),
                 granted: take_bool(&mut d)?,
                 detail: take_opt_str(&mut d)?,
                 axioms: take_usize(&mut d)?,
@@ -497,73 +421,19 @@ impl JournalRecord {
                 cached_signature_checks: take_usize(&mut d)?,
                 unavailable: take_bool(&mut d)?,
             }),
-            other => {
-                return Err(CoalitionError::Journal(format!(
-                    "unknown record tag {other}"
-                )))
-            }
+            other => return Err(PkiError::Malformed(format!("unknown record tag {other}"))),
         };
-        if !d.is_empty() {
-            return Err(CoalitionError::Journal(
-                "trailing bytes after record".into(),
-            ));
-        }
+        d.finish()?;
         Ok(record)
     }
 }
 
-fn journal_err(e: jaap_pki::PkiError) -> CoalitionError {
-    CoalitionError::Journal(format!("undecodable record: {e}"))
+fn take_bool(d: &mut Decoder<'_>) -> Result<bool, PkiError> {
+    Ok(d.take_u64()? != 0)
 }
 
-fn put_key(e: &mut Encoder, key: &RsaPublicKey) {
-    e.put_bytes(&key.modulus().to_bytes_be());
-    e.put_bytes(&key.exponent().to_bytes_be());
-}
-
-fn take_key(d: &mut Decoder<'_>) -> Result<RsaPublicKey, CoalitionError> {
-    let n = jaap_bigint::Nat::from_bytes_be(&d.take_bytes().map_err(journal_err)?);
-    let exp = jaap_bigint::Nat::from_bytes_be(&d.take_bytes().map_err(journal_err)?);
-    Ok(RsaPublicKey::new(n, exp))
-}
-
-fn put_sig(e: &mut Encoder, sig: &RsaSignature) {
-    e.put_bytes(&sig.value().to_bytes_be());
-}
-
-fn take_sig(d: &mut Decoder<'_>) -> Result<RsaSignature, CoalitionError> {
-    Ok(RsaSignature::from_value(jaap_bigint::Nat::from_bytes_be(
-        &d.take_bytes().map_err(journal_err)?,
-    )))
-}
-
-fn put_validity(e: &mut Encoder, v: &Validity) {
-    e.put_i64(v.begin.0);
-    e.put_i64(v.end.0);
-}
-
-fn take_validity(d: &mut Decoder<'_>) -> Result<Validity, CoalitionError> {
-    let begin = take_time(d)?;
-    let end = take_time(d)?;
-    if begin > end {
-        return Err(CoalitionError::Journal(format!(
-            "inverted validity window [{begin:?}, {end:?}]"
-        )));
-    }
-    Ok(Validity { begin, end })
-}
-
-fn take_time(d: &mut Decoder<'_>) -> Result<Time, CoalitionError> {
-    Ok(Time(d.take_i64().map_err(journal_err)?))
-}
-
-fn take_bool(d: &mut Decoder<'_>) -> Result<bool, CoalitionError> {
-    Ok(d.take_u64().map_err(journal_err)? != 0)
-}
-
-fn take_usize(d: &mut Decoder<'_>) -> Result<usize, CoalitionError> {
-    usize::try_from(d.take_u64().map_err(journal_err)?)
-        .map_err(|_| CoalitionError::Journal("count overflows usize".into()))
+fn take_usize(d: &mut Decoder<'_>) -> Result<usize, PkiError> {
+    usize::try_from(d.take_u64()?).map_err(|_| PkiError::Malformed("count overflows usize".into()))
 }
 
 fn put_opt_str(e: &mut Encoder, s: Option<&str>) {
@@ -578,116 +448,12 @@ fn put_opt_str(e: &mut Encoder, s: Option<&str>) {
     }
 }
 
-fn take_opt_str(d: &mut Decoder<'_>) -> Result<Option<String>, CoalitionError> {
+fn take_opt_str(d: &mut Decoder<'_>) -> Result<Option<String>, PkiError> {
     if take_bool(d)? {
-        Ok(Some(d.take_str().map_err(journal_err)?))
+        Ok(Some(d.take_str()?.to_owned()))
     } else {
         Ok(None)
     }
-}
-
-fn put_subject(e: &mut Encoder, subject: &ThresholdSubject) {
-    e.put_u64(subject.m as u64);
-    e.put_list(subject.members.len());
-    for (name, key) in &subject.members {
-        e.put_str(name);
-        put_key(e, key);
-    }
-}
-
-fn take_subject(d: &mut Decoder<'_>) -> Result<ThresholdSubject, CoalitionError> {
-    let m = take_usize(d)?;
-    let count = d.take_list().map_err(journal_err)?;
-    let mut members = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        let name = d.take_str().map_err(journal_err)?;
-        members.push((name, take_key(d)?));
-    }
-    ThresholdSubject::new(members, m)
-        .map_err(|e| CoalitionError::Journal(format!("undecodable subject: {e}")))
-}
-
-fn put_acl(e: &mut Encoder, acl: &Acl) {
-    e.put_list(acl.entries().len());
-    for entry in acl.entries() {
-        e.put_str(entry.group.as_str());
-        e.put_str(&entry.action);
-    }
-}
-
-fn take_acl(d: &mut Decoder<'_>) -> Result<Acl, CoalitionError> {
-    let count = d.take_list().map_err(journal_err)?;
-    let mut acl = Acl::new();
-    for _ in 0..count {
-        let group = GroupId::new(&d.take_str().map_err(journal_err)?);
-        let action = d.take_str().map_err(journal_err)?;
-        acl.permit(group, action);
-    }
-    Ok(acl)
-}
-
-fn put_identity_cert(e: &mut Encoder, cert: &IdentityCertificate) {
-    e.put_str(&cert.issuer);
-    e.put_str(&cert.subject);
-    put_key(e, &cert.subject_key);
-    put_validity(e, &cert.validity);
-    e.put_i64(cert.timestamp.0);
-    put_sig(e, &cert.signature);
-}
-
-fn take_identity_cert(d: &mut Decoder<'_>) -> Result<IdentityCertificate, CoalitionError> {
-    Ok(IdentityCertificate {
-        issuer: d.take_str().map_err(journal_err)?,
-        subject: d.take_str().map_err(journal_err)?,
-        subject_key: take_key(d)?,
-        validity: take_validity(d)?,
-        timestamp: take_time(d)?,
-        signature: take_sig(d)?,
-    })
-}
-
-fn put_threshold_cert(e: &mut Encoder, cert: &ThresholdAttributeCertificate) {
-    e.put_str(&cert.issuer);
-    put_subject(e, &cert.subject);
-    e.put_str(cert.group.as_str());
-    put_validity(e, &cert.validity);
-    e.put_i64(cert.timestamp.0);
-    put_sig(e, &cert.signature);
-}
-
-fn take_threshold_cert(
-    d: &mut Decoder<'_>,
-) -> Result<ThresholdAttributeCertificate, CoalitionError> {
-    Ok(ThresholdAttributeCertificate {
-        issuer: d.take_str().map_err(journal_err)?,
-        subject: take_subject(d)?,
-        group: GroupId::new(&d.take_str().map_err(journal_err)?),
-        validity: take_validity(d)?,
-        timestamp: take_time(d)?,
-        signature: take_sig(d)?,
-    })
-}
-
-fn put_attribute_cert(e: &mut Encoder, cert: &AttributeCertificate) {
-    e.put_str(&cert.issuer);
-    e.put_str(&cert.subject);
-    put_key(e, &cert.subject_key);
-    e.put_str(cert.group.as_str());
-    put_validity(e, &cert.validity);
-    e.put_i64(cert.timestamp.0);
-    put_sig(e, &cert.signature);
-}
-
-fn take_attribute_cert(d: &mut Decoder<'_>) -> Result<AttributeCertificate, CoalitionError> {
-    Ok(AttributeCertificate {
-        issuer: d.take_str().map_err(journal_err)?,
-        subject: d.take_str().map_err(journal_err)?,
-        subject_key: take_key(d)?,
-        group: GroupId::new(&d.take_str().map_err(journal_err)?),
-        validity: take_validity(d)?,
-        timestamp: take_time(d)?,
-        signature: take_sig(d)?,
-    })
 }
 
 /// The server's write-ahead journal: a [`jaap_wal::Journal`] plus the
@@ -801,7 +567,13 @@ impl ServerJournal {
 mod tests {
     use super::*;
     use jaap_bigint::Nat;
+    use jaap_core::certs::Validity;
+    use jaap_core::syntax::GroupId;
+    use jaap_crypto::rsa::{RsaPublicKey, RsaSignature};
+    use jaap_crypto::sha256::{hex, Sha256};
+    use jaap_pki::{CrlEntry, ThresholdSubject};
     use jaap_wal::MemStore;
+    use proptest::prelude::*;
 
     fn key(n: u64) -> RsaPublicKey {
         RsaPublicKey::new(Nat::from(n), Nat::from(65537u64))
@@ -933,6 +705,36 @@ mod tests {
         ]
     }
 
+    /// SHA-256 of each [`sample_records`] encoding, in order. The journal
+    /// format (WAL `FORMAT_VERSION` 3) is pinned byte for byte: a change
+    /// here breaks every existing journal and every replica's byte match.
+    const SAMPLE_SHA256: [&str; 15] = [
+        "85a19f6f5a45f6daa06b9da5fd680bbaaa91bc9fb4c6809803d410ffe27a4b64",
+        "a0f7a08300710f83ae54a56dc3381aa117d5834f2f67e45c83cf90003c5ff2ae",
+        "9ff826508a505e4ad1fd33e7a0c0a2e8ff1e4a0ac20bd46ce90e0089e401532d",
+        "29cd6dfd5391e9963418e95f360aeaa32c60c49364de0f39d826e489bad5d31d",
+        "30d77f7429ea16ace18fed7c69f477f78bed9aa253e51214c1ac9bbaf29dbe79",
+        "4395ed74a08b61f77cb9afb2a0f04c9e428f4b33a3e8f40fc1e1f791d7bcce98",
+        "cf15d62b3826bfe4c83e0b10ca5ef76153defdb9609f8c4979c306f82878d668",
+        "3680aa6acb84e5429b475699f94d55b4c8424d132ba0ecac5f15afa78e90817f",
+        "c2300a1d5215f37eaaa84b3aed22d78069f7db3095ef87b286b68f6f185b9ca7",
+        "85faf6b861ddac98d05b352a153fc02da53cf3f912bcd039b75a8c966d776709",
+        "81360121b3b35a2e4f4dd649b4d0c9a2dbb07cb80a816a800c42d33bfd7b41a5",
+        "ff928cd424db70fb63ff249ad3da7d0444a386473abbd6c163d447cdb889b938",
+        "a4e9f1e2dff3780e042fecc5af7605dfe72b18493ec5122dc2cd6d15782d6d39",
+        "7b76396e0b3a38302b04233d4b71cb66baf23d3b1ed4e2d576b33107e6b0e268",
+        "e91272b79ecca5c06b0564dc9b9fa957b0b460c045c3fa2675c3acc67e71a9eb",
+    ];
+
+    #[test]
+    fn sample_encodings_match_known_answers() {
+        let got: Vec<String> = sample_records()
+            .iter()
+            .map(|r| hex(&Sha256::digest(&r.encode())))
+            .collect();
+        assert_eq!(got, SAMPLE_SHA256);
+    }
+
     #[test]
     fn every_record_kind_roundtrips() {
         for record in sample_records() {
@@ -982,5 +784,45 @@ mod tests {
         let (decoded, replay) = j.replay().expect("replay");
         assert_eq!(decoded, records);
         assert!(replay.truncation.is_none());
+    }
+
+    /// Every single-bit flip of every sample encoding decodes to an error
+    /// or to some record, never a panic; the unflipped bytes round-trip.
+    #[test]
+    fn every_bit_flip_of_every_sample_decodes_without_panic() {
+        for record in sample_records() {
+            let bytes = record.encode();
+            assert_eq!(JournalRecord::decode(&bytes).expect("decode"), record);
+            for bit in 0..bytes.len() * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let _ = JournalRecord::decode(&flipped);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Decoder robustness: arbitrary bytes, bare or behind this
+        /// container's domain and a record tag (known or not), never
+        /// panic the decoder.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_decoder(
+            tag in 0u64..16,
+            noise in proptest::collection::vec(any::<u8>(), 0..256),
+            behind_header in any::<bool>(),
+        ) {
+            let bytes = if behind_header {
+                let mut e = Encoder::new(DOMAIN);
+                e.put_u64(tag);
+                let mut bytes = e.finish();
+                bytes.extend_from_slice(&noise);
+                bytes
+            } else {
+                noise
+            };
+            let _ = JournalRecord::decode(&bytes);
+        }
     }
 }

@@ -46,7 +46,7 @@ use jaap_net::{
 };
 use jaap_obs::{Counter, Gauge, MetricsRegistry};
 use jaap_pki::TrustStore;
-use jaap_wal::{JournalStore, LogOutbox, MemStore, WalError, FORMAT_VERSION};
+use jaap_wal::{JournalStore, LogOutbox, MemStore, WalError};
 
 use crate::server::{CoalitionServer, RecoveryReport};
 use crate::CoalitionError;
@@ -321,12 +321,6 @@ impl Primary {
         self.term
     }
 
-    /// Number of replicas this primary ships to.
-    #[must_use]
-    pub fn replica_count(&self) -> usize {
-        self.progress.len()
-    }
-
     /// Shipping counters.
     #[must_use]
     pub fn stats(&self) -> PrimaryStats {
@@ -567,13 +561,6 @@ impl Replica {
     pub fn stats(&self) -> ReplicaStats {
         self.stats
     }
-
-    /// Supported frame format version (what incompatible primaries are
-    /// rejected against).
-    #[must_use]
-    pub fn supported_format(&self) -> u8 {
-        FORMAT_VERSION
-    }
 }
 
 /// A [`Primary`] and its [`Replica`]s wired over a `jaap-net` mesh:
@@ -742,7 +729,7 @@ impl Drain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jaap_wal::{frame_record_with_term, Journal, ShippingLog, TeeStore};
+    use jaap_wal::{frame_record_with_term, Journal, ShippingLog, TeeStore, FORMAT_VERSION};
     use proptest::prelude::*;
 
     fn shipping_pair(term: u64) -> (Journal, Primary, Replica) {

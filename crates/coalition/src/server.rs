@@ -585,12 +585,6 @@ impl CoalitionServer {
         &self.objects
     }
 
-    /// The shared trust-anchor handle (for decision snapshots).
-    #[must_use]
-    pub fn trust_store_handle(&self) -> Arc<TrustStore> {
-        Arc::clone(&self.store)
-    }
-
     /// Attaches a persistent cert/CRL/ACL store. From here on, CRLs,
     /// revocations, ACL rows and first-seen request certificates are
     /// written to the store before their in-memory effect (store-before-
@@ -1783,12 +1777,6 @@ impl CoalitionServer {
         }
         self.journal = Some(ServerJournal::new(store));
         self.snapshot_journal()
-    }
-
-    /// True when a journal is attached.
-    #[must_use]
-    pub fn has_journal(&self) -> bool {
-        self.journal.is_some()
     }
 
     /// Sets the primary term stamped into every journal frame written

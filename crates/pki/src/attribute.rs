@@ -53,17 +53,6 @@ impl ThresholdSubject {
         )
     }
 
-    /// Encodes the subject into an encoder (part of signed bodies).
-    pub(crate) fn encode(&self, e: &mut Encoder) {
-        e.put_u64(self.m as u64);
-        e.put_list(self.members.len());
-        for (name, key) in &self.members {
-            e.put_str(name);
-            e.put_bytes(&key.modulus().to_bytes_be());
-            e.put_bytes(&key.exponent().to_bytes_be());
-        }
-    }
-
     /// Looks up the bound key for a member name.
     #[must_use]
     pub fn key_of(&self, name: &str) -> Option<&RsaPublicKey> {
@@ -100,10 +89,10 @@ impl ThresholdAttributeCertificate {
         timestamp: Time,
     ) -> Vec<u8> {
         let mut e = Encoder::new("jaap-threshold-attribute-cert-v1");
-        e.put_str(issuer).put_str(group.as_str());
-        subject.encode(&mut e);
-        e.put_i64(validity.begin.0)
-            .put_i64(validity.end.0)
+        e.put_str(issuer)
+            .put_str(group.as_str())
+            .put_subject(subject)
+            .put_validity(&validity)
             .put_i64(timestamp.0);
         e.finish()
     }
@@ -159,11 +148,9 @@ impl AttributeCertificate {
         let mut e = Encoder::new("jaap-attribute-cert-v1");
         e.put_str(issuer)
             .put_str(subject)
-            .put_bytes(&subject_key.modulus().to_bytes_be())
-            .put_bytes(&subject_key.exponent().to_bytes_be())
+            .put_key(subject_key)
             .put_str(group.as_str())
-            .put_i64(validity.begin.0)
-            .put_i64(validity.end.0)
+            .put_validity(&validity)
             .put_i64(timestamp.0);
         e.finish()
     }
@@ -223,10 +210,8 @@ impl CompoundAttributeCertificate {
         for name in member_names {
             e.put_str(name);
         }
-        e.put_bytes(&shared_key.modulus().to_bytes_be())
-            .put_bytes(&shared_key.exponent().to_bytes_be())
-            .put_i64(validity.begin.0)
-            .put_i64(validity.end.0)
+        e.put_key(shared_key)
+            .put_validity(&validity)
             .put_i64(timestamp.0);
         e.finish()
     }
@@ -305,9 +290,11 @@ impl AttributeRevocation {
         timestamp: Time,
     ) -> Vec<u8> {
         let mut e = Encoder::new("jaap-attribute-revocation-v1");
-        e.put_str(issuer).put_str(group.as_str());
-        subject.encode(&mut e);
-        e.put_i64(revoked_from.0).put_i64(timestamp.0);
+        e.put_str(issuer)
+            .put_str(group.as_str())
+            .put_subject(subject)
+            .put_i64(revoked_from.0)
+            .put_i64(timestamp.0);
         e.finish()
     }
 

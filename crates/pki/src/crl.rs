@@ -55,7 +55,7 @@ impl Crl {
         e.put_list(entries.len());
         for entry in entries {
             e.put_str(entry.group.as_str());
-            entry.subject.encode(&mut e);
+            e.put_subject(&entry.subject);
             e.put_i64(entry.revoked_from.0);
         }
         e.finish()

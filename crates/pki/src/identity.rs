@@ -40,10 +40,8 @@ impl IdentityCertificate {
         let mut e = Encoder::new("jaap-identity-cert-v1");
         e.put_str(issuer)
             .put_str(subject)
-            .put_bytes(&subject_key.modulus().to_bytes_be())
-            .put_bytes(&subject_key.exponent().to_bytes_be())
-            .put_i64(validity.begin.0)
-            .put_i64(validity.end.0)
+            .put_key(subject_key)
+            .put_validity(&validity)
             .put_i64(timestamp.0);
         e.finish()
     }

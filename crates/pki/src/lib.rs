@@ -18,7 +18,9 @@
 //!   [`jaap_core::engine::TrustAssumptions`].
 //!
 //! Certificates are encoded with a deterministic TLV scheme
-//! ([`encoding::Encoder`]) so signatures are over canonical bytes.
+//! ([`encoding::Encoder`]) so signatures are over canonical bytes. The same
+//! module is the persistence codec for every signed artifact, shared by the
+//! coalition journal and the cert store.
 
 #![forbid(unsafe_code)]
 

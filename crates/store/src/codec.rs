@@ -1,19 +1,17 @@
 //! Canonical byte encoding for store records.
 //!
-//! Every row the store persists is one [`StoreRecord`], encoded with the
-//! same length-prefixed TLV discipline as the server journal but under
-//! its *own* domain string (`jaap-store-record-v1`), so store bytes can
-//! never be confused with journal bytes even though both live in
-//! `jaap-wal` frames.
+//! Every row the store persists is one [`StoreRecord`]: a container with
+//! the store's *own* domain string (`jaap-store-record-v1`, so store bytes
+//! can never be confused with journal bytes even though both live in
+//! `jaap-wal` frames), a column tag, and then one artifact written by the
+//! shared artifact codec in [`jaap_pki::encoding`] — the same bytes the
+//! server journal writes for that artifact.
 
-use jaap_core::certs::Validity;
 use jaap_core::protocol::Acl;
-use jaap_core::syntax::{GroupId, Time};
-use jaap_crypto::rsa::{RsaPublicKey, RsaSignature};
 use jaap_pki::encoding::{Decoder, Encoder};
 use jaap_pki::{
-    AttributeCertificate, AttributeRevocation, Crl, CrlEntry, IdentityCertificate,
-    IdentityRevocation, ThresholdAttributeCertificate, ThresholdSubject,
+    AttributeCertificate, AttributeRevocation, Crl, IdentityCertificate, IdentityRevocation,
+    PkiError, ThresholdAttributeCertificate,
 };
 
 use crate::StoreError;
@@ -55,59 +53,14 @@ impl StoreRecord {
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new(DOMAIN);
         match self {
-            StoreRecord::IdentityCert(cert) => {
-                e.put_u64(1);
-                put_identity_cert(&mut e, cert);
-            }
-            StoreRecord::ThresholdCert(cert) => {
-                e.put_u64(2);
-                put_threshold_cert(&mut e, cert);
-            }
-            StoreRecord::AttributeCert(cert) => {
-                e.put_u64(3);
-                put_attribute_cert(&mut e, cert);
-            }
-            StoreRecord::IdentityRevocation(rev) => {
-                e.put_u64(4);
-                e.put_str(&rev.issuer);
-                e.put_str(&rev.subject);
-                put_key(&mut e, &rev.subject_key);
-                e.put_i64(rev.revoked_from.0);
-                e.put_i64(rev.timestamp.0);
-                put_sig(&mut e, &rev.signature);
-            }
-            StoreRecord::AttributeRevocation(rev) => {
-                e.put_u64(5);
-                e.put_str(&rev.issuer);
-                put_subject(&mut e, &rev.subject);
-                e.put_str(rev.group.as_str());
-                e.put_i64(rev.revoked_from.0);
-                e.put_i64(rev.timestamp.0);
-                put_sig(&mut e, &rev.signature);
-            }
-            StoreRecord::CrlAnchor(crl) => {
-                e.put_u64(6);
-                e.put_str(&crl.issuer);
-                e.put_u64(crl.sequence);
-                e.put_i64(crl.timestamp.0);
-                e.put_list(crl.entries.len());
-                for entry in &crl.entries {
-                    put_subject(&mut e, &entry.subject);
-                    e.put_str(entry.group.as_str());
-                    e.put_i64(entry.revoked_from.0);
-                }
-                put_sig(&mut e, &crl.signature);
-            }
-            StoreRecord::AclRow { object, acl } => {
-                e.put_u64(7);
-                e.put_str(object);
-                e.put_list(acl.entries().len());
-                for entry in acl.entries() {
-                    e.put_str(entry.group.as_str());
-                    e.put_str(&entry.action);
-                }
-            }
-        }
+            StoreRecord::IdentityCert(cert) => e.put_u64(1).put_identity_cert(cert),
+            StoreRecord::ThresholdCert(cert) => e.put_u64(2).put_threshold_cert(cert),
+            StoreRecord::AttributeCert(cert) => e.put_u64(3).put_attribute_cert(cert),
+            StoreRecord::IdentityRevocation(rev) => e.put_u64(4).put_identity_revocation(rev),
+            StoreRecord::AttributeRevocation(rev) => e.put_u64(5).put_attribute_revocation(rev),
+            StoreRecord::CrlAnchor(crl) => e.put_u64(6).put_crl(crl),
+            StoreRecord::AclRow { object, acl } => e.put_u64(7).put_str(object).put_acl(acl),
+        };
         e.finish()
     }
 
@@ -117,195 +70,185 @@ impl StoreRecord {
     ///
     /// [`StoreError::Corrupt`] on any malformed encoding.
     pub fn decode(bytes: &[u8]) -> Result<StoreRecord, StoreError> {
-        let mut d = Decoder::new(bytes, DOMAIN).map_err(codec_err)?;
-        let record = match d.take_u64().map_err(codec_err)? {
-            1 => StoreRecord::IdentityCert(take_identity_cert(&mut d)?),
-            2 => StoreRecord::ThresholdCert(take_threshold_cert(&mut d)?),
-            3 => StoreRecord::AttributeCert(take_attribute_cert(&mut d)?),
-            4 => StoreRecord::IdentityRevocation(IdentityRevocation {
-                issuer: d.take_str().map_err(codec_err)?,
-                subject: d.take_str().map_err(codec_err)?,
-                subject_key: take_key(&mut d)?,
-                revoked_from: take_time(&mut d)?,
-                timestamp: take_time(&mut d)?,
-                signature: take_sig(&mut d)?,
-            }),
-            5 => StoreRecord::AttributeRevocation(AttributeRevocation {
-                issuer: d.take_str().map_err(codec_err)?,
-                subject: take_subject(&mut d)?,
-                group: GroupId::new(&d.take_str().map_err(codec_err)?),
-                revoked_from: take_time(&mut d)?,
-                timestamp: take_time(&mut d)?,
-                signature: take_sig(&mut d)?,
-            }),
-            6 => {
-                let issuer = d.take_str().map_err(codec_err)?;
-                let sequence = d.take_u64().map_err(codec_err)?;
-                let timestamp = take_time(&mut d)?;
-                let count = d.take_list().map_err(codec_err)?;
-                let mut entries = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    entries.push(CrlEntry {
-                        subject: take_subject(&mut d)?,
-                        group: GroupId::new(&d.take_str().map_err(codec_err)?),
-                        revoked_from: take_time(&mut d)?,
-                    });
-                }
-                StoreRecord::CrlAnchor(Crl {
-                    issuer,
-                    sequence,
-                    timestamp,
-                    entries,
-                    signature: take_sig(&mut d)?,
-                })
-            }
-            7 => {
-                let object = d.take_str().map_err(codec_err)?;
-                let count = d.take_list().map_err(codec_err)?;
-                let mut acl = Acl::new();
-                for _ in 0..count {
-                    let group = GroupId::new(&d.take_str().map_err(codec_err)?);
-                    let action = d.take_str().map_err(codec_err)?;
-                    acl.permit(group, action);
-                }
-                StoreRecord::AclRow { object, acl }
-            }
-            other => {
-                return Err(StoreError::Corrupt(format!("unknown record tag {other}")));
-            }
+        Self::decode_fields(bytes)
+            .map_err(|e| StoreError::Corrupt(format!("undecodable record: {e}")))
+    }
+
+    fn decode_fields(bytes: &[u8]) -> Result<StoreRecord, PkiError> {
+        let mut d = Decoder::new(bytes, DOMAIN)?;
+        let record = match d.take_u64()? {
+            1 => StoreRecord::IdentityCert(d.take_identity_cert()?),
+            2 => StoreRecord::ThresholdCert(d.take_threshold_cert()?),
+            3 => StoreRecord::AttributeCert(d.take_attribute_cert()?),
+            4 => StoreRecord::IdentityRevocation(d.take_identity_revocation()?),
+            5 => StoreRecord::AttributeRevocation(d.take_attribute_revocation()?),
+            6 => StoreRecord::CrlAnchor(d.take_crl()?),
+            7 => StoreRecord::AclRow {
+                object: d.take_str()?.to_owned(),
+                acl: d.take_acl()?,
+            },
+            other => return Err(PkiError::Malformed(format!("unknown record tag {other}"))),
         };
-        if !d.is_empty() {
-            return Err(StoreError::Corrupt("trailing bytes after record".into()));
-        }
+        d.finish()?;
         Ok(record)
     }
 }
 
-fn codec_err(e: jaap_pki::PkiError) -> StoreError {
-    StoreError::Corrupt(format!("undecodable record: {e}"))
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use jaap_bigint::Nat;
+    use jaap_core::certs::Validity;
+    use jaap_core::syntax::{GroupId, Time};
+    use jaap_crypto::rsa::{RsaPublicKey, RsaSignature};
+    use jaap_crypto::sha256::{hex, Sha256};
+    use jaap_pki::{CrlEntry, ThresholdSubject};
+    use proptest::prelude::*;
 
-fn put_key(e: &mut Encoder, key: &RsaPublicKey) {
-    e.put_bytes(&key.modulus().to_bytes_be());
-    e.put_bytes(&key.exponent().to_bytes_be());
-}
-
-fn take_key(d: &mut Decoder<'_>) -> Result<RsaPublicKey, StoreError> {
-    let n = jaap_bigint::Nat::from_bytes_be(&d.take_bytes().map_err(codec_err)?);
-    let exp = jaap_bigint::Nat::from_bytes_be(&d.take_bytes().map_err(codec_err)?);
-    Ok(RsaPublicKey::new(n, exp))
-}
-
-fn put_sig(e: &mut Encoder, sig: &RsaSignature) {
-    e.put_bytes(&sig.value().to_bytes_be());
-}
-
-fn take_sig(d: &mut Decoder<'_>) -> Result<RsaSignature, StoreError> {
-    Ok(RsaSignature::from_value(jaap_bigint::Nat::from_bytes_be(
-        &d.take_bytes().map_err(codec_err)?,
-    )))
-}
-
-fn put_validity(e: &mut Encoder, v: &Validity) {
-    e.put_i64(v.begin.0);
-    e.put_i64(v.end.0);
-}
-
-fn take_validity(d: &mut Decoder<'_>) -> Result<Validity, StoreError> {
-    let begin = take_time(d)?;
-    let end = take_time(d)?;
-    if begin > end {
-        return Err(StoreError::Corrupt(format!(
-            "inverted validity window [{begin:?}, {end:?}]"
-        )));
+    fn key(n: u64) -> RsaPublicKey {
+        RsaPublicKey::new(Nat::from(n), Nat::from(65537u64))
     }
-    Ok(Validity { begin, end })
-}
 
-fn take_time(d: &mut Decoder<'_>) -> Result<Time, StoreError> {
-    Ok(Time(d.take_i64().map_err(codec_err)?))
-}
-
-fn put_subject(e: &mut Encoder, subject: &ThresholdSubject) {
-    e.put_u64(subject.m as u64);
-    e.put_list(subject.members.len());
-    for (name, key) in &subject.members {
-        e.put_str(name);
-        put_key(e, key);
+    fn sig(v: u64) -> RsaSignature {
+        RsaSignature::from_value(Nat::from(v))
     }
-}
 
-fn take_subject(d: &mut Decoder<'_>) -> Result<ThresholdSubject, StoreError> {
-    let m = usize::try_from(d.take_u64().map_err(codec_err)?)
-        .map_err(|_| StoreError::Corrupt("threshold overflows usize".into()))?;
-    let count = d.take_list().map_err(codec_err)?;
-    let mut members = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        let name = d.take_str().map_err(codec_err)?;
-        members.push((name, take_key(d)?));
+    fn subject() -> ThresholdSubject {
+        ThresholdSubject::new(vec![("U1".into(), key(77)), ("U2".into(), key(91))], 2)
+            .expect("subject")
     }
-    ThresholdSubject::new(members, m)
-        .map_err(|e| StoreError::Corrupt(format!("undecodable subject: {e}")))
-}
 
-fn put_identity_cert(e: &mut Encoder, cert: &IdentityCertificate) {
-    e.put_str(&cert.issuer);
-    e.put_str(&cert.subject);
-    put_key(e, &cert.subject_key);
-    put_validity(e, &cert.validity);
-    e.put_i64(cert.timestamp.0);
-    put_sig(e, &cert.signature);
-}
+    fn validity() -> Validity {
+        Validity {
+            begin: Time(0),
+            end: Time(100),
+        }
+    }
 
-fn take_identity_cert(d: &mut Decoder<'_>) -> Result<IdentityCertificate, StoreError> {
-    Ok(IdentityCertificate {
-        issuer: d.take_str().map_err(codec_err)?,
-        subject: d.take_str().map_err(codec_err)?,
-        subject_key: take_key(d)?,
-        validity: take_validity(d)?,
-        timestamp: take_time(d)?,
-        signature: take_sig(d)?,
-    })
-}
+    /// One record of each of the seven kinds, in tag order.
+    fn sample_records() -> Vec<StoreRecord> {
+        let mut acl = Acl::new();
+        acl.permit(GroupId::new("CG"), "write");
+        acl.permit(GroupId::new("CG"), "read");
+        vec![
+            StoreRecord::IdentityCert(IdentityCertificate {
+                issuer: "CA1".into(),
+                subject: "U1".into(),
+                subject_key: key(77),
+                validity: validity(),
+                timestamp: Time(5),
+                signature: sig(8),
+            }),
+            StoreRecord::ThresholdCert(ThresholdAttributeCertificate {
+                issuer: "AA".into(),
+                subject: subject(),
+                group: GroupId::new("CG"),
+                validity: validity(),
+                timestamp: Time(6),
+                signature: sig(9),
+            }),
+            StoreRecord::AttributeCert(AttributeCertificate {
+                issuer: "AA".into(),
+                subject: "U2".into(),
+                subject_key: key(91),
+                group: GroupId::new("CG"),
+                validity: validity(),
+                timestamp: Time(7),
+                signature: sig(10),
+            }),
+            StoreRecord::IdentityRevocation(IdentityRevocation {
+                issuer: "CA1".into(),
+                subject: "U1".into(),
+                subject_key: key(77),
+                revoked_from: Time(30),
+                timestamp: Time(31),
+                signature: sig(5),
+            }),
+            StoreRecord::AttributeRevocation(AttributeRevocation {
+                issuer: "RA".into(),
+                subject: subject(),
+                group: GroupId::new("CG"),
+                revoked_from: Time(33),
+                timestamp: Time(34),
+                signature: sig(6),
+            }),
+            StoreRecord::CrlAnchor(Crl {
+                issuer: "RA".into(),
+                sequence: 9,
+                timestamp: Time(35),
+                entries: vec![CrlEntry {
+                    subject: subject(),
+                    group: GroupId::new("CG"),
+                    revoked_from: Time(36),
+                }],
+                signature: sig(7),
+            }),
+            StoreRecord::AclRow {
+                object: "Object O".into(),
+                acl,
+            },
+        ]
+    }
 
-fn put_threshold_cert(e: &mut Encoder, cert: &ThresholdAttributeCertificate) {
-    e.put_str(&cert.issuer);
-    put_subject(e, &cert.subject);
-    e.put_str(cert.group.as_str());
-    put_validity(e, &cert.validity);
-    e.put_i64(cert.timestamp.0);
-    put_sig(e, &cert.signature);
-}
+    /// SHA-256 of each [`sample_records`] encoding, in order. The store
+    /// format (WAL `FORMAT_VERSION` 3) is pinned byte for byte: a change
+    /// here breaks every existing cert store.
+    const SAMPLE_SHA256: [&str; 7] = [
+        "bdcb8a46d0f0296ffca21b5806f7e310a1ed9e7711712ce449d1101bb4bfbaf0",
+        "a35097264aafe66200a624146d91b2cd14b053694944c98e8583c57d6085cdc5",
+        "db9969d2c700cd2c68c6286b47d1aa448cb4ce64585660856da79c6c926a3033",
+        "7ce2021622506563aa68d5d410af5548e207711c64783775f57c8798bce847e6",
+        "7b4e472cd0bc2aeb4b9cbaa0b2d3d57097f0b8683a5f4e0c55419a5218acda61",
+        "bae2a307e71dc00fca87de28edcd46df2bb5ea69d0033c3eb5bb3e2e03486615",
+        "580c0f98854651f1df888a96b297d24cc1e0140f19cc60951530ec67668d059b",
+    ];
 
-fn take_threshold_cert(d: &mut Decoder<'_>) -> Result<ThresholdAttributeCertificate, StoreError> {
-    Ok(ThresholdAttributeCertificate {
-        issuer: d.take_str().map_err(codec_err)?,
-        subject: take_subject(d)?,
-        group: GroupId::new(&d.take_str().map_err(codec_err)?),
-        validity: take_validity(d)?,
-        timestamp: take_time(d)?,
-        signature: take_sig(d)?,
-    })
-}
+    #[test]
+    fn sample_encodings_match_known_answers() {
+        let got: Vec<String> = sample_records()
+            .iter()
+            .map(|r| hex(&Sha256::digest(&r.encode())))
+            .collect();
+        assert_eq!(got, SAMPLE_SHA256);
+    }
 
-fn put_attribute_cert(e: &mut Encoder, cert: &AttributeCertificate) {
-    e.put_str(&cert.issuer);
-    e.put_str(&cert.subject);
-    put_key(e, &cert.subject_key);
-    e.put_str(cert.group.as_str());
-    put_validity(e, &cert.validity);
-    e.put_i64(cert.timestamp.0);
-    put_sig(e, &cert.signature);
-}
+    /// Every single-bit flip of every sample encoding decodes to an error
+    /// or to some record, never a panic; the unflipped bytes round-trip.
+    #[test]
+    fn every_bit_flip_of_every_sample_decodes_without_panic() {
+        for record in sample_records() {
+            let bytes = record.encode();
+            assert_eq!(StoreRecord::decode(&bytes).expect("decode"), record);
+            for bit in 0..bytes.len() * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let _ = StoreRecord::decode(&flipped);
+            }
+        }
+    }
 
-fn take_attribute_cert(d: &mut Decoder<'_>) -> Result<AttributeCertificate, StoreError> {
-    Ok(AttributeCertificate {
-        issuer: d.take_str().map_err(codec_err)?,
-        subject: d.take_str().map_err(codec_err)?,
-        subject_key: take_key(d)?,
-        group: GroupId::new(&d.take_str().map_err(codec_err)?),
-        validity: take_validity(d)?,
-        timestamp: take_time(d)?,
-        signature: take_sig(d)?,
-    })
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Decoder robustness: arbitrary bytes, bare or behind this
+        /// container's domain and a record tag (known or not), never
+        /// panic the decoder.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_decoder(
+            tag in 0u64..16,
+            noise in proptest::collection::vec(any::<u8>(), 0..256),
+            behind_header in any::<bool>(),
+        ) {
+            let bytes = if behind_header {
+                let mut e = Encoder::new(DOMAIN);
+                e.put_u64(tag);
+                let mut bytes = e.finish();
+                bytes.extend_from_slice(&noise);
+                bytes
+            } else {
+                noise
+            };
+            let _ = StoreRecord::decode(&bytes);
+        }
+    }
 }
