@@ -13,14 +13,14 @@ impl Nat {
     /// Panics if `divisor` is zero; use [`Nat::checked_div_rem`] to handle
     /// that case.
     #[must_use]
-    pub fn div_rem(&self, divisor: &Nat) -> (Nat, Nat) {
+    pub(crate) fn div_rem(&self, divisor: &Nat) -> (Nat, Nat) {
         self.checked_div_rem(divisor).expect("Nat division by zero")
     }
 
     /// Computes `(self / divisor, self % divisor)`, or `None` if `divisor`
     /// is zero.
     #[must_use]
-    pub fn checked_div_rem(&self, divisor: &Nat) -> Option<(Nat, Nat)> {
+    pub(crate) fn checked_div_rem(&self, divisor: &Nat) -> Option<(Nat, Nat)> {
         if divisor.is_zero() {
             return None;
         }

@@ -21,7 +21,7 @@ impl Nat {
     /// # Panics
     ///
     /// Panics if `radix` is outside `2..=36`.
-    pub fn from_str_radix(s: &str, radix: u32) -> Result<Self, ParseNatError> {
+    pub(crate) fn from_str_radix(s: &str, radix: u32) -> Result<Self, ParseNatError> {
         assert!((2..=36).contains(&radix), "radix must be in 2..=36");
         let digits: Vec<char> = s.chars().filter(|&c| c != '_').collect();
         if digits.is_empty() {

@@ -15,7 +15,7 @@ use crate::Nat;
 
 /// The sign of an [`Int`]. Zero is always [`Sign::Plus`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Sign {
+pub(crate) enum Sign {
     /// Non-negative.
     Plus,
     /// Strictly negative.
@@ -67,7 +67,7 @@ impl Int {
 
     /// Builds an `Int` with an explicit sign; zero is normalized to `Plus`.
     #[must_use]
-    pub fn with_sign(sign: Sign, mag: Nat) -> Self {
+    pub(crate) fn with_sign(sign: Sign, mag: Nat) -> Self {
         if mag.is_zero() {
             Int::zero()
         } else {
@@ -77,7 +77,7 @@ impl Int {
 
     /// The sign.
     #[must_use]
-    pub fn sign(&self) -> Sign {
+    pub(crate) fn sign(&self) -> Sign {
         self.sign
     }
 
@@ -89,7 +89,7 @@ impl Int {
 
     /// Returns `true` if zero.
     #[must_use]
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.mag.is_zero()
     }
 
@@ -101,7 +101,7 @@ impl Int {
 
     /// Converts to a [`Nat`] if non-negative.
     #[must_use]
-    pub fn to_nat(&self) -> Option<Nat> {
+    pub(crate) fn to_nat(&self) -> Option<Nat> {
         match self.sign {
             Sign::Plus => Some(self.mag.clone()),
             Sign::Minus => None,
@@ -147,12 +147,6 @@ impl Int {
                 }
             }
         }
-    }
-
-    /// Absolute value as an `Int`.
-    #[must_use]
-    pub fn abs(&self) -> Int {
-        Int::from_nat(self.mag.clone())
     }
 
     fn add_int(&self, rhs: &Int) -> Int {

@@ -49,11 +49,13 @@ mod prime;
 mod random;
 
 pub use error::ParseNatError;
-pub use int::{Int, Sign};
+pub use int::Int;
+pub(crate) use int::Sign;
 pub use montgomery::{FixedBaseWindow, MontgomeryContext};
 pub use nat::Nat;
 pub use prime::{is_probable_prime, jacobi, next_prime, random_prime, Jacobi, SMALL_PRIMES};
-pub use random::{random_below, random_nat, random_nat_exact};
+pub(crate) use random::random_nat_exact;
+pub use random::{random_below, random_nat};
 
 #[cfg(test)]
 mod proptests;

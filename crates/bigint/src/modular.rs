@@ -44,7 +44,7 @@ impl Nat {
     /// Odd moduli (every RSA modulus, every odd prime) are routed through
     /// the precomputed [`crate::MontgomeryContext`], which replaces the
     /// full-width division after every square with a word-by-word CIOS
-    /// reduction. Even moduli fall back to [`Nat::modpow_plain`]. Both
+    /// reduction. Even moduli fall back to `Nat::modpow_plain`. Both
     /// paths use sliding-window exponentiation with odd-power tables.
     ///
     /// # Panics
@@ -75,7 +75,7 @@ impl Nat {
     ///
     /// Panics if `m` is zero.
     #[must_use]
-    pub fn modpow_plain(&self, exp: &Nat, m: &Nat) -> Nat {
+    pub(crate) fn modpow_plain(&self, exp: &Nat, m: &Nat) -> Nat {
         assert!(!m.is_zero(), "modpow modulus must be nonzero");
         if m.is_one() {
             return Nat::zero();
@@ -132,9 +132,10 @@ impl Nat {
         acc
     }
 
-    /// Greatest common divisor (binary GCD).
-    #[must_use]
-    pub fn gcd(&self, other: &Nat) -> Nat {
+    /// Greatest common divisor (binary GCD): the reference the
+    /// extended-Euclid tests compare `ext_gcd` against.
+    #[cfg(test)]
+    pub(crate) fn gcd(&self, other: &Nat) -> Nat {
         let mut a = self.clone();
         let mut b = other.clone();
         if a.is_zero() {

@@ -419,7 +419,7 @@ impl FixedBaseWindow {
     /// Larger exponents still work — the ladder extends itself on the fly
     /// at one squaring per extra bit.
     #[must_use]
-    pub fn max_bits(&self) -> usize {
+    pub(crate) fn max_bits(&self) -> usize {
         self.pow2.len() / self.k
     }
 

@@ -9,9 +9,7 @@ use core::ops::{Add, AddAssign, BitAnd, Mul, Rem, Shl, Shr, Sub, SubAssign};
 /// An arbitrary-precision natural number (unsigned integer).
 ///
 /// `Nat` supports the usual arithmetic operators on both owned values and
-/// references. Subtraction panics on underflow (use [`Nat::checked_sub`] for
-/// the fallible variant); division by zero panics (use
-/// [`Nat::checked_div_rem`]).
+/// references. Subtraction panics on underflow; division by zero panics.
 ///
 /// # Example
 ///
@@ -22,7 +20,7 @@ use core::ops::{Add, AddAssign, BitAnd, Mul, Rem, Shl, Shr, Sub, SubAssign};
 /// let b = Nat::from(4u64);
 /// assert_eq!(&a + &b, Nat::from(14u64));
 /// assert_eq!(&a * &b, Nat::from(40u64));
-/// assert_eq!(a.div_rem(&b), (Nat::from(2u64), Nat::from(2u64)));
+/// assert_eq!(&a % &b, Nat::from(2u64));
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct Nat {
@@ -60,7 +58,7 @@ impl Nat {
 
     /// A read-only view of the little-endian limbs.
     #[must_use]
-    pub fn limbs(&self) -> &[u64] {
+    pub(crate) fn limbs(&self) -> &[u64] {
         &self.limbs
     }
 
@@ -84,7 +82,7 @@ impl Nat {
 
     /// Returns `true` if the lowest bit is set.
     #[must_use]
-    pub fn is_odd(&self) -> bool {
+    pub(crate) fn is_odd(&self) -> bool {
         !self.is_even()
     }
 
@@ -134,17 +132,6 @@ impl Nat {
         }
     }
 
-    /// Converts to `u128` if the value fits.
-    #[must_use]
-    pub fn to_u128(&self) -> Option<u128> {
-        match self.limbs.len() {
-            0 => Some(0),
-            1 => Some(u128::from(self.limbs[0])),
-            2 => Some(u128::from(self.limbs[0]) | (u128::from(self.limbs[1]) << 64)),
-            _ => None,
-        }
-    }
-
     /// Big-endian byte encoding with no leading zero bytes (empty for zero).
     #[must_use]
     pub fn to_bytes_be(&self) -> Vec<u8> {
@@ -179,7 +166,7 @@ impl Nat {
 
     /// `self + other`.
     #[must_use]
-    pub fn add_nat(&self, other: &Nat) -> Nat {
+    pub(crate) fn add_nat(&self, other: &Nat) -> Nat {
         let (long, short) = if self.limbs.len() >= other.limbs.len() {
             (&self.limbs, &other.limbs)
         } else {
@@ -202,7 +189,7 @@ impl Nat {
 
     /// `self - other`, or `None` if the result would be negative.
     #[must_use]
-    pub fn checked_sub(&self, other: &Nat) -> Option<Nat> {
+    pub(crate) fn checked_sub(&self, other: &Nat) -> Option<Nat> {
         if self < other {
             return None;
         }
@@ -264,7 +251,7 @@ impl Nat {
 
     /// Count of trailing zero bits; `None` for the zero value.
     #[must_use]
-    pub fn trailing_zeros(&self) -> Option<usize> {
+    pub(crate) fn trailing_zeros(&self) -> Option<usize> {
         for (i, &l) in self.limbs.iter().enumerate() {
             if l != 0 {
                 return Some(i * 64 + l.trailing_zeros() as usize);
@@ -532,7 +519,7 @@ mod tests {
     fn u128_conversion() {
         let v = u128::from(u64::MAX) + 5;
         let n = Nat::from(v);
-        assert_eq!(n.to_u128(), Some(v));
+        assert_eq!(n.to_string(), v.to_string());
         assert_eq!(n.to_u64(), None);
     }
 

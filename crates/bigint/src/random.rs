@@ -39,7 +39,7 @@ pub fn random_nat(rng: &mut dyn RngCore, bits: usize) -> Nat {
 ///
 /// Panics if `bits == 0`.
 #[must_use]
-pub fn random_nat_exact(rng: &mut dyn RngCore, bits: usize) -> Nat {
+pub(crate) fn random_nat_exact(rng: &mut dyn RngCore, bits: usize) -> Nat {
     assert!(bits > 0, "cannot force the top bit of a 0-bit number");
     let mut n = random_nat(rng, bits);
     n.set_bit(bits - 1, true);

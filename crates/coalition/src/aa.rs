@@ -89,7 +89,7 @@ impl CoalitionAa {
     /// # Errors
     ///
     /// Propagates protocol failures.
-    pub fn establish_distributed(
+    pub(crate) fn establish_distributed(
         name: impl Into<String>,
         domains: Vec<String>,
         bits: usize,
@@ -118,29 +118,29 @@ impl CoalitionAa {
 
     /// The current signing mode.
     #[must_use]
-    pub fn signing_mode(&self) -> SigningMode {
+    pub(crate) fn signing_mode(&self) -> SigningMode {
         self.mode
     }
 
     /// Sets the fault model applied to networked signing sessions.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+    pub(crate) fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.fault_plan = plan;
     }
 
     /// Sets the timeout/retry policy of networked signing sessions.
-    pub fn set_session_config(&mut self, config: SessionConfig) {
+    pub(crate) fn set_session_config(&mut self, config: SessionConfig) {
         self.session_config = config;
     }
 
     /// Attaches (or detaches, with `None`) the registry networked signing
     /// sessions report into.
-    pub fn set_metrics(&mut self, metrics: Option<MetricsRegistry>) {
+    pub(crate) fn set_metrics(&mut self, metrics: Option<MetricsRegistry>) {
         self.metrics = metrics;
     }
 
     /// The AA's name.
     #[must_use]
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -192,7 +192,7 @@ impl CoalitionAa {
     /// [`SessionReport`] — populated in [`SigningMode::Networked`], default
     /// in [`SigningMode::Local`] — so callers can audit retries and
     /// failovers even when signing fails.
-    pub fn joint_sign_with_report(
+    pub(crate) fn joint_sign_with_report(
         &self,
         body: &[u8],
     ) -> (Result<RsaSignature, CoalitionError>, SessionReport) {
@@ -316,7 +316,6 @@ impl CoalitionAa {
 /// lockbox.
 #[derive(Debug)]
 pub struct LockboxAa {
-    name: String,
     keypair: RsaKeyPair,
     /// Operator credentials: all must be presented for a signing operation.
     operators: Vec<(String, String)>,
@@ -329,22 +328,14 @@ impl LockboxAa {
     ///
     /// Propagates key-generation failures.
     pub fn establish(
-        name: impl Into<String>,
         operators: Vec<(String, String)>,
         rng: &mut dyn RngCore,
         bits: usize,
     ) -> Result<Self, CoalitionError> {
         Ok(LockboxAa {
-            name: name.into(),
             keypair: RsaKeyPair::generate(rng, bits)?,
             operators,
         })
-    }
-
-    /// The AA name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// The conventional public key.
@@ -488,42 +479,5 @@ mod tests {
         assert!(aa.share_of("D2").is_some());
         assert!(aa.share_of("D9").is_none());
         assert_eq!(aa.shares().len(), 3);
-    }
-
-    #[test]
-    fn lockbox_requires_all_operators() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let ops = vec![
-            ("admin_D1".to_string(), "pw1".to_string()),
-            ("admin_D2".to_string(), "pw2".to_string()),
-            ("admin_D3".to_string(), "pw3".to_string()),
-        ];
-        let aa = LockboxAa::establish("AA", ops.clone(), &mut rng, 192).expect("aa");
-        // All credentials: signs.
-        let sig = aa.sign_with_credentials(b"body", &ops).expect("sign");
-        assert!(aa.public().verify(b"body", &sig));
-        // Missing one: refuses.
-        assert!(aa.sign_with_credentials(b"body", &ops[..2]).is_err());
-        // Wrong password: refuses.
-        let mut bad = ops.clone();
-        bad[0].1 = "wrong".into();
-        assert!(aa.sign_with_credentials(b"body", &bad).is_err());
-    }
-
-    #[test]
-    fn lockbox_attack_surfaces_expose_full_key() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let ops = vec![("admin_D1".to_string(), "pw1".to_string())];
-        let aa = LockboxAa::establish("AA", ops, &mut rng, 192).expect("aa");
-        // External penetration: full signing power without any credentials.
-        let stolen = aa.external_penetration();
-        let sig = stolen.sign(b"forged policy").expect("sign");
-        assert!(aa.public().verify(b"forged policy", &sig));
-        // One insider: same result.
-        let insider = aa.insider_extraction("admin_D1", "pw1").expect("insider");
-        let sig = insider.sign(b"insider forgery").expect("sign");
-        assert!(aa.public().verify(b"insider forgery", &sig));
-        // A non-operator cannot use the insider path.
-        assert!(aa.insider_extraction("mallory", "guess").is_err());
     }
 }

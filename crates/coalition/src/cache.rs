@@ -22,7 +22,7 @@
 //! invalidated eagerly:
 //!
 //! * [`VerifyCache::invalidate_subject`] on an `IdentityRevocation`,
-//! * [`VerifyCache::invalidate_group`] on an `AttributeRevocation` or any
+//! * `VerifyCache::invalidate_group` on an `AttributeRevocation` or any
 //!   CRL entry,
 //! * timestamp expiry — entries past their certificate's validity end are
 //!   evicted on lookup.
@@ -32,7 +32,7 @@
 //! instance live across its threads.
 //!
 //! **Bounded.** The cache holds at most its capacity
-//! ([`DEFAULT_CACHE_CAPACITY`] unless overridden via
+//! (`DEFAULT_CACHE_CAPACITY` unless overridden via
 //! [`VerifyCache::with_capacity`], or on a server through
 //! [`crate::server::CoalitionServer::apply_capacity_config`]); inserting
 //! past the bound evicts the oldest entries by insertion order
@@ -55,7 +55,7 @@ use parking_lot::Mutex;
 /// scenarios (a request presents a handful of certificates), small enough
 /// that a long-running server cannot grow without bound on a stream of
 /// distinct certificates.
-pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
+pub(crate) const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
 /// Cache key: `(signature residue, verifying key id)`. The entry map and
 /// its insertion-order queue share one copy; lookups borrow the tuple.
@@ -191,12 +191,6 @@ pub struct VerifyCache {
 }
 
 impl VerifyCache {
-    /// Creates an empty cache bounded at [`DEFAULT_CACHE_CAPACITY`].
-    #[must_use]
-    pub fn new() -> Self {
-        VerifyCache::default()
-    }
-
     /// Creates an empty cache bounded at `capacity` live entries (`None`
     /// for the unbounded comparison baseline).
     #[must_use]
@@ -204,12 +198,6 @@ impl VerifyCache {
         let cache = VerifyCache::default();
         cache.set_capacity(capacity);
         cache
-    }
-
-    /// The configured capacity (`None` = unbounded).
-    #[must_use]
-    pub fn capacity(&self) -> Option<usize> {
-        self.inner.lock().entries.capacity()
     }
 
     /// Re-bounds the cache, evicting oldest entries immediately if the new
@@ -222,7 +210,7 @@ impl VerifyCache {
     /// Mirrors the cache counters into `registry` (pre-resolved handles:
     /// `server.cache.{hits,misses,invalidations,evictions}`). Pass `None`
     /// to detach.
-    pub fn set_metrics(&self, registry: Option<&MetricsRegistry>) {
+    pub(crate) fn set_metrics(&self, registry: Option<&MetricsRegistry>) {
         let mut inner = self.inner.lock();
         inner.metrics = registry.map(CacheCounters::resolve);
         inner
@@ -285,7 +273,7 @@ impl VerifyCache {
 
     /// Drops every entry granting `group` (attribute revocation / CRL
     /// entry). Returns how many entries were dropped.
-    pub fn invalidate_group(&self, group: &str) -> usize {
+    pub(crate) fn invalidate_group(&self, group: &str) -> usize {
         let mut inner = self.inner.lock();
         let dropped = inner
             .entries
@@ -364,7 +352,7 @@ mod tests {
 
     #[test]
     fn hit_miss_and_expiry() {
-        let cache = VerifyCache::new();
+        let cache = VerifyCache::default();
         let a = identity("a", "U", 10);
         assert_eq!(cache.lookup(id(&a), "K", Time(0)), None);
         cache.insert(id(&a), "K", msg("m"));
@@ -380,7 +368,7 @@ mod tests {
 
     #[test]
     fn subject_and_group_invalidation() {
-        let cache = VerifyCache::new();
+        let cache = VerifyCache::default();
         let idc = identity("id", "U1", 100);
         let members = ["U1", "U2"]
             .iter()
@@ -508,7 +496,7 @@ mod tests {
 
     #[test]
     fn clones_share_state() {
-        let cache = VerifyCache::new();
+        let cache = VerifyCache::default();
         let other = cache.clone();
         let a = identity("a", "P", 10);
         other.insert(id(&a), "K", msg("m"));

@@ -37,7 +37,6 @@ use std::time::Instant;
 use jaap_core::syntax::Time;
 use jaap_obs::bounded::Ring;
 use jaap_obs::{Counter, Gauge, MetricsRegistry};
-use jaap_store::CertStore;
 use parking_lot::Mutex;
 
 use crate::request::JointAccessRequest;
@@ -100,26 +99,13 @@ pub struct DecisionSnapshot {
     /// the recency policy depends only on writer-side state (window, last
     /// CRL, clock), all captured by `version`.
     crypto: CryptoStage,
-    /// The persistent cert/CRL/ACL store handle (internally synchronized,
-    /// cloneable), when one is attached. Travels with the snapshot so
-    /// readers can page in cold certificate bodies without the writer
-    /// lock.
-    cert_store: Option<CertStore>,
-    /// The store epoch captured at publish — the store analogue of
-    /// `version`: any store mutation bumps it, so a reader can tell
-    /// whether index state moved since this snapshot was taken.
-    store_epoch: u64,
 }
 
 impl DecisionSnapshot {
     fn capture(server: &CoalitionServer) -> Self {
-        let cert_store = server.cert_store_handle();
-        let store_epoch = cert_store.as_ref().map_or(0, CertStore::epoch);
         DecisionSnapshot {
             version: server.state_version(),
             crypto: server.crypto_stage(),
-            cert_store,
-            store_epoch,
         }
     }
 
@@ -127,18 +113,6 @@ impl DecisionSnapshot {
     #[must_use]
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// The persistent cert/CRL/ACL store handle, when one is attached.
-    #[must_use]
-    pub fn cert_store(&self) -> Option<&CertStore> {
-        self.cert_store.as_ref()
-    }
-
-    /// The store epoch captured at publish (0 when no store is attached).
-    #[must_use]
-    pub fn store_epoch(&self) -> u64 {
-        self.store_epoch
     }
 
     /// The server clock captured at publish.
@@ -190,18 +164,6 @@ impl ConcurrentServer {
     /// and destroys every deadline behind it. `0` disables the gate.
     pub fn set_inflight_limit(&self, limit: usize) {
         self.inflight_limit.store(limit, Ordering::Relaxed);
-    }
-
-    /// The configured in-flight cap (`0` = unlimited).
-    #[must_use]
-    pub fn inflight_limit(&self) -> usize {
-        self.inflight_limit.load(Ordering::Relaxed)
-    }
-
-    /// Decisions currently in flight.
-    #[must_use]
-    pub fn inflight(&self) -> usize {
-        self.inflight.load(Ordering::Relaxed)
     }
 
     /// Attaches `registry`: the serial server's pipeline instruments
@@ -291,12 +253,6 @@ impl ConcurrentServer {
             }
         }
         ServerDecision::shed(reason, detail)
-    }
-
-    /// Unwraps back into the plain server.
-    #[must_use]
-    pub fn into_inner(self) -> CoalitionServer {
-        self.writer.into_inner()
     }
 
     /// The currently published snapshot.

@@ -16,7 +16,6 @@ use crate::CoalitionError;
 #[derive(Debug, Clone)]
 pub struct UserAgent {
     name: String,
-    domain: String,
     keypair: RsaKeyPair,
 }
 
@@ -26,15 +25,13 @@ impl UserAgent {
     /// # Errors
     ///
     /// Propagates key-generation failures.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
-        domain: impl Into<String>,
         rng: &mut dyn RngCore,
         bits: usize,
     ) -> Result<Self, CoalitionError> {
         Ok(UserAgent {
             name: name.into(),
-            domain: domain.into(),
             keypair: RsaKeyPair::generate(rng, bits)?,
         })
     }
@@ -43,12 +40,6 @@ impl UserAgent {
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The user's home domain.
-    #[must_use]
-    pub fn domain(&self) -> &str {
-        &self.domain
     }
 
     /// The user's public key.
@@ -62,18 +53,8 @@ impl UserAgent {
     /// # Errors
     ///
     /// Propagates signing failures.
-    pub fn sign(&self, body: &[u8]) -> Result<RsaSignature, CoalitionError> {
+    pub(crate) fn sign(&self, body: &[u8]) -> Result<RsaSignature, CoalitionError> {
         Ok(self.keypair.sign(body)?)
-    }
-
-    /// Replaces the user's key pair (used after identity revocation).
-    ///
-    /// # Errors
-    ///
-    /// Propagates key-generation failures.
-    pub fn rekey(&mut self, rng: &mut dyn RngCore, bits: usize) -> Result<(), CoalitionError> {
-        self.keypair = RsaKeyPair::generate(rng, bits)?;
-        Ok(())
     }
 }
 
@@ -91,7 +72,7 @@ impl Domain {
     /// # Errors
     ///
     /// Propagates key-generation failures.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         rng: &mut dyn RngCore,
         bits: usize,
@@ -123,7 +104,7 @@ impl Domain {
     /// # Errors
     ///
     /// Propagates key-generation and signing failures.
-    pub fn register_user(
+    pub(crate) fn register_user(
         &mut self,
         name: impl Into<String>,
         rng: &mut dyn RngCore,
@@ -131,7 +112,7 @@ impl Domain {
         validity: Validity,
         now: Time,
     ) -> Result<IdentityCertificate, CoalitionError> {
-        let user = UserAgent::new(name, &self.name, rng, bits)?;
+        let user = UserAgent::new(name, rng, bits)?;
         let cert = self
             .ca
             .issue_identity(user.name(), user.public(), validity, now)?;
@@ -141,7 +122,7 @@ impl Domain {
 
     /// Looks up a registered user.
     #[must_use]
-    pub fn user(&self, name: &str) -> Option<&UserAgent> {
+    pub(crate) fn user(&self, name: &str) -> Option<&UserAgent> {
         self.users.iter().find(|u| u.name() == name)
     }
 
@@ -149,26 +130,6 @@ impl Domain {
     #[must_use]
     pub fn users(&self) -> &[UserAgent] {
         &self.users
-    }
-
-    /// Re-issues an identity certificate for an existing user (e.g. after
-    /// coalition dynamics force re-keying).
-    ///
-    /// # Errors
-    ///
-    /// [`CoalitionError::Config`] for an unknown user; signing failures.
-    pub fn reissue_identity(
-        &self,
-        user_name: &str,
-        validity: Validity,
-        now: Time,
-    ) -> Result<IdentityCertificate, CoalitionError> {
-        let user = self
-            .user(user_name)
-            .ok_or_else(|| CoalitionError::Config(format!("unknown user {user_name}")))?;
-        Ok(self
-            .ca
-            .issue_identity(user.name(), user.public(), validity, now)?)
     }
 }
 
@@ -206,36 +167,8 @@ mod tests {
     #[test]
     fn user_signs_verifiably() {
         let mut r = rng();
-        let u = UserAgent::new("U", "D", &mut r, 192).expect("user");
+        let u = UserAgent::new("U", &mut r, 192).expect("user");
         let sig = u.sign(b"request").expect("sign");
         assert!(u.public().verify(b"request", &sig));
-        assert_eq!(u.domain(), "D");
-    }
-
-    #[test]
-    fn rekey_invalidates_old_signatures() {
-        let mut r = rng();
-        let mut u = UserAgent::new("U", "D", &mut r, 192).expect("user");
-        let old_pub = u.public().clone();
-        let sig = u.sign(b"before").expect("sign");
-        u.rekey(&mut r, 192).expect("rekey");
-        assert!(old_pub.verify(b"before", &sig));
-        assert!(!u.public().verify(b"before", &sig));
-        assert_ne!(u.public(), &old_pub);
-    }
-
-    #[test]
-    fn reissue_identity_for_known_user_only() {
-        let mut r = rng();
-        let mut d = Domain::new("D1", &mut r, 192).expect("domain");
-        d.register_user("U", &mut r, 192, Validity::new(Time(0), Time(10)), Time(1))
-            .expect("register");
-        assert!(d
-            .reissue_identity("U", Validity::new(Time(10), Time(20)), Time(10))
-            .is_ok());
-        assert!(matches!(
-            d.reissue_identity("ghost", Validity::new(Time(0), Time(1)), Time(0)),
-            Err(CoalitionError::Config(_))
-        ));
     }
 }

@@ -3,7 +3,7 @@
 //! Durability model: every event that changes what the server *believes* or
 //! how it *decides* — certificate/CRL/revocation admission, ACL and object
 //! mutation, clock advance, configuration change, decision bookkeeping — is
-//! encoded as a [`JournalRecord`] and appended to a [`jaap_wal::Journal`]
+//! encoded as a `JournalRecord` and appended to a [`jaap_wal::Journal`]
 //! **before** the event takes effect in memory. After a crash,
 //! [`crate::server::CoalitionServer::recover`] replays the log and rebuilds
 //! a server whose every subsequent decision is identical to one that never
@@ -21,8 +21,8 @@
 //! checksums, so a torn or bit-flipped tail is detected and truncated —
 //! never replayed.
 //!
-//! Two record kinds exist only in snapshots ([`JournalRecord::ObjectState`],
-//! [`JournalRecord::ReplaySeen`]): a snapshot rewrite compacts the decision
+//! Two record kinds exist only in snapshots (`JournalRecord::ObjectState`,
+//! `JournalRecord::ReplaySeen`): a snapshot rewrite compacts the decision
 //! history into final object states plus audit/replay rows, while
 //! *admission-class* records (certificates, revocations, CRLs) are retained
 //! verbatim with their original clock interleaving — beliefs are never
@@ -48,7 +48,7 @@ const DOMAIN: &str = "jaap-journal-record-v1";
 ///
 /// Values are encoded as `i64`: booleans as 0/1, `None` capacities as -1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConfigKind {
+pub(crate) enum ConfigKind {
     /// [`crate::server::CoalitionServer::set_logic_checking`].
     LogicChecking,
     /// [`crate::server::CoalitionServer::set_replay_protection`].
@@ -114,32 +114,32 @@ impl ConfigKind {
 /// reconstructs the audit entry, the version counter, and the replay
 /// window without re-running any cryptography or logic.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecisionRecord {
+pub(crate) struct DecisionRecord {
     /// Server time of the decision.
-    pub at: Time,
+    pub(crate) at: Time,
     /// The signers named in the request.
-    pub principals: Vec<String>,
+    pub(crate) principals: Vec<String>,
     /// The operation decided.
-    pub operation: Operation,
+    pub(crate) operation: Operation,
     /// Whether access was granted.
-    pub granted: bool,
+    pub(crate) granted: bool,
     /// Denial detail (empty when granted).
-    pub detail: String,
+    pub(crate) detail: String,
     /// Signature checks served from the verification cache.
-    pub cached_checks: usize,
+    pub(crate) cached_checks: usize,
     /// Signing-session retry trace, when the decision followed a degraded
     /// networked signing attempt.
-    pub retry_trace: Option<String>,
+    pub(crate) retry_trace: Option<String>,
     /// Axiom applications spent.
-    pub axioms: usize,
+    pub(crate) axioms: usize,
     /// RSA signature verifications actually performed.
-    pub signature_checks: usize,
+    pub(crate) signature_checks: usize,
     /// True for an unavailability denial (quorum could not assemble).
-    pub unavailable: bool,
+    pub(crate) unavailable: bool,
     /// True when the decision incremented the object's write version.
-    pub version_bump: bool,
+    pub(crate) version_bump: bool,
     /// The request digest remembered by replay protection, if any.
-    pub replay_digest: Option<String>,
+    pub(crate) replay_digest: Option<String>,
 }
 
 /// A compacted replay-window entry: the fields of a remembered
@@ -147,26 +147,26 @@ pub struct DecisionRecord {
 /// and encrypted responses do not — a replayed hit after recovery carries
 /// the same verdict and counters, minus the proof object).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplayRecord {
+pub(crate) struct ReplayRecord {
     /// The request digest.
-    pub digest: String,
+    pub(crate) digest: String,
     /// Whether access was granted.
-    pub granted: bool,
+    pub(crate) granted: bool,
     /// Denial detail when refused.
-    pub detail: Option<String>,
+    pub(crate) detail: Option<String>,
     /// Axiom applications spent.
-    pub axioms: usize,
+    pub(crate) axioms: usize,
     /// RSA signature verifications performed.
-    pub signature_checks: usize,
+    pub(crate) signature_checks: usize,
     /// Checks served from the verification cache.
-    pub cached_signature_checks: usize,
+    pub(crate) cached_signature_checks: usize,
     /// True for an unavailability denial.
-    pub unavailable: bool,
+    pub(crate) unavailable: bool,
 }
 
 /// One belief-changing event, in its durable form.
 #[derive(Debug, Clone, PartialEq)]
-pub enum JournalRecord {
+pub(crate) enum JournalRecord {
     /// The server clock moved forward.
     ClockAdvance(Time),
     /// A configuration knob changed.
@@ -232,7 +232,7 @@ impl JournalRecord {
     /// engine on replay; snapshots retain these verbatim (beliefs cannot
     /// be serialized, only re-derived).
     #[must_use]
-    pub fn is_admission(&self) -> bool {
+    pub(crate) fn is_admission(&self) -> bool {
         matches!(
             self,
             JournalRecord::IdentityRevocation(_)
@@ -261,7 +261,7 @@ impl JournalRecord {
 
     /// Canonical bytes for this record.
     #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new(DOMAIN);
         e.put_u64(self.tag());
         match self {
@@ -355,7 +355,7 @@ impl JournalRecord {
     ///
     /// [`CoalitionError::Journal`] for any malformed or unknown record —
     /// recovery treats this as corruption, not as something to skip.
-    pub fn decode(bytes: &[u8]) -> Result<Self, CoalitionError> {
+    pub(crate) fn decode(bytes: &[u8]) -> Result<Self, CoalitionError> {
         Self::decode_fields(bytes)
             .map_err(|e| CoalitionError::Journal(format!("undecodable record: {e}")))
     }
@@ -461,7 +461,7 @@ fn take_opt_str(d: &mut Decoder<'_>) -> Result<Option<String>, PkiError> {
 /// original admission times, so recovery replays every belief derivation
 /// at the clock it originally ran under).
 #[derive(Debug)]
-pub struct ServerJournal {
+pub(crate) struct ServerJournal {
     wal: Journal,
     /// Admission-class records in append order, each with the server time
     /// at which it was admitted.
@@ -471,7 +471,7 @@ pub struct ServerJournal {
 impl ServerJournal {
     /// Wraps a store.
     #[must_use]
-    pub fn new(store: Box<dyn JournalStore>) -> Self {
+    pub(crate) fn new(store: Box<dyn JournalStore>) -> Self {
         ServerJournal {
             wal: Journal::new(store),
             admissions: Vec::new(),
@@ -484,7 +484,11 @@ impl ServerJournal {
     /// # Errors
     ///
     /// [`CoalitionError::Journal`] if the store fails.
-    pub fn append(&mut self, at: Time, record: &JournalRecord) -> Result<usize, CoalitionError> {
+    pub(crate) fn append(
+        &mut self,
+        at: Time,
+        record: &JournalRecord,
+    ) -> Result<usize, CoalitionError> {
         let len = self.wal.append(&record.encode())?;
         if record.is_admission() {
             self.admissions.push((at, record.clone()));
@@ -499,7 +503,7 @@ impl ServerJournal {
     /// # Errors
     ///
     /// [`CoalitionError::Journal`] if the store fails.
-    pub fn rewrite(&mut self, records: &[JournalRecord]) -> Result<(), CoalitionError> {
+    pub(crate) fn rewrite(&mut self, records: &[JournalRecord]) -> Result<(), CoalitionError> {
         let payloads: Vec<Vec<u8>> = records.iter().map(JournalRecord::encode).collect();
         self.wal.rewrite(&payloads)?;
         Ok(())
@@ -514,7 +518,9 @@ impl ServerJournal {
     /// [`CoalitionError::Journal`] if the store fails or a *checksummed*
     /// record fails to decode (real corruption the frame checksum missed,
     /// or a version mismatch — never silently skipped).
-    pub fn replay(&mut self) -> Result<(Vec<JournalRecord>, jaap_wal::Replay), CoalitionError> {
+    pub(crate) fn replay(
+        &mut self,
+    ) -> Result<(Vec<JournalRecord>, jaap_wal::Replay), CoalitionError> {
         let replay = self.wal.replay()?;
         let mut records = Vec::with_capacity(replay.records.len());
         for payload in &replay.records {
@@ -525,31 +531,31 @@ impl ServerJournal {
 
     /// Adopts `admissions` as the retained admission set (used by
     /// recovery, which rebuilds it from the replayed log).
-    pub fn set_admissions(&mut self, admissions: Vec<(Time, JournalRecord)>) {
+    pub(crate) fn set_admissions(&mut self, admissions: Vec<(Time, JournalRecord)>) {
         self.admissions = admissions;
     }
 
     /// The retained admission-class records with their admission times.
     #[must_use]
-    pub fn admissions(&self) -> &[(Time, JournalRecord)] {
+    pub(crate) fn admissions(&self) -> &[(Time, JournalRecord)] {
         &self.admissions
     }
 
     /// Sets the primary term stamped into every frame written from now
     /// on (replication provenance; fencing itself acts on message terms).
-    pub fn set_term(&mut self, term: u64) {
+    pub(crate) fn set_term(&mut self, term: u64) {
         self.wal.set_term(term);
     }
 
     /// The term currently stamped into new frames.
     #[must_use]
-    pub fn term(&self) -> u64 {
+    pub(crate) fn term(&self) -> u64 {
         self.wal.term()
     }
 
     /// Framing-layer activity counters.
     #[must_use]
-    pub fn stats(&self) -> JournalStats {
+    pub(crate) fn stats(&self) -> JournalStats {
         self.wal.stats()
     }
 
@@ -558,7 +564,7 @@ impl ServerJournal {
     /// # Errors
     ///
     /// [`CoalitionError::Journal`] if the store fails.
-    pub fn len_bytes(&self) -> Result<u64, CoalitionError> {
+    pub(crate) fn len_bytes(&self) -> Result<u64, CoalitionError> {
         Ok(self.wal.store_len()?)
     }
 }

@@ -54,7 +54,7 @@ impl Scheme {
     /// Number of attackable parties in the model: Case I has the AA host
     /// plus `n` insiders; Case II has the `n` domains.
     #[must_use]
-    pub fn parties(&self) -> usize {
+    pub(crate) fn parties(&self) -> usize {
         match self {
             Scheme::CaseILockbox { n } => n + 1,
             Scheme::CaseIReplicated { n, replicas } => n + replicas,
@@ -79,7 +79,7 @@ pub fn min_compromises(scheme: Scheme) -> usize {
 /// party indices: in Case I, index 0 is the AA host and `1..=n` the
 /// insiders; in Case II, indices are the domains.
 #[must_use]
-pub fn exposes(scheme: Scheme, compromised: &[usize]) -> bool {
+pub(crate) fn exposes(scheme: Scheme, compromised: &[usize]) -> bool {
     match scheme {
         Scheme::CaseILockbox { n } => compromised.iter().any(|&i| i <= n),
         Scheme::CaseIReplicated { n, replicas } => compromised.iter().any(|&i| i < n + replicas),

@@ -59,7 +59,7 @@ pub mod cache;
 pub mod concurrent;
 pub mod domain;
 pub mod dynamics;
-pub mod journal;
+mod journal;
 pub mod liability;
 mod pool;
 pub mod replication;

@@ -95,11 +95,11 @@ pub struct ReplicaStats {
     /// frame of an append window, one per duplicate snapshot.
     pub duplicates: u64,
     /// Messages rejected under the fencing rule.
-    pub rejected_stale_term: u64,
+    pub(crate) rejected_stale_term: u64,
     /// Frames rejected for format-version incompatibility.
-    pub rejected_incompatible: u64,
+    pub(crate) rejected_incompatible: u64,
     /// Messages rejected for addressing a position this replica is not at.
-    pub rejected_out_of_sync: u64,
+    pub(crate) rejected_out_of_sync: u64,
 }
 
 /// Pre-resolved primary-side instruments for one replica, following the
@@ -158,7 +158,7 @@ impl Primary {
 
     /// Resolves per-replica `server.repl.{i}.*` instruments into
     /// `registry` (resolve-once; the ship path then only increments).
-    pub fn set_metrics(&mut self, registry: &MetricsRegistry) {
+    pub(crate) fn set_metrics(&mut self, registry: &MetricsRegistry) {
         self.instruments = (0..self.progress.len())
             .map(|i| ReplicaInstruments {
                 shipped: registry.counter(&format!("server.repl.{i}.shipped")),
@@ -173,7 +173,7 @@ impl Primary {
     /// on a stale generation (counted as a catch-up), then its whole
     /// unacknowledged tail as `Append` windows of at most `window` frames
     /// each. A window is one copy of a slice of the shared log.
-    pub fn pending(&mut self, replica: usize, window: usize) -> Vec<ReplMessage> {
+    pub(crate) fn pending(&mut self, replica: usize, window: usize) -> Vec<ReplMessage> {
         let p = self.progress[replica];
         let term = self.term;
         let out = self.log.read(|log| {
@@ -287,7 +287,7 @@ impl Primary {
     /// Records `replica` has not yet acknowledged (counting the whole
     /// base image when it is a generation behind).
     #[must_use]
-    pub fn lag(&self, replica: usize) -> u64 {
+    pub(crate) fn lag(&self, replica: usize) -> u64 {
         let p = self.progress[replica];
         self.log.read(|log| {
             if p.gen == log.gen() {
@@ -313,12 +313,6 @@ impl Primary {
     #[must_use]
     pub fn deposed_by(&self) -> Option<u64> {
         self.deposed_by
-    }
-
-    /// This primary's term.
-    #[must_use]
-    pub fn term(&self) -> u64 {
-        self.term
     }
 
     /// Shipping counters.
@@ -358,7 +352,7 @@ impl Replica {
 
     /// Resolves this replica's `server.repl.{index}.rejected_stale_term`
     /// counter into `registry`.
-    pub fn set_metrics(&mut self, registry: &MetricsRegistry) {
+    pub(crate) fn set_metrics(&mut self, registry: &MetricsRegistry) {
         self.rejected_stale_term =
             Some(registry.counter(&format!("server.repl.{}.rejected_stale_term", self.index)));
     }
@@ -538,22 +532,10 @@ impl Replica {
         self.store.clone()
     }
 
-    /// The highest term this replica has seen.
-    #[must_use]
-    pub fn term(&self) -> u64 {
-        self.term
-    }
-
     /// The replica's current position as `(gen, next_offset)`.
-    #[must_use]
-    pub fn position(&self) -> (u64, u64) {
+    #[cfg(test)]
+    fn position(&self) -> (u64, u64) {
         (self.gen, self.next_offset)
-    }
-
-    /// The replica's metric index.
-    #[must_use]
-    pub fn index(&self) -> usize {
-        self.index
     }
 
     /// Apply/reject counters.

@@ -60,7 +60,7 @@ pub struct JointAccessRequest {
     /// budget at phase boundaries (pre-crypto, pre-logic, pre-commit) and
     /// sheds the request with a typed `DeadlineExceeded` outcome once it
     /// expires — work the client has given up on is not worth finishing.
-    /// Not part of [`JointAccessRequest::digest`]: the deadline is delivery
+    /// Not part of `JointAccessRequest::digest`: the deadline is delivery
     /// metadata, not request identity, so a retry with a fresh budget still
     /// hits the replay window.
     pub deadline: Option<std::time::Instant>,
@@ -106,7 +106,7 @@ impl JointAccessRequest {
     /// submission time digest identically; a fresh request — even for the
     /// same operation — differs in `at` or in its signatures.
     #[must_use]
-    pub fn digest(&self) -> String {
+    pub(crate) fn digest(&self) -> String {
         let mut e = Encoder::new("jaap-joint-request-v1");
         e.put_str(&self.operation.action)
             .put_str(&self.operation.object)
@@ -158,7 +158,7 @@ pub fn assemble(
 
 /// Wire messages for networked request assembly.
 #[derive(Debug, Clone)]
-pub enum AssemblyMsg {
+pub(crate) enum AssemblyMsg {
     /// Requestor → co-signer: "please attest this operation at this time".
     CosignRequest {
         /// The operation to attest.
@@ -308,8 +308,8 @@ mod tests {
     #[test]
     fn assembled_statements_verify_against_signer_keys() {
         let mut rng = StdRng::seed_from_u64(1);
-        let u1 = UserAgent::new("U1", "D1", &mut rng, 192).expect("u1");
-        let u2 = UserAgent::new("U2", "D2", &mut rng, 192).expect("u2");
+        let u1 = UserAgent::new("U1", &mut rng, 192).expect("u1");
+        let u2 = UserAgent::new("U2", &mut rng, 192).expect("u2");
         let op = Operation::new("write", "O");
         let req =
             assemble(&[&u1, &u2], vec![], vec![], vec![], op.clone(), Time(5)).expect("assemble");
@@ -323,9 +323,9 @@ mod tests {
     #[test]
     fn networked_assembly_matches_local() {
         let mut rng = StdRng::seed_from_u64(3);
-        let u1 = UserAgent::new("U1", "D1", &mut rng, 192).expect("u1");
-        let u2 = UserAgent::new("U2", "D2", &mut rng, 192).expect("u2");
-        let u3 = UserAgent::new("U3", "D3", &mut rng, 192).expect("u3");
+        let u1 = UserAgent::new("U1", &mut rng, 192).expect("u1");
+        let u2 = UserAgent::new("U2", &mut rng, 192).expect("u2");
+        let u3 = UserAgent::new("U3", &mut rng, 192).expect("u3");
         let op = Operation::new("write", "O");
         let (req, stats) =
             assemble_over_network(&[&u1, &u2, &u3], vec![], vec![], op.clone(), Time(7))
@@ -346,7 +346,7 @@ mod tests {
     #[test]
     fn networked_assembly_single_signer() {
         let mut rng = StdRng::seed_from_u64(4);
-        let u1 = UserAgent::new("U1", "D1", &mut rng, 192).expect("u1");
+        let u1 = UserAgent::new("U1", &mut rng, 192).expect("u1");
         let (req, _) =
             assemble_over_network(&[&u1], vec![], vec![], Operation::new("read", "O"), Time(7))
                 .expect("assemble");
@@ -393,8 +393,8 @@ mod tests {
     #[test]
     fn cross_signer_signatures_do_not_verify() {
         let mut rng = StdRng::seed_from_u64(2);
-        let u1 = UserAgent::new("U1", "D1", &mut rng, 192).expect("u1");
-        let u2 = UserAgent::new("U2", "D2", &mut rng, 192).expect("u2");
+        let u1 = UserAgent::new("U1", &mut rng, 192).expect("u1");
+        let u2 = UserAgent::new("U2", &mut rng, 192).expect("u2");
         let op = Operation::new("write", "O");
         let req = assemble(&[&u1], vec![], vec![], vec![], op.clone(), Time(5)).expect("assemble");
         let body = statement_bytes("U1", &op, Time(5));

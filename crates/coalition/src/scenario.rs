@@ -142,7 +142,7 @@ impl CoalitionBuilder {
         } else {
             CoalitionAa::establish_dealt("AA", self.domains.clone(), &mut rng, self.key_bits)?
         };
-        let ra = RevocationAuthority::new("RA", "AA", &mut rng, self.key_bits)?;
+        let ra = RevocationAuthority::new("RA", &mut rng, self.key_bits)?;
 
         // The server's trust store (its initial beliefs).
         let mut store = TrustStore::new(Time(0));
@@ -343,7 +343,7 @@ impl Coalition {
     /// Turns observability on for the whole coalition: one shared
     /// [`MetricsRegistry`] wired through the server's §4.3 pipeline
     /// ([`CoalitionServer::set_metrics`]) and the AA's networked signing
-    /// sessions ([`CoalitionAa::set_metrics`]). Returns a handle to the
+    /// sessions (`CoalitionAa::set_metrics`). Returns a handle to the
     /// registry (cheap clone — snapshots and JSON export read live state).
     pub fn enable_metrics(&mut self) -> MetricsRegistry {
         let registry = self
@@ -410,13 +410,13 @@ impl Coalition {
     }
 
     /// Sets the fault model the AA's networked signing sessions run under
-    /// (delegates to [`CoalitionAa::set_fault_plan`]).
+    /// (delegates to `CoalitionAa::set_fault_plan`).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.aa.set_fault_plan(plan);
     }
 
     /// Sets the timeout/retry policy of the AA's networked signing sessions
-    /// (delegates to [`CoalitionAa::set_session_config`]).
+    /// (delegates to `CoalitionAa::set_session_config`).
     pub fn set_session_config(&mut self, config: SessionConfig) {
         self.aa.set_session_config(config);
     }

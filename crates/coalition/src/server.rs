@@ -157,7 +157,7 @@ pub struct ServerDecision {
 impl ServerDecision {
     /// Builds a typed shed decision (Indeterminate, not Deny).
     #[must_use]
-    pub fn shed(reason: ShedReason, detail: impl Into<String>) -> Self {
+    pub(crate) fn shed(reason: ShedReason, detail: impl Into<String>) -> Self {
         ServerDecision {
             granted: false,
             detail: Some(detail.into()),
@@ -216,14 +216,14 @@ enum Refusal {
 /// on an unbounded request stream. Override with
 /// [`CapacityConfig::replay`] through
 /// [`CoalitionServer::apply_capacity_config`].
-pub const DEFAULT_REPLAY_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_REPLAY_CAPACITY: usize = 1024;
 
 /// Default bound on the audit log: old entries rotate out oldest-first once
 /// the log exceeds this many lines, so an unbounded request stream cannot
 /// grow the server's memory without bound. Override with
 /// [`CapacityConfig::audit`] through
 /// [`CoalitionServer::apply_capacity_config`].
-pub const DEFAULT_AUDIT_CAPACITY: usize = 8192;
+pub(crate) const DEFAULT_AUDIT_CAPACITY: usize = 8192;
 
 /// One coherent sizing of every bounded structure the server owns —
 /// replay window, audit log, verification cache, derivation memo, and the
@@ -236,12 +236,12 @@ pub const DEFAULT_AUDIT_CAPACITY: usize = 8192;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CapacityConfig {
     /// Replay-protection `seen` bound, at least 1
-    /// ([`DEFAULT_REPLAY_CAPACITY`]).
+    /// (`DEFAULT_REPLAY_CAPACITY`).
     pub replay: usize,
-    /// Audit-log bound, at least 1 ([`DEFAULT_AUDIT_CAPACITY`]).
+    /// Audit-log bound, at least 1 (`DEFAULT_AUDIT_CAPACITY`).
     pub audit: usize,
     /// Verification-cache bound; `None` keeps the crate default
-    /// ([`cache::DEFAULT_CACHE_CAPACITY`]), `Some(usize::MAX)` is
+    /// (`cache::DEFAULT_CACHE_CAPACITY`), `Some(usize::MAX)` is
     /// effectively unbounded.
     ///
     /// Each entry holds a copy of the verified certificate. Heap bytes per
@@ -380,7 +380,6 @@ impl ServerMetrics {
 /// The coalition server.
 #[derive(Debug)]
 pub struct CoalitionServer {
-    name: String,
     /// The trust anchors, shared via [`Arc`] so a published
     /// [`DecisionSnapshot`](crate::concurrent::DecisionSnapshot) can hold
     /// them without copying. Immutable after construction.
@@ -488,7 +487,7 @@ pub struct RecoveryReport {
     /// Records decoded and replayed.
     pub records_replayed: usize,
     /// Total journal bytes scanned.
-    pub bytes_scanned: u64,
+    pub(crate) bytes_scanned: u64,
     /// Why (and where) the tail was truncated, `None` for a clean log.
     pub truncation: Option<String>,
     /// Unreplayable tail bytes dropped (torn/corrupt writes).
@@ -500,10 +499,8 @@ impl CoalitionServer {
     /// are derived from it (Statements 1–11).
     #[must_use]
     pub fn new(name: impl Into<String>, store: TrustStore) -> Self {
-        let name = name.into();
-        let engine = Engine::new(name.as_str(), store.assumptions());
+        let engine = Engine::new(name.into().as_str(), store.assumptions());
         CoalitionServer {
-            name,
             store: Arc::new(store),
             engine,
             objects: Vec::new(),
@@ -557,12 +554,6 @@ impl CoalitionServer {
         }
     }
 
-    /// The server's name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The monotone version of everything a decision depends on: the
     /// engine's [`Engine::state_version`] (beliefs, revocations, freshness
     /// window, clock) plus the server-local revision (objects, ACLs,
@@ -603,22 +594,10 @@ impl CoalitionServer {
             store.set_metrics(&m.registry);
         }
         self.cert_store = Some(store);
-        // Bump the state version so concurrent front-ends republish their
-        // snapshot with the store handle aboard.
+        // Attaching the store is a configuration change: the state version
+        // moves, so concurrent front-ends republish.
         self.touch();
         Ok(())
-    }
-
-    /// The attached persistent store, if any.
-    #[must_use]
-    pub fn cert_store(&self) -> Option<&CertStore> {
-        self.cert_store.as_ref()
-    }
-
-    /// A cloneable handle on the attached store (for decision snapshots;
-    /// handles share one index and one lock-free epoch counter).
-    pub(crate) fn cert_store_handle(&self) -> Option<CertStore> {
-        self.cert_store.clone()
     }
 
     /// Registers a jointly owned object with its ACL.
@@ -984,7 +963,7 @@ impl CoalitionServer {
 
     /// Enables/disables replay protection: with it on, a duplicate delivery
     /// of the *same* request (a network-level retry, recognized by
-    /// [`JointAccessRequest::digest`]) returns the original decision without
+    /// `JointAccessRequest::digest`) returns the original decision without
     /// a second audit entry or version increment. Off by default so
     /// benchmarks measure real verification work.
     ///

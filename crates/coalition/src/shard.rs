@@ -21,7 +21,7 @@ use std::sync::Arc;
 use jaap_core::syntax::Time;
 use jaap_obs::{Counter, MetricsRegistry};
 use jaap_pki::attribute::AttributeRevocation;
-use jaap_pki::{Crl, IdentityRevocation};
+use jaap_pki::Crl;
 
 use crate::concurrent::ConcurrentServer;
 use crate::pool;
@@ -79,12 +79,6 @@ impl ShardedCoalition {
         })
     }
 
-    /// Number of shards.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard owning `object`, falling back to a stable hash for
     /// unregistered names (the decision will then be a clean
     /// "unknown object" denial on that shard).
@@ -106,60 +100,6 @@ impl ShardedCoalition {
         &self.shards[i]
     }
 
-    /// Registers an object on shard `i` and in the routing map.
-    ///
-    /// # Errors
-    ///
-    /// [`CoalitionError::Config`] for an out-of-range shard or an object
-    /// name already owned by another shard.
-    pub fn add_object(
-        &mut self,
-        shard: usize,
-        name: impl Into<String>,
-        acl: jaap_core::protocol::Acl,
-    ) -> Result<(), CoalitionError> {
-        let name = name.into();
-        if shard >= self.shards.len() {
-            return Err(CoalitionError::Config(format!(
-                "no shard {shard} (have {})",
-                self.shards.len()
-            )));
-        }
-        if let Some(&owner) = self.routes.get(&name) {
-            if owner != shard {
-                return Err(CoalitionError::Config(format!(
-                    "object {name:?} already owned by shard {owner}"
-                )));
-            }
-        }
-        self.shards[shard].with_writer(|s| s.add_object(name.clone(), acl))?;
-        self.routes.insert(name, shard);
-        Ok(())
-    }
-
-    /// Attaches a persistent cert/CRL/ACL store to shard `i` through its
-    /// single writer (store-before-effect composes with the shard's
-    /// WAL-before-effect; the attach backfills existing ACL rows and
-    /// republishes the shard's snapshot so readers see the store handle).
-    ///
-    /// # Errors
-    ///
-    /// [`CoalitionError::Config`] for an out-of-range shard;
-    /// [`CoalitionError::Store`] when the backfill fails.
-    pub fn attach_cert_store(
-        &mut self,
-        shard: usize,
-        store: jaap_store::CertStore,
-    ) -> Result<(), CoalitionError> {
-        if shard >= self.shards.len() {
-            return Err(CoalitionError::Config(format!(
-                "no shard {shard} (have {})",
-                self.shards.len()
-            )));
-        }
-        self.shards[shard].with_writer(|s| s.attach_cert_store(store))
-    }
-
     /// Attaches per-shard instruments `server.shard.{i}.{decisions,granted,
     /// fanout_admissions}` to the router and a scoped `shard.{i}.`-prefixed
     /// registry view to each shard ([`ConcurrentServer::set_metrics`], so
@@ -175,15 +115,6 @@ impl ShardedCoalition {
             .collect();
         for (i, shard) in self.shards.iter().enumerate() {
             shard.set_metrics(&registry.scoped(&format!("shard.{i}.")));
-        }
-    }
-
-    /// Caps concurrent in-flight decisions **per shard**; excess requests
-    /// are rejected with typed [`crate::server::ShedReason::Overloaded`]
-    /// decisions, never queued. `0` disables the gate.
-    pub fn set_inflight_limit(&self, per_shard: usize) {
-        for shard in &self.shards {
-            shard.set_inflight_limit(per_shard);
         }
     }
 
@@ -241,14 +172,6 @@ impl ShardedCoalition {
         self.fan_out(|s| s.admit_attribute_revocation(rev))
     }
 
-    /// Fans an identity revocation to every shard (per-shard outcomes).
-    pub fn admit_identity_revocation(
-        &self,
-        rev: &IdentityRevocation,
-    ) -> Vec<Result<(), CoalitionError>> {
-        self.fan_out(|s| s.admit_identity_revocation(rev))
-    }
-
     /// Fans a CRL to every shard (per-shard outcomes).
     pub fn admit_crl(&self, crl: &Crl) -> Vec<Result<(), CoalitionError>> {
         self.fan_out(|s| s.admit_crl(crl))
@@ -266,15 +189,6 @@ impl ShardedCoalition {
                 }
                 shard.with_writer(&mut f)
             })
-            .collect()
-    }
-
-    /// Tears the router down into its shard servers (shard order).
-    #[must_use]
-    pub fn into_servers(self) -> Vec<CoalitionServer> {
-        self.shards
-            .into_iter()
-            .map(ConcurrentServer::into_inner)
             .collect()
     }
 }
@@ -313,7 +227,6 @@ mod tests {
             bare_server("P1", &["C"]),
         ])
         .expect("router");
-        assert_eq!(router.shards(), 2);
         assert_eq!(router.shard_for("A"), 0);
         assert_eq!(router.shard_for("B"), 0);
         assert_eq!(router.shard_for("C"), 1);
@@ -331,19 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn add_object_registers_route_and_rejects_theft() {
-        let mut router =
-            ShardedCoalition::new(vec![bare_server("P0", &["A"]), bare_server("P1", &[])])
-                .expect("router");
-        let mut acl = Acl::new();
-        acl.permit(GroupId::new("G"), "write");
-        router.add_object(1, "D", acl.clone()).expect("add");
-        assert_eq!(router.shard_for("D"), 1);
-        assert!(router.add_object(0, "D", acl.clone()).is_err());
-        assert!(router.add_object(7, "E", acl).is_err());
-    }
-
-    #[test]
     fn clock_fanout_reaches_every_shard() {
         let router =
             ShardedCoalition::new(vec![bare_server("P0", &["A"]), bare_server("P1", &["B"])])
@@ -352,8 +252,5 @@ mod tests {
         for i in 0..2 {
             assert_eq!(router.shard(i).read(|s| s.now()), Time(9));
         }
-        let servers = router.into_servers();
-        assert_eq!(servers.len(), 2);
-        assert_eq!(servers[0].name(), "P0");
     }
 }

@@ -12,7 +12,7 @@ use crate::syntax::Formula;
 
 /// The justification attached to a derivation node.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Rule {
+pub(crate) enum Rule {
     /// An axiom schema application.
     Axiom(Axiom),
     /// An initial belief of the verifier (a trust assumption), with a label
@@ -45,17 +45,17 @@ impl fmt::Display for Rule {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Derivation {
     /// The formula this node concludes.
-    pub conclusion: Formula,
+    pub(crate) conclusion: Formula,
     /// How it was concluded.
-    pub rule: Rule,
+    pub(crate) rule: Rule,
     /// Sub-derivations for the premises.
-    pub premises: Vec<Arc<Derivation>>,
+    pub(crate) premises: Vec<Arc<Derivation>>,
 }
 
 impl Derivation {
     /// A leaf node (no premises).
     #[must_use]
-    pub fn leaf(conclusion: Formula, rule: Rule) -> Self {
+    pub(crate) fn leaf(conclusion: Formula, rule: Rule) -> Self {
         Derivation {
             conclusion,
             rule,
@@ -65,7 +65,11 @@ impl Derivation {
 
     /// An axiom application over premises.
     #[must_use]
-    pub fn by_axiom(conclusion: Formula, axiom: Axiom, premises: Vec<Arc<Derivation>>) -> Self {
+    pub(crate) fn by_axiom(
+        conclusion: Formula,
+        axiom: Axiom,
+        premises: Vec<Arc<Derivation>>,
+    ) -> Self {
         Derivation {
             conclusion,
             rule: Rule::Axiom(axiom),
@@ -75,14 +79,8 @@ impl Derivation {
 
     /// Wraps this derivation for sharing as a premise.
     #[must_use]
-    pub fn share(self) -> Arc<Derivation> {
+    pub(crate) fn share(self) -> Arc<Derivation> {
         Arc::new(self)
-    }
-
-    /// Total number of nodes in the tree.
-    #[must_use]
-    pub fn size(&self) -> usize {
-        1 + self.premises.iter().map(|p| p.size()).sum::<usize>()
     }
 
     /// Number of axiom applications in the tree (experiment E8's cost
@@ -204,8 +202,11 @@ mod tests {
 
     #[test]
     fn size_and_axiom_count() {
+        fn size(d: &Derivation) -> usize {
+            1 + d.premises.iter().map(|p| size(p)).sum::<usize>()
+        }
         let d = sample();
-        assert_eq!(d.size(), 4);
+        assert_eq!(size(&d), 4);
         assert_eq!(d.axiom_applications(), 2);
     }
 

@@ -119,10 +119,8 @@ impl TrustAssumptions {
 /// proof built on this belief, so cloning a belief is cheap.
 #[derive(Debug, Clone)]
 pub struct Belief {
-    /// The believed formula (the body, without the `P believes` wrapper).
-    pub formula: Formula,
     /// The derivation that established it.
-    pub derivation: Arc<Derivation>,
+    pub(crate) derivation: Arc<Derivation>,
 }
 
 /// The derivation engine (server `P`'s reasoning state).
@@ -209,8 +207,10 @@ impl Engine {
     /// (how far in the past `t_CA` may lie; axiom A21 side condition).
     ///
     /// Changes admission outcomes, so it bumps the belief epoch (retiring
-    /// any memoized decisions).
-    pub fn set_freshness_window(&mut self, window: i64) {
+    /// any memoized decisions). Production engines keep the default
+    /// (unbounded); only the tests of the A21 side condition narrow it.
+    #[cfg(test)]
+    pub(crate) fn set_freshness_window(&mut self, window: i64) {
         self.freshness_window = window;
         self.bump_epoch();
     }
@@ -341,7 +341,7 @@ impl Engine {
 
     /// The observer as a subject.
     #[must_use]
-    pub fn observer(&self) -> Subject {
+    pub(crate) fn observer(&self) -> Subject {
         Subject::Principal(self.observer.clone())
     }
 
@@ -593,7 +593,6 @@ impl Engine {
                 subject,
                 when,
                 Belief {
-                    formula: body,
                     derivation: Arc::clone(&final_node),
                 },
             ));
@@ -684,7 +683,6 @@ impl Engine {
                 group,
                 when,
                 Belief {
-                    formula: body,
                     derivation: Arc::clone(&final_node),
                 },
             ));
@@ -695,7 +693,7 @@ impl Engine {
     /// Looks up a believed key ownership `K ⇒ S` valid at `t` (and not
     /// revoked at or before `t` — believe-until-revoked).
     #[must_use]
-    pub fn key_belief_at(&self, key: &KeyId, t: Time) -> Option<(&Subject, &Belief)> {
+    pub(crate) fn key_belief_at(&self, key: &KeyId, t: Time) -> Option<(&Subject, &Belief)> {
         let revoked_from = self
             .key_revocations_by_key
             .get(key)
@@ -734,7 +732,7 @@ impl Engine {
     /// cost scales with that principal's own memberships rather than the
     /// group's roster (the lookup the million-principal path depends on).
     #[must_use]
-    pub fn memberships_naming(
+    pub(crate) fn memberships_naming(
         &self,
         group: &GroupId,
         member: &PrincipalId,
@@ -757,7 +755,12 @@ impl Engine {
     /// when the grant they revoke was a single-subject certificate
     /// (`P|K ⇒ G`), and `{P|K}_{1,1}` names exactly the same signer.
     #[must_use]
-    pub fn is_membership_revoked(&self, subject: &Subject, group: &GroupId, t: Time) -> bool {
+    pub(crate) fn is_membership_revoked(
+        &self,
+        subject: &Subject,
+        group: &GroupId,
+        t: Time,
+    ) -> bool {
         self.membership_revocations_by_group
             .get(group)
             .is_some_and(|ids| {
@@ -780,7 +783,7 @@ impl Engine {
     ///
     /// [`LogicError::NotDerivable`] if signers don't satisfy the threshold
     /// structure.
-    pub fn apply_a38(
+    pub(crate) fn apply_a38(
         &mut self,
         membership: &Belief,
         subject: &Subject,
@@ -887,7 +890,7 @@ impl Engine {
     /// # Errors
     ///
     /// [`LogicError::MalformedMessage`] / [`LogicError::NoJurisdiction`] as
-    /// for [`Engine::authenticate_signed_statement`].
+    /// for `Engine::authenticate_signed_statement`.
     pub fn authenticate_joint_statement(
         &mut self,
         signed: &Message,
@@ -935,7 +938,7 @@ impl Engine {
     /// * [`LogicError::MalformedMessage`] if `signed` is not a signature.
     /// * [`LogicError::NoJurisdiction`] if no valid key belief covers the
     ///   signing key at `t`.
-    pub fn authenticate_signed_statement(
+    pub(crate) fn authenticate_signed_statement(
         &mut self,
         signed: &Message,
         t: Time,
@@ -1475,7 +1478,6 @@ mod tests {
         let mut e = engine_at(10);
         e.admit_certificate(&id_cert()).expect("admit");
         let belief = Belief {
-            formula: Formula::Prop("x".into()),
             derivation: Derivation::leaf(Formula::Prop("x".into()), Rule::Received("x".into()))
                 .share(),
         };

@@ -66,9 +66,9 @@ pub mod syntax;
 mod derivation;
 mod error;
 
-pub use derivation::{Derivation, Rule};
+pub use derivation::Derivation;
 pub use error::LogicError;
-pub use memo::{MemoStats, DEFAULT_MEMO_CAPACITY};
+pub use memo::MemoStats;
 
 /// Convenient glob-import surface for downstream crates and examples.
 pub mod prelude {
@@ -81,5 +81,5 @@ pub mod prelude {
     pub use crate::syntax::{
         Formula, GroupId, KeyId, Message, PrincipalId, Subject, Time, TimeRef,
     };
-    pub use crate::{Derivation, LogicError, Rule};
+    pub use crate::{Derivation, LogicError};
 }

@@ -31,7 +31,7 @@ use crate::protocol::{AccessDecision, AccessRequest, Acl};
 use crate::syntax::Time;
 
 /// Default bound on memoized decisions.
-pub const DEFAULT_MEMO_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_MEMO_CAPACITY: usize = 1024;
 
 /// Everything a derivation's outcome depends on.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -182,7 +182,6 @@ mod tests {
             granted: true,
             reason: None,
             derivation: None,
-            group: None,
             axiom_applications: 0,
         }
     }

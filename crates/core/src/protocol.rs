@@ -62,11 +62,11 @@ impl fmt::Display for Operation {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SignedStatement {
     /// The claimed signer.
-    pub principal: PrincipalId,
+    pub(crate) principal: PrincipalId,
     /// The signing key.
-    pub key: KeyId,
+    pub(crate) key: KeyId,
     /// Time of the statement on the signer's clock.
-    pub at: Time,
+    pub(crate) at: Time,
     /// The signed message.
     pub message: Message,
 }
@@ -136,7 +136,7 @@ impl Acl {
 
     /// Groups permitted to perform `action`.
     #[must_use]
-    pub fn groups_for(&self, action: &str) -> Vec<&GroupId> {
+    pub(crate) fn groups_for(&self, action: &str) -> Vec<&GroupId> {
         self.entries
             .iter()
             .filter(|e| e.action == action)
@@ -192,8 +192,6 @@ pub struct AccessDecision {
     /// The full proof tree when granted (shared, so cloning a decision —
     /// e.g. replaying it from the derivation memo — is cheap).
     pub derivation: Option<Arc<Derivation>>,
-    /// The authorizing group when granted.
-    pub group: Option<GroupId>,
     /// Axiom applications spent on this request (E8 cost metric).
     pub axiom_applications: usize,
 }
@@ -204,7 +202,6 @@ impl AccessDecision {
             granted: false,
             reason: Some(reason),
             derivation: None,
-            group: None,
             axiom_applications: cost,
         }
     }
@@ -284,7 +281,7 @@ pub fn authorize(engine: &mut Engine, request: &AccessRequest, acl: &Acl) -> Acc
 /// The un-memoized four-step protocol (the reference path; `authorize`
 /// delegates here on a memo miss or when the memo is off).
 #[must_use]
-pub fn authorize_uncached(
+pub(crate) fn authorize_uncached(
     engine: &mut Engine,
     request: &AccessRequest,
     acl: &Acl,
@@ -400,7 +397,6 @@ pub fn authorize_uncached(
                         granted: true,
                         reason: None,
                         derivation: Some(Arc::new(acl_node)),
-                        group: Some(group.clone()),
                         axiom_applications: engine.axiom_applications() - cost_before,
                     };
                 }
@@ -579,8 +575,8 @@ mod tests {
         let (mut e, acl) = scenario();
         let decision = authorize(&mut e, &write_request(&[1, 2]), &acl);
         assert!(decision.granted, "reason: {:?}", decision.reason);
-        assert_eq!(decision.group, Some(GroupId::new("G_write")));
         let d = decision.derivation.expect("proof");
+        assert!(d.conclusion.to_string().ends_with("via G_write"));
         let used = d.axioms_used();
         assert!(used.contains(&Axiom::A10));
         assert!(used.contains(&Axiom::A38));
@@ -611,7 +607,8 @@ mod tests {
         };
         let decision = authorize(&mut e, &request, &acl);
         assert!(decision.granted, "reason: {:?}", decision.reason);
-        assert_eq!(decision.group, Some(GroupId::new("G_read")));
+        let d = decision.derivation.expect("proof");
+        assert!(d.conclusion.to_string().ends_with("via G_read"));
     }
 
     #[test]

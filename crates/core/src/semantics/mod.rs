@@ -22,5 +22,5 @@
 mod run;
 mod truth;
 
-pub use run::{Event, PartyState, Run, RunBuilder, TimedEvent};
+pub use run::{Run, RunBuilder};
 pub use truth::Model;

@@ -6,7 +6,7 @@ use crate::syntax::{KeyId, Message, Subject, Time};
 
 /// A basic event in a party's history (Appendix C).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event {
+pub(crate) enum Event {
     /// `send(X, Q)`: send message `X` to party `Q`.
     Send {
         /// Recipient.
@@ -19,51 +19,46 @@ pub enum Event {
         /// The message.
         msg: Message,
     },
-    /// `generate(X)` (e.g. key generation).
-    Generate {
-        /// The message.
-        msg: Message,
-    },
 }
 
 /// An event stamped with the party's local time.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimedEvent {
+pub(crate) struct TimedEvent {
     /// The event.
-    pub event: Event,
+    pub(crate) event: Event,
     /// Local time at which it occurred.
-    pub at: Time,
+    pub(crate) at: Time,
 }
 
 /// One (possibly compound) principal's local state over the whole run.
 #[derive(Debug, Clone)]
-pub struct PartyState {
+pub(crate) struct PartyState {
     /// The party (a principal, compound, threshold compound, or a group).
-    pub subject: Subject,
+    pub(crate) subject: Subject,
     /// Clock skew: local time = global time + offset.
-    pub clock_offset: i64,
+    pub(crate) clock_offset: i64,
     /// Keys with acquisition times (key sets grow monotonically).
-    pub keys: Vec<(KeyId, Time)>,
+    pub(crate) keys: Vec<(KeyId, Time)>,
     /// Timestamped history, sorted by local time.
-    pub history: Vec<TimedEvent>,
+    pub(crate) history: Vec<TimedEvent>,
 }
 
 impl PartyState {
     /// Local time corresponding to global time `t`.
     #[must_use]
-    pub fn local_time(&self, global: Time) -> Time {
+    pub(crate) fn local_time(&self, global: Time) -> Time {
         Time(global.0.saturating_add(self.clock_offset))
     }
 
     /// Global time corresponding to local time `t`.
     #[must_use]
-    pub fn global_time(&self, local: Time) -> Time {
+    pub(crate) fn global_time(&self, local: Time) -> Time {
         Time(local.0.saturating_sub(self.clock_offset))
     }
 
     /// The key set available at local time `t`.
     #[must_use]
-    pub fn keyset_at(&self, local: Time) -> Vec<KeyId> {
+    pub(crate) fn keyset_at(&self, local: Time) -> Vec<KeyId> {
         self.keys
             .iter()
             .filter(|(_, acquired)| *acquired <= local)
@@ -73,7 +68,7 @@ impl PartyState {
 
     /// Messages received at local times `<= local`.
     #[must_use]
-    pub fn received_by(&self, local: Time) -> Vec<&Message> {
+    pub(crate) fn received_by(&self, local: Time) -> Vec<&Message> {
         self.history
             .iter()
             .filter(|e| e.at <= local)
@@ -86,7 +81,7 @@ impl PartyState {
 
     /// Send events at exactly local time `local`.
     #[must_use]
-    pub fn sends_at(&self, local: Time) -> Vec<&Message> {
+    pub(crate) fn sends_at(&self, local: Time) -> Vec<&Message> {
         self.history
             .iter()
             .filter(|e| e.at == local)
@@ -99,7 +94,7 @@ impl PartyState {
 
     /// All send events with their local times.
     #[must_use]
-    pub fn all_sends(&self) -> Vec<(Time, &Message)> {
+    pub(crate) fn all_sends(&self) -> Vec<(Time, &Message)> {
         self.history
             .iter()
             .filter_map(|e| match &e.event {
@@ -120,30 +115,13 @@ pub struct Run {
 impl Run {
     /// The party state for `subject`, if present.
     #[must_use]
-    pub fn party(&self, subject: &Subject) -> Option<&PartyState> {
+    pub(crate) fn party(&self, subject: &Subject) -> Option<&PartyState> {
         self.parties.get(&subject.to_string())
     }
 
     /// Iterates over all party states.
-    pub fn parties(&self) -> impl Iterator<Item = &PartyState> {
+    pub(crate) fn parties(&self) -> impl Iterator<Item = &PartyState> {
         self.parties.values()
-    }
-
-    /// All messages appearing anywhere in the run (the finite message
-    /// universe over which truth-condition quantifiers range).
-    #[must_use]
-    pub fn message_universe(&self) -> Vec<&Message> {
-        let mut out = Vec::new();
-        for p in self.parties.values() {
-            for e in &p.history {
-                match &e.event {
-                    Event::Send { msg, .. } | Event::Receive { msg } | Event::Generate { msg } => {
-                        out.push(msg);
-                    }
-                }
-            }
-        }
-        out
     }
 
     /// Legality check (Appendix C): every `receive(X)` must be preceded by
@@ -277,22 +255,6 @@ impl RunBuilder {
         self
     }
 
-    /// Records a `generate` event.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the party is unknown.
-    pub fn generate(&mut self, subject: &Subject, msg: Message, at_global: Time) -> &mut Self {
-        let p = self.party_mut(subject);
-        let at = p.local_time(at_global);
-        p.history.push(TimedEvent {
-            event: Event::Generate { msg },
-            at,
-        });
-        p.history.sort_by_key(|e| e.at);
-        self
-    }
-
     /// Finishes the run.
     #[must_use]
     pub fn build(self) -> Run {
@@ -393,30 +355,21 @@ mod tests {
     }
 
     #[test]
-    fn message_universe_collects_everything() {
-        let mut b = RunBuilder::new();
-        b.party(p("A"), 0).party(p("B"), 0);
-        b.deliver(&p("A"), &p("B"), Message::data("x"), Time(1), 1);
-        b.generate(&p("A"), Message::data("k"), Time(0));
-        let run = b.build();
-        // send + receive + generate = 3 entries.
-        assert_eq!(run.message_universe().len(), 3);
-    }
-
-    #[test]
     fn unsorted_history_is_illegal() {
         let mut b = RunBuilder::new();
         b.party(p("A"), 0);
         let mut run = b.build();
         let hist = &mut run.parties.get_mut("A").expect("A").history;
         hist.push(TimedEvent {
-            event: Event::Generate {
+            event: Event::Send {
+                to: p("B"),
                 msg: Message::data("later"),
             },
             at: Time(10),
         });
         hist.push(TimedEvent {
-            event: Event::Generate {
+            event: Event::Send {
+                to: p("B"),
                 msg: Message::data("earlier"),
             },
             at: Time(5),

@@ -25,7 +25,8 @@ impl Model {
     }
 
     /// Marks a primitive proposition as true (the interpretation π).
-    pub fn assert_prop(&mut self, p: impl Into<String>) -> &mut Self {
+    #[cfg(test)]
+    pub(crate) fn assert_prop(&mut self, p: impl Into<String>) -> &mut Self {
         self.true_props.push(p.into());
         self
     }

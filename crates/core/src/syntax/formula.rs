@@ -197,23 +197,6 @@ impl Formula {
     pub fn at(f: Formula, place: Subject, when: impl Into<TimeRef>) -> Formula {
         Formula::At(Arc::new(f), place, when.into())
     }
-
-    /// Strips any number of outer `at_S T` wrappers (the reduction axiom A9
-    /// allows this when time moves forward; the engine checks the side
-    /// condition, this helper just unwraps).
-    #[must_use]
-    pub fn strip_at(&self) -> &Formula {
-        match self {
-            Formula::At(inner, _, _) => inner.strip_at(),
-            other => other,
-        }
-    }
-
-    /// `true` if this formula is a negation.
-    #[must_use]
-    pub fn is_negation(&self) -> bool {
-        matches!(self, Formula::Not(_))
-    }
 }
 
 impl fmt::Display for Formula {
@@ -299,18 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn strip_at_unwraps_nesting() {
-        let base = Formula::Prop("p".into());
-        let wrapped = Formula::at(
-            Formula::at(base.clone(), u1(), Time(1)),
-            Subject::principal("P"),
-            Time(2),
-        );
-        assert_eq!(wrapped.strip_at(), &base);
-        assert_eq!(base.strip_at(), &base);
-    }
-
-    #[test]
     fn believes_nesting_displays() {
         let inner = Formula::group_says(GroupId::new("G_write"), Time(6), Message::data("write O"));
         let f = Formula::believes(Subject::principal("P"), Time(6), inner);
@@ -324,11 +295,5 @@ mod tests {
         set.insert(Formula::Prop("x".into()));
         assert!(set.contains(&Formula::Prop("x".into())));
         assert!(!set.contains(&Formula::Prop("y".into())));
-    }
-
-    #[test]
-    fn is_negation() {
-        assert!(Formula::not(Formula::Prop("p".into())).is_negation());
-        assert!(!Formula::Prop("p".into()).is_negation());
     }
 }

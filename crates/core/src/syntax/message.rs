@@ -70,7 +70,7 @@ impl Message {
 
     /// If this is (or wraps) a formula, that formula.
     #[must_use]
-    pub fn as_formula(&self) -> Option<&Formula> {
+    pub(crate) fn as_formula(&self) -> Option<&Formula> {
         match self {
             Message::Formula(f) => Some(f),
             _ => None,
@@ -81,7 +81,7 @@ impl Message {
     /// (the paper's `submsgs_K(M)`): the message itself, tuple components,
     /// signed payloads, and encrypted payloads for keys we can invert.
     #[must_use]
-    pub fn submessages(&self, decryption_keys: &[KeyId]) -> Vec<&Message> {
+    pub(crate) fn submessages(&self, decryption_keys: &[KeyId]) -> Vec<&Message> {
         let mut out = vec![self];
         match self {
             Message::Tuple(parts) => {

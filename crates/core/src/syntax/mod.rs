@@ -9,6 +9,6 @@ mod time;
 
 pub use formula::Formula;
 pub use message::Message;
-pub use parser::{parse_formula, parse_subject, ParseFormulaError, Vocabulary};
+pub use parser::{parse_formula, ParseFormulaError, Vocabulary};
 pub use principal::{GroupId, KeyId, PrincipalId, Subject};
 pub use time::{Time, TimeRef};

@@ -24,18 +24,18 @@ pub struct Vocabulary {
 impl Vocabulary {
     /// An empty vocabulary (every identifier is a principal).
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Vocabulary::default()
     }
 
     /// Declares a key identifier.
-    pub fn key(&mut self, name: impl Into<String>) -> &mut Self {
+    pub(crate) fn key(&mut self, name: impl Into<String>) -> &mut Self {
         self.keys.insert(name.into());
         self
     }
 
     /// Declares a group identifier.
-    pub fn group(&mut self, name: impl Into<String>) -> &mut Self {
+    pub(crate) fn group(&mut self, name: impl Into<String>) -> &mut Self {
         self.groups.insert(name.into());
         self
     }
@@ -135,9 +135,9 @@ impl Vocabulary {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseFormulaError {
     /// Byte offset where parsing failed.
-    pub position: usize,
+    pub(crate) position: usize,
     /// What was expected.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl core::fmt::Display for ParseFormulaError {
@@ -154,10 +154,9 @@ impl std::error::Error for ParseFormulaError {}
 /// use jaap_core::syntax::{parse_formula, Formula, Vocabulary};
 ///
 /// # fn main() -> Result<(), jaap_core::syntax::ParseFormulaError> {
-/// let mut vocab = Vocabulary::new();
-/// vocab.key("K_u1").group("G_write");
-/// let f = parse_formula("K_u1 ⇒_{[t0,t100],CA1} User_D1", &vocab)?;
-/// assert!(matches!(f, Formula::KeySpeaksFor { .. }));
+/// // With an empty vocabulary every identifier is a principal.
+/// let f = parse_formula("P believes_t6 User_D1 says_t5 p", &Vocabulary::default())?;
+/// assert!(matches!(f, Formula::Believes { .. }));
 /// // Round-trip: display then re-parse.
 /// assert_eq!(parse_formula(&f.to_string(), &Vocabulary::from_formula(&f))?, f);
 /// # Ok(())
@@ -175,21 +174,6 @@ pub fn parse_formula(input: &str, vocab: &Vocabulary) -> Result<Formula, ParseFo
         return Err(c.err("trailing input"));
     }
     Ok(f)
-}
-
-/// Parses a subject in display notation.
-///
-/// # Errors
-///
-/// [`ParseFormulaError`] on malformed input or trailing garbage.
-pub fn parse_subject(input: &str, vocab: &Vocabulary) -> Result<Subject, ParseFormulaError> {
-    let mut c = Cursor::new(input, vocab);
-    let s = c.subject()?;
-    c.skip_ws();
-    if c.pos < c.chars.len() {
-        return Err(c.err("trailing input"));
-    }
-    Ok(s)
 }
 
 struct Cursor<'a> {
@@ -754,13 +738,5 @@ mod tests {
         assert!(parse_formula("{A, B}_{3,2} ⇒_t1 G_write", &v).is_err());
         assert!(parse_formula("{A, B}_{0,2} ⇒_t1 G_write", &v).is_err());
         assert!(parse_formula("{A, B}_{1,3} ⇒_t1 G_write", &v).is_err());
-    }
-
-    #[test]
-    fn parse_subject_entrypoint() {
-        let v = vocab();
-        let s = parse_subject("{U1|K_u1, U2|K_u2}_{2,2}", &v).expect("parse");
-        assert_eq!(s.required_signers(), 2);
-        assert!(parse_subject("{U1", &v).is_err());
     }
 }

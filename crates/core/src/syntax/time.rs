@@ -12,8 +12,6 @@ use core::fmt;
 pub struct Time(pub i64);
 
 impl Time {
-    /// The earliest representable time.
-    pub const MIN: Time = Time(i64::MIN);
     /// The latest representable time (the paper's "upper bound of infinity"
     /// for revocation certificates).
     pub const INFINITY: Time = Time(i64::MAX);
@@ -54,26 +52,11 @@ pub enum TimeRef {
 }
 
 impl TimeRef {
-    /// Builds a closed interval, normalizing a degenerate one to a point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    #[must_use]
-    pub fn closed(lo: Time, hi: Time) -> TimeRef {
-        assert!(lo <= hi, "interval bounds out of order");
-        if lo == hi {
-            TimeRef::At(lo)
-        } else {
-            TimeRef::Closed(lo, hi)
-        }
-    }
-
     /// Returns `true` if the reference universally covers time `t` — i.e.
     /// the formula is asserted to hold at `t`. (`Within` promises only some
     /// unknown time, so it never *covers* a specific `t`.)
     #[must_use]
-    pub fn covers(&self, t: Time) -> bool {
+    pub(crate) fn covers(&self, t: Time) -> bool {
         match self {
             TimeRef::At(x) => *x == t,
             TimeRef::Closed(lo, hi) => *lo <= t && t <= *hi,
@@ -81,17 +64,9 @@ impl TimeRef {
         }
     }
 
-    /// Returns `true` if this reference intersects the closed interval
-    /// `[lo, hi]`.
-    #[must_use]
-    pub fn intersects(&self, lo: Time, hi: Time) -> bool {
-        let (a, b) = self.bounds();
-        a <= hi && lo <= b
-    }
-
     /// The (inclusive) bounds of the reference.
     #[must_use]
-    pub fn bounds(&self) -> (Time, Time) {
+    pub(crate) fn bounds(&self) -> (Time, Time) {
         match self {
             TimeRef::At(t) => (*t, *t),
             TimeRef::Closed(lo, hi) | TimeRef::Within(lo, hi) => (*lo, *hi),
@@ -134,29 +109,6 @@ mod tests {
         assert!(!TimeRef::Closed(Time(1), Time(9)).covers(Time(10)));
         // ⟨t1,t2⟩ promises "some time", never a specific one.
         assert!(!TimeRef::Within(Time(1), Time(9)).covers(Time(5)));
-    }
-
-    #[test]
-    fn intersects_intervals() {
-        let r = TimeRef::Closed(Time(10), Time(20));
-        assert!(r.intersects(Time(15), Time(25)));
-        assert!(r.intersects(Time(0), Time(10)));
-        assert!(!r.intersects(Time(21), Time(30)));
-    }
-
-    #[test]
-    fn closed_normalizes_degenerate() {
-        assert_eq!(TimeRef::closed(Time(3), Time(3)), TimeRef::At(Time(3)));
-        assert_eq!(
-            TimeRef::closed(Time(3), Time(4)),
-            TimeRef::Closed(Time(3), Time(4))
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "out of order")]
-    fn reversed_bounds_panic() {
-        let _ = TimeRef::closed(Time(4), Time(3));
     }
 
     #[test]

@@ -54,9 +54,9 @@ use crate::precomp::ModulusPrecomp;
 #[derive(Debug, Clone)]
 pub struct BatchItem {
     /// `FDH(msg, N)` — the expected value of `sig^e mod N`.
-    pub h: Nat,
+    pub(crate) h: Nat,
     /// The signature residue.
-    pub sig: Nat,
+    pub(crate) sig: Nat,
 }
 
 /// The outcome of a batch: per-item verdicts plus work counters.
@@ -69,9 +69,9 @@ pub struct BatchOutcome {
     /// Combined checks that failed and fell back to bisection.
     pub fallbacks: u64,
     /// Single-item exact checks performed (bisection leaves).
-    pub leaf_checks: u64,
+    pub(crate) leaf_checks: u64,
     /// Exact per-item confirmations of screened (combined-pass) items.
-    pub settle_checks: u64,
+    pub(crate) settle_checks: u64,
 }
 
 /// Verifies `items` against the key behind `mp`: one combined screening

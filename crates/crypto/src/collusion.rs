@@ -108,13 +108,6 @@ pub fn collude_threshold(public: &ThresholdPublic, pooled: &[&ThresholdShare]) -
     }
 }
 
-/// Counts how many domains an attacker must compromise for full key
-/// recovery, per scheme — the quantitative core of experiment E7.
-#[must_use]
-pub fn domains_to_compromise(n: usize, threshold: Option<usize>) -> usize {
-    threshold.unwrap_or(n)
-}
-
 fn exponent_signs(d: &Int, modulus: &Nat, e: &Nat) -> bool {
     let h = fdh::encode(b"jaap-collusion-probe", modulus);
     let sig = apply(d, &h, modulus);
@@ -200,15 +193,6 @@ mod tests {
         let h = fdh::encode(b"attacker message", public.modulus());
         let sig = apply(&d, &h, public.modulus());
         assert_eq!(sig.modpow(public.exponent(), public.modulus()), h);
-    }
-
-    #[test]
-    fn compromise_count_matches_paper_claims() {
-        // Case II n-of-n: all n domains must fall.
-        assert_eq!(domains_to_compromise(3, None), 3);
-        assert_eq!(domains_to_compromise(7, None), 7);
-        // m-of-n trades availability for a lower compromise bar.
-        assert_eq!(domains_to_compromise(7, Some(4)), 4);
     }
 
     #[test]

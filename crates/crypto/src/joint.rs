@@ -25,9 +25,9 @@ use crate::CryptoError;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignatureShare {
     /// The contributing party.
-    pub index: usize,
+    pub(crate) index: usize,
     /// The share value.
-    pub value: Nat,
+    pub(crate) value: Nat,
 }
 
 /// Computes this party's signature share over `msg`.
@@ -128,7 +128,7 @@ pub fn sign_locally(
 
 /// Wire messages of the joint signature protocol.
 #[derive(Debug, Clone)]
-pub enum JointMsg {
+pub(crate) enum JointMsg {
     /// Requestor → co-signers: message to sign plus the key id.
     Request {
         /// Message bytes.

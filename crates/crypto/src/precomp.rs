@@ -37,11 +37,11 @@ use jaap_obs::Counter;
 
 /// Default bound on cached moduli (coalitions have a handful of trust
 /// anchors plus one modulus per statement-signing user in flight).
-pub const DEFAULT_MODULUS_CAPACITY: usize = 256;
+pub(crate) const DEFAULT_MODULUS_CAPACITY: usize = 256;
 
 /// Default bound on cached fixed-base ladders per modulus (one per
 /// standing certificate signature).
-pub const DEFAULT_WINDOW_CAPACITY: usize = 4096;
+pub(crate) const DEFAULT_WINDOW_CAPACITY: usize = 4096;
 
 /// Hit/miss counters shared between the front map and every
 /// [`ModulusPrecomp`] it hands out (so eviction never loses counts). Every
@@ -69,15 +69,15 @@ impl Counters {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrecompStats {
     /// Modulus-context lookups served from cache.
-    pub ctx_hits: u64,
+    pub(crate) ctx_hits: u64,
     /// Modulus contexts built (one division each).
-    pub ctx_misses: u64,
+    pub(crate) ctx_misses: u64,
     /// Fixed-base ladders served from cache.
-    pub window_hits: u64,
+    pub(crate) window_hits: u64,
     /// Fixed-base ladders built.
-    pub window_misses: u64,
+    pub(crate) window_misses: u64,
     /// Entries dropped by capacity eviction (either map).
-    pub evictions: u64,
+    pub(crate) evictions: u64,
 }
 
 impl PrecompStats {
@@ -122,7 +122,7 @@ impl VerifierPrecomp {
     /// A cache bounded to `moduli` contexts and `windows` ladders per
     /// modulus (each bound is clamped to at least 1).
     #[must_use]
-    pub fn with_capacity(moduli: usize, windows: usize) -> Self {
+    pub(crate) fn with_capacity(moduli: usize, windows: usize) -> Self {
         let counters = Arc::new(Counters::default());
         VerifierPrecomp {
             moduli: Mutex::new(counters.bounded(moduli)),
@@ -167,8 +167,8 @@ impl VerifierPrecomp {
     }
 
     /// Number of moduli currently cached.
-    #[must_use]
-    pub fn modulus_entries(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn modulus_entries(&self) -> usize {
         lock(&self.moduli).len()
     }
 
@@ -201,7 +201,7 @@ impl ModulusPrecomp {
     /// through a shared [`VerifierPrecomp`]. `None` iff `n` is outside
     /// the Montgomery domain.
     #[must_use]
-    pub fn standalone(n: &Nat, e: &Nat) -> Option<Self> {
+    pub(crate) fn standalone(n: &Nat, e: &Nat) -> Option<Self> {
         let counters = Arc::new(Counters::default());
         Some(ModulusPrecomp {
             ctx: MontgomeryContext::new(n)?,
@@ -213,27 +213,27 @@ impl ModulusPrecomp {
 
     /// The shared Montgomery context for `N`.
     #[must_use]
-    pub fn context(&self) -> &MontgomeryContext {
+    pub(crate) fn context(&self) -> &MontgomeryContext {
         &self.ctx
     }
 
     /// The public exponent `e`.
     #[must_use]
-    pub fn exponent(&self) -> &Nat {
+    pub(crate) fn exponent(&self) -> &Nat {
         &self.e
     }
 
     /// Whether a fixed-base ladder for `base` is already cached. A pure
     /// probe: builds nothing and leaves the hit/miss counters untouched.
     #[must_use]
-    pub fn has_window(&self, base: &Nat) -> bool {
+    pub(crate) fn has_window(&self, base: &Nat) -> bool {
         lock(&self.windows).get(base).is_some()
     }
 
     /// The fixed-base ladder for `base`, built (sized to `e`'s bit length)
     /// and cached on first sight.
     #[must_use]
-    pub fn window(&self, base: &Nat) -> Arc<FixedBaseWindow> {
+    pub(crate) fn window(&self, base: &Nat) -> Arc<FixedBaseWindow> {
         if let Some(w) = lock(&self.windows).get(base) {
             self.counters.window_hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(w);
@@ -253,7 +253,7 @@ impl ModulusPrecomp {
     /// range-checked by the caller. With `recurring = true` the
     /// exponentiation runs over the cached fixed-base ladder for `sig`.
     #[must_use]
-    pub fn verify(&self, h: &Nat, sig: &Nat, recurring: bool) -> bool {
+    pub(crate) fn verify(&self, h: &Nat, sig: &Nat, recurring: bool) -> bool {
         if recurring {
             self.window(sig).modpow(&self.ctx, &self.e) == *h
         } else {

@@ -380,7 +380,7 @@ impl RsaKeyPair {
 
     /// Euler's totient `φ(N) = (p-1)(q-1)`.
     #[must_use]
-    pub fn phi(&self) -> Nat {
+    pub(crate) fn phi(&self) -> Nat {
         &(&self.p - &Nat::one()) * &(&self.q - &Nat::one())
     }
 
@@ -413,7 +413,7 @@ impl RsaKeyPair {
     /// (the non-CRT reference path; also the fallback when the CRT result
     /// fails its self-check).
     #[must_use]
-    pub fn private_op_classic(&self, c: &Nat) -> Nat {
+    pub(crate) fn private_op_classic(&self, c: &Nat) -> Nat {
         c.modpow(&self.d, &self.public.n)
     }
 

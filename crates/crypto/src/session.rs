@@ -62,7 +62,7 @@ impl SessionConfig {
 
     /// The deterministic wait before retry round `round` (1-based).
     #[must_use]
-    pub fn backoff_for(&self, round: u32) -> Duration {
+    pub(crate) fn backoff_for(&self, round: u32) -> Duration {
         // Saturate the shift so a pathological max_retries cannot overflow.
         self.backoff_base * (1u32 << (round - 1).min(16))
     }
@@ -71,7 +71,7 @@ impl SessionConfig {
     /// co-signers use for their own receive loop, guaranteeing every party
     /// exits even if the requestor's `Done` notice is lost.
     #[must_use]
-    pub fn session_deadline(&self) -> Duration {
+    pub(crate) fn session_deadline(&self) -> Duration {
         let rounds = self.max_retries + 2; // initial + retries + slack
         let mut total = self.round_timeout * rounds;
         for r in 1..=self.max_retries {
@@ -102,7 +102,7 @@ pub struct SessionReport {
     /// Signers whose shares were collected (requestor included).
     pub responsive: Vec<usize>,
     /// One line per recovery action, in order.
-    pub trace: Vec<String>,
+    pub(crate) trace: Vec<String>,
 }
 
 impl SessionReport {
@@ -116,7 +116,7 @@ impl SessionReport {
 
 /// Wire messages of a signing session (both compound and threshold modes).
 #[derive(Debug, Clone)]
-pub enum SessionMsg {
+pub(crate) enum SessionMsg {
     /// Requestor → co-signer: message to sign plus the key id (§3.2).
     Request {
         /// Message bytes.
@@ -198,7 +198,7 @@ impl SigningSession {
     /// [`SessionReport`] and [`NetworkStats`] — even when the session
     /// failed. Callers that audit recovery actions (the coalition server's
     /// retry trace) use this form.
-    pub fn run_compound(
+    pub(crate) fn run_compound(
         public: &SharedPublicKey,
         shares: &[KeyShare],
         requestor: usize,
@@ -213,7 +213,7 @@ impl SigningSession {
         Self::run_compound_observed(public, shares, requestor, msg, faults, config, None)
     }
 
-    /// Like [`SigningSession::run_compound`], but records session telemetry
+    /// Like `SigningSession::run_compound`, but records session telemetry
     /// — round latencies, retry/backoff waits, failovers, quorum failures —
     /// and per-link network outcomes into `metrics` when one is supplied.
     #[allow(clippy::too_many_arguments)]
@@ -311,7 +311,7 @@ impl SigningSession {
     /// — round latencies, retry/backoff waits, failovers, quorum failures —
     /// and per-link network outcomes into `metrics` when one is supplied.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_threshold_observed(
+    pub(crate) fn run_threshold_observed(
         public: &ThresholdPublic,
         shares: &[ThresholdShare],
         requestor: usize,

@@ -5,7 +5,7 @@
 //! hash of N and the public exponent e", §3.2).
 
 /// Digest length in bytes.
-pub const DIGEST_LEN: usize = 32;
+pub(crate) const DIGEST_LEN: usize = 32;
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -22,15 +22,16 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
-/// Incremental SHA-256 hasher.
+/// SHA-256 (FIPS 180-4), hashed incrementally inside the crate and exposed
+/// as the one-shot [`Sha256::digest`].
 ///
 /// ```
-/// use jaap_crypto::Sha256;
+/// use jaap_crypto::sha256::{hex, Sha256};
 ///
-/// let mut h = Sha256::new();
-/// h.update(b"hello ");
-/// h.update(b"world");
-/// assert_eq!(h.finalize(), Sha256::digest(b"hello world"));
+/// assert_eq!(
+///     hex(&Sha256::digest(b"hello world")),
+///     "b94d27b9934d3e08a52e52d7da7dabfac484efe37a5380ee9088f7ace2efcde9"
+/// );
 /// ```
 #[derive(Debug, Clone)]
 pub struct Sha256 {
@@ -43,7 +44,7 @@ pub struct Sha256 {
 impl Sha256 {
     /// Creates a fresh hasher.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Sha256 {
             state: H0,
             buffer: [0; 64],
@@ -61,7 +62,7 @@ impl Sha256 {
     }
 
     /// Absorbs more input.
-    pub fn update(&mut self, mut data: &[u8]) {
+    pub(crate) fn update(&mut self, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         if self.buffer_len > 0 {
             let take = (64 - self.buffer_len).min(data.len());
@@ -89,7 +90,7 @@ impl Sha256 {
 
     /// Completes the hash and returns the 32-byte digest.
     #[must_use]
-    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
+    pub(crate) fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
         self.update_padding();
         // update_padding leaves exactly 8 bytes of room in the buffer.

@@ -16,11 +16,11 @@ pub mod field {
 
     /// A share: the evaluation of the secret polynomial at `x = index + 1`.
     #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct FieldShare {
+    pub(crate) struct FieldShare {
         /// Party index (evaluation point is `index + 1`).
-        pub index: usize,
+        pub(crate) index: usize,
         /// Share value in `F_p`.
-        pub value: Nat,
+        pub(crate) value: Nat,
     }
 
     /// Splits `secret` into `n` shares with reconstruction threshold
@@ -30,7 +30,7 @@ pub mod field {
     ///
     /// Panics if `secret >= p`, `n == 0`, or `degree >= n`.
     #[must_use]
-    pub fn share(
+    pub(crate) fn share(
         rng: &mut dyn RngCore,
         secret: &Nat,
         degree: usize,
@@ -70,7 +70,7 @@ pub mod field {
     ///
     /// Panics on duplicate share indices or an empty share set.
     #[must_use]
-    pub fn interpolate_at_zero(shares: &[FieldShare], p: &Nat) -> Nat {
+    pub(crate) fn interpolate_at_zero(shares: &[FieldShare], p: &Nat) -> Nat {
         assert!(!shares.is_empty(), "cannot interpolate zero shares");
         let mut acc = Nat::zero();
         for (j, sj) in shares.iter().enumerate() {
@@ -93,37 +93,6 @@ pub mod field {
         }
         acc
     }
-
-    /// Pointwise product of two share vectors (each party multiplies its own
-    /// shares). The result encodes the product polynomial of doubled degree.
-    #[must_use]
-    pub fn pointwise_mul(a: &[FieldShare], b: &[FieldShare], p: &Nat) -> Vec<FieldShare> {
-        a.iter()
-            .zip(b)
-            .map(|(sa, sb)| {
-                assert_eq!(sa.index, sb.index, "mismatched share vectors");
-                FieldShare {
-                    index: sa.index,
-                    value: sa.value.mulm(&sb.value, p),
-                }
-            })
-            .collect()
-    }
-
-    /// Pointwise sum of share vectors: shares of the sum of the secrets.
-    #[must_use]
-    pub fn pointwise_add(a: &[FieldShare], b: &[FieldShare], p: &Nat) -> Vec<FieldShare> {
-        a.iter()
-            .zip(b)
-            .map(|(sa, sb)| {
-                assert_eq!(sa.index, sb.index, "mismatched share vectors");
-                FieldShare {
-                    index: sa.index,
-                    value: sa.value.addm(&sb.value, p),
-                }
-            })
-            .collect()
-    }
 }
 
 /// Shamir sharing over the integers with `Δ = n!` scaling (Shoup).
@@ -134,11 +103,11 @@ pub mod integer {
     /// An integer share: evaluation of `f` at `x = index + 1` where
     /// `f(0) = Δ · secret`.
     #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct IntShare {
+    pub(crate) struct IntShare {
         /// Party index (evaluation point is `index + 1`).
-        pub index: usize,
+        pub(crate) index: usize,
         /// Share value (a possibly negative integer).
-        pub value: Int,
+        pub(crate) value: Int,
     }
 
     /// `Δ = n!`.
@@ -148,7 +117,7 @@ pub mod integer {
     /// Panics if `n > 20` (the factorial would not matter for any realistic
     /// coalition and keeps exponent sizes sane).
     #[must_use]
-    pub fn delta(n: usize) -> Nat {
+    pub(crate) fn delta(n: usize) -> Nat {
         assert!(n <= 20, "coalition size capped at 20 for Δ = n!");
         let mut acc = Nat::one();
         for i in 2..=n as u64 {
@@ -164,7 +133,7 @@ pub mod integer {
     ///
     /// Panics if `m == 0`, `m > n`, or `n == 0`.
     #[must_use]
-    pub fn share(
+    pub(crate) fn share(
         rng: &mut dyn RngCore,
         secret: &Int,
         m: usize,
@@ -201,7 +170,7 @@ pub mod integer {
     /// Panics if `j` is not in `subset` or the division is inexact (which
     /// would indicate corrupted indices).
     #[must_use]
-    pub fn lagrange_delta(subset: &[usize], j: usize, n: usize) -> Int {
+    pub(crate) fn lagrange_delta(subset: &[usize], j: usize, n: usize) -> Int {
         assert!(subset.contains(&j), "j must be in the subset");
         let mut num = Int::from_nat(delta(n));
         let mut den = Int::one();
@@ -230,7 +199,7 @@ pub mod integer {
     ///
     /// Panics on duplicate indices.
     #[must_use]
-    pub fn reconstruct_delta2_secret(shares: &[IntShare], n: usize) -> Int {
+    pub(crate) fn reconstruct_delta2_secret(shares: &[IntShare], n: usize) -> Int {
         let subset: Vec<usize> = shares.iter().map(|s| s.index).collect();
         let mut acc = Int::zero();
         for s in shares {
@@ -257,6 +226,35 @@ mod tests {
 
         fn p() -> Nat {
             Nat::from(1_000_000_007u64)
+        }
+
+        /// Pointwise product of two share vectors (each party multiplies its own
+        /// shares). The result encodes the product polynomial of doubled degree.
+        fn pointwise_mul(a: &[FieldShare], b: &[FieldShare], p: &Nat) -> Vec<FieldShare> {
+            a.iter()
+                .zip(b)
+                .map(|(sa, sb)| {
+                    assert_eq!(sa.index, sb.index, "mismatched share vectors");
+                    FieldShare {
+                        index: sa.index,
+                        value: sa.value.mulm(&sb.value, p),
+                    }
+                })
+                .collect()
+        }
+
+        /// Pointwise sum of share vectors: shares of the sum of the secrets.
+        fn pointwise_add(a: &[FieldShare], b: &[FieldShare], p: &Nat) -> Vec<FieldShare> {
+            a.iter()
+                .zip(b)
+                .map(|(sa, sb)| {
+                    assert_eq!(sa.index, sb.index, "mismatched share vectors");
+                    FieldShare {
+                        index: sa.index,
+                        value: sa.value.addm(&sb.value, p),
+                    }
+                })
+                .collect()
         }
 
         #[test]

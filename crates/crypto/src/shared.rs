@@ -78,7 +78,7 @@ impl SharedPublicKey {
 
     /// The public exponent `e`.
     #[must_use]
-    pub fn exponent(&self) -> &Nat {
+    pub(crate) fn exponent(&self) -> &Nat {
         self.public.exponent()
     }
 
@@ -90,7 +90,7 @@ impl SharedPublicKey {
 
     /// The public combination correction `r` (see module docs).
     #[must_use]
-    pub fn correction(&self) -> u64 {
+    pub(crate) fn correction(&self) -> u64 {
         self.correction
     }
 
@@ -105,19 +105,6 @@ impl SharedPublicKey {
     pub fn verify(&self, msg: &[u8], sig: &RsaSignature) -> bool {
         self.public.verify(msg, sig)
     }
-
-    /// Like [`SharedPublicKey::verify`], through a shared verifier
-    /// precomputation cache (see [`RsaPublicKey::verify_with`]).
-    #[must_use]
-    pub fn verify_with(
-        &self,
-        precomp: Option<&crate::precomp::VerifierPrecomp>,
-        recurring: bool,
-        msg: &[u8],
-        sig: &RsaSignature,
-    ) -> bool {
-        self.public.verify_with(precomp, recurring, msg, sig)
-    }
 }
 
 /// One party's share of the private exponent of a shared RSA key.
@@ -131,19 +118,19 @@ pub struct KeyShare {
 impl KeyShare {
     /// The holder's party index in `0..n`.
     #[must_use]
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         self.index
     }
 
     /// The shared public key this share belongs to.
     #[must_use]
-    pub fn public(&self) -> &SharedPublicKey {
+    pub(crate) fn public(&self) -> &SharedPublicKey {
         &self.public
     }
 
     /// The raw exponent share (exposed for refresh / collusion analysis).
     #[must_use]
-    pub fn exponent_share(&self) -> &Int {
+    pub(crate) fn exponent_share(&self) -> &Int {
         &self.d_share
     }
 
@@ -167,7 +154,7 @@ impl KeyShare {
     ///
     /// [`CryptoError::NotInvertible`] if `gcd(h, N) != 1` (vanishing
     /// probability; such an `h` would reveal a factor of `N`).
-    pub fn apply(&self, h: &Nat) -> Result<Nat, CryptoError> {
+    pub(crate) fn apply(&self, h: &Nat) -> Result<Nat, CryptoError> {
         let n = self.public.modulus();
         let mag = self.d_share.magnitude();
         if self.d_share.is_negative() {
@@ -183,7 +170,7 @@ impl KeyShare {
     ///
     /// # Errors
     ///
-    /// Propagates [`KeyShare::apply`] errors.
+    /// Propagates `KeyShare::apply` errors.
     pub fn sign_share(&self, msg: &[u8]) -> Result<Nat, CryptoError> {
         self.apply(&fdh::encode(msg, self.public.modulus()))
     }
@@ -197,9 +184,9 @@ pub struct KeygenStats {
     /// Candidate prime shares drawn (before sieving).
     pub sieve_draws: u64,
     /// Candidates rejected by the biprimality test.
-    pub biprimality_rejects: u64,
+    pub(crate) biprimality_rejects: u64,
     /// Candidates rejected because `gcd(e, φ) != 1`.
-    pub phi_rejects: u64,
+    pub(crate) phi_rejects: u64,
     /// Wall-clock duration of the whole protocol.
     pub wall: Duration,
     /// Network statistics.

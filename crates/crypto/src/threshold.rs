@@ -56,7 +56,7 @@ impl ThresholdPublic {
 
     /// The underlying RSA public key.
     #[must_use]
-    pub fn rsa(&self) -> &RsaPublicKey {
+    pub(crate) fn rsa(&self) -> &RsaPublicKey {
         &self.public
     }
 
@@ -71,21 +71,15 @@ impl ThresholdPublic {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThresholdShare {
     /// Party index in `0..n` (evaluation point `index + 1`).
-    pub index: usize,
+    pub(crate) index: usize,
     value: Int,
     public: ThresholdPublic,
 }
 
 impl ThresholdShare {
-    /// The public parameters.
-    #[must_use]
-    pub fn public(&self) -> &ThresholdPublic {
-        &self.public
-    }
-
     /// The raw polynomial evaluation (exposed for collusion analysis).
     #[must_use]
-    pub fn value(&self) -> &Int {
+    pub(crate) fn value(&self) -> &Int {
         &self.value
     }
 
@@ -110,9 +104,9 @@ impl ThresholdShare {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThresholdSigShare {
     /// Contributing party index.
-    pub index: usize,
+    pub(crate) index: usize,
     /// `H^{sᵢ} mod N`.
-    pub value: Nat,
+    pub(crate) value: Nat,
 }
 
 /// Namespace for threshold key construction.
@@ -344,7 +338,7 @@ fn combine_reference(
 
 /// Wire messages for networked threshold signing.
 #[derive(Debug, Clone)]
-pub enum ThresholdMsg {
+enum ThresholdMsg {
     /// Requestor → co-signers: the message to sign.
     Request(Vec<u8>),
     /// Co-signer → requestor: a signature share.

@@ -18,7 +18,7 @@ pub struct Envelope<M> {
     /// Sender.
     pub from: PartyId,
     /// Recipient.
-    pub to: PartyId,
+    pub(crate) to: PartyId,
     /// Global send sequence number.
     pub seq: u64,
     /// The payload.
@@ -85,7 +85,7 @@ impl std::error::Error for NetError {}
 
 /// One party's handle onto the simulated network.
 ///
-/// Receiving is either in arrival order ([`Endpoint::recv`]) or per-sender
+/// Receiving is either in arrival order ([`Endpoint::recv_timeout`]) or per-sender
 /// ([`Endpoint::recv_from`]); the latter buffers messages from other senders
 /// so protocols can be written in direct style.
 pub struct Endpoint<M> {
@@ -280,29 +280,24 @@ impl<M: Clone + Debug + Send + 'static> Endpoint<M> {
     }
 
     /// Pops the first buffered message, in sender-id order.
+    #[cfg(test)]
     fn pop_pending(&mut self) -> Option<Wire<M>> {
         self.pending.iter_mut().find_map(VecDeque::pop_front)
     }
 
-    /// Looks once, without blocking, for a message (from `from`, or from
-    /// anyone) that may surface by `deadline`: the front of each buffered
-    /// queue first, then everything already in the channel. Channel
-    /// messages from another sender, or not due by `deadline`, are
+    /// Looks once, without blocking, for a message that may surface by
+    /// `deadline`: the front of each buffered queue first, then everything
+    /// already in the channel. Channel messages not due by `deadline` are
     /// buffered for a later receive.
-    fn take_due(
-        &mut self,
-        from: Option<PartyId>,
-        deadline: Instant,
-    ) -> Result<Option<Wire<M>>, NetError> {
-        let queues = from.map_or(0..self.n, |p| p.0..p.0 + 1);
-        for i in queues {
-            if self.pending[i].front().is_some_and(|w| w.due_by(deadline)) {
-                return Ok(self.pending[i].pop_front());
+    fn take_due(&mut self, deadline: Instant) -> Result<Option<Wire<M>>, NetError> {
+        for queue in &mut self.pending {
+            if queue.front().is_some_and(|w| w.due_by(deadline)) {
+                return Ok(queue.pop_front());
             }
         }
         loop {
             match self.receiver.try_recv() {
-                Ok(w) if from.is_none_or(|p| w.env.from == p) && w.due_by(deadline) => {
+                Ok(w) if w.due_by(deadline) => {
                     return Ok(Some(w));
                 }
                 Ok(w) => self.pending[w.env.from.0].push_back(w),
@@ -312,12 +307,12 @@ impl<M: Clone + Debug + Send + 'static> Endpoint<M> {
         }
     }
 
-    /// Waits up to `deadline` for a message from `from` (or from anyone),
-    /// after one non-blocking look ([`Endpoint::take_due`]) — so a zero
-    /// budget still returns a message that has already arrived. An expiry
-    /// is counted in [`crate::NetworkStats::receive_timeouts`].
-    fn wait_due(&mut self, from: Option<PartyId>, deadline: Instant) -> Result<Wire<M>, NetError> {
-        if let Some(w) = self.take_due(from, deadline)? {
+    /// Waits up to `deadline` for a message, after one non-blocking look
+    /// ([`Endpoint::take_due`]) — so a zero budget still returns a message
+    /// that has already arrived. An expiry is counted in
+    /// [`crate::NetworkStats::receive_timeouts`].
+    fn wait_due(&mut self, deadline: Instant) -> Result<Wire<M>, NetError> {
+        if let Some(w) = self.take_due(deadline)? {
             return Ok(w);
         }
         loop {
@@ -329,11 +324,8 @@ impl<M: Clone + Debug + Send + 'static> Endpoint<M> {
                 break;
             };
             match self.receiver.recv_timeout(budget) {
-                Ok(w) if from.is_none_or(|p| w.env.from == p) && w.due_by(deadline) => {
-                    return Ok(w);
-                }
-                // Another sender's, or not due yet: keep it for a later
-                // receive, keep waiting.
+                Ok(w) if w.due_by(deadline) => return Ok(w),
+                // Not due yet: keep it for a later receive, keep waiting.
                 Ok(w) => self.pending[w.env.from.0].push_back(w),
                 Err(RecvTimeoutError::Timeout) => break,
                 Err(RecvTimeoutError::Disconnected) => return Err(NetError::Disconnected),
@@ -346,11 +338,14 @@ impl<M: Clone + Debug + Send + 'static> Endpoint<M> {
     /// Receives the next message in arrival order, blocking (including
     /// through any injected delay). Messages previously buffered by
     /// [`Endpoint::recv_from`] are returned first in sender-id order.
+    /// Protocol code waits with [`Endpoint::recv_timeout`]; the unit tests
+    /// use this unbounded form.
     ///
     /// # Errors
     ///
     /// [`NetError::Disconnected`] if all senders are gone.
-    pub fn recv(&mut self) -> Result<Envelope<M>, NetError> {
+    #[cfg(test)]
+    pub(crate) fn recv(&mut self) -> Result<Envelope<M>, NetError> {
         if let Some(w) = self.pop_pending() {
             return Ok(w.surface());
         }
@@ -370,20 +365,22 @@ impl<M: Clone + Debug + Send + 'static> Endpoint<M> {
     ///
     /// [`NetError::Disconnected`] if all senders are gone.
     pub fn try_recv(&mut self) -> Result<Option<Envelope<M>>, NetError> {
-        Ok(self.take_due(None, Instant::now())?.map(Wire::surface))
+        Ok(self.take_due(Instant::now())?.map(Wire::surface))
     }
 
-    /// Like [`Endpoint::recv`] with a timeout. A message whose injected
-    /// delay extends past the timeout is kept buffered (it will surface on a
-    /// later receive) and [`NetError::Timeout`] is returned. A message that
-    /// has already arrived is returned even with a zero timeout.
+    /// Receives the next message in arrival order, waiting at most `dur`.
+    /// Messages previously buffered by [`Endpoint::recv_from`] are returned
+    /// first in sender-id order. A message whose injected delay extends
+    /// past the timeout is kept buffered (it will surface on a later
+    /// receive) and [`NetError::Timeout`] is returned. A message that has
+    /// already arrived is returned even with a zero timeout.
     ///
     /// # Errors
     ///
     /// [`NetError::Timeout`] if nothing surfaces within `dur`;
     /// [`NetError::Disconnected`] if all senders are gone.
     pub fn recv_timeout(&mut self, dur: Duration) -> Result<Envelope<M>, NetError> {
-        self.wait_due(None, Instant::now() + dur).map(Wire::surface)
+        self.wait_due(Instant::now() + dur).map(Wire::surface)
     }
 
     /// Receives the next message *from a specific sender*, buffering
@@ -407,41 +404,6 @@ impl<M: Clone + Debug + Send + 'static> Endpoint<M> {
             }
             self.pending[w.env.from.0].push_back(w);
         }
-    }
-
-    /// Like [`Endpoint::recv_from`] with a timeout: the bounded wait every
-    /// signing-session round uses so no protocol step can hang on a crashed
-    /// or partitioned peer. A message from `from` that has already arrived
-    /// is returned even with a zero timeout.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::UnknownParty`] for an out-of-range id;
-    /// [`NetError::Timeout`] if nothing from `from` surfaces within `dur`;
-    /// [`NetError::Disconnected`] if the channel closes first.
-    pub fn recv_from_timeout(&mut self, from: PartyId, dur: Duration) -> Result<M, NetError> {
-        if from.0 >= self.n {
-            return Err(NetError::UnknownParty(from));
-        }
-        self.wait_due(Some(from), Instant::now() + dur)
-            .map(|w| w.surface().payload)
-    }
-
-    /// Receives exactly one message from every other party, returning
-    /// payloads indexed by sender (position `self.id()` is `None`).
-    ///
-    /// This is the synchronisation point between protocol rounds.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Endpoint::recv_from`] errors.
-    pub fn gather_round(&mut self) -> Result<Vec<Option<M>>, NetError> {
-        let me = self.id.0;
-        let mut out: Vec<Option<M>> = (0..self.n).map(|_| None).collect();
-        for i in (0..self.n).filter(|&i| i != me) {
-            out[i] = Some(self.recv_from(PartyId(i))?);
-        }
-        Ok(out)
     }
 }
 
@@ -513,24 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_round_collects_all_peers() {
-        let (eps, _h) = Network::<usize>::mesh(4);
-        let results = run_parties(eps, |mut ep| {
-            assert_eq!(ep.broadcast(ep.id().0), 3);
-            ep.gather_round().expect("gather")
-        });
-        for (me, row) in results.iter().enumerate() {
-            for (i, slot) in row.iter().enumerate() {
-                if i == me {
-                    assert!(slot.is_none());
-                } else {
-                    assert_eq!(*slot, Some(i));
-                }
-            }
-        }
-    }
-
-    #[test]
     fn recv_drains_pending_before_channel() {
         let (eps, _h) = Network::<u32>::mesh(3);
         let results = run_parties(eps, |mut ep| match ep.id().0 {
@@ -578,7 +522,7 @@ mod tests {
             .expect("already delivered");
         assert_eq!((env.from, env.payload), (PartyId(0), 1));
         assert_eq!(
-            receiver.recv_from_timeout(PartyId(0), Duration::ZERO),
+            receiver.recv_timeout(Duration::ZERO).map(|env| env.payload),
             Ok(2)
         );
         assert_eq!(
@@ -604,12 +548,8 @@ mod tests {
             receiver.recv_timeout(Duration::ZERO),
             Err(NetError::Timeout)
         );
-        assert_eq!(
-            receiver.recv_from_timeout(PartyId(0), Duration::ZERO),
-            Err(NetError::Timeout)
-        );
         assert_eq!(receiver.try_recv(), Ok(None));
-        assert_eq!(handle.stats().receive_timeouts, 2);
+        assert_eq!(handle.stats().receive_timeouts, 1);
     }
 
     #[test]
@@ -647,26 +587,6 @@ mod tests {
         assert_eq!((env.from, env.payload), (PartyId(1), 5));
         assert_eq!(ep.try_recv(), Ok(None));
         assert_eq!(ep.send(PartyId(1), 6), Err(NetError::Disconnected));
-    }
-
-    #[test]
-    fn recv_from_timeout_times_out_on_wrong_sender() {
-        let (eps, _h) = Network::<u8>::mesh(3);
-        let results = run_parties(eps, |mut ep| match ep.id().0 {
-            0 => {
-                // Party 1 sends, party 2 stays silent: waiting on 2 times out
-                // while 1's message stays buffered for later.
-                let r = ep.recv_from_timeout(PartyId(2), Duration::from_millis(50));
-                assert_eq!(r, Err(NetError::Timeout));
-                ep.recv_from(PartyId(1)).expect("buffered message from 1")
-            }
-            1 => {
-                ep.send(PartyId(0), 42).expect("send");
-                0
-            }
-            _ => 0,
-        });
-        assert_eq!(results[0], 42);
     }
 
     #[test]

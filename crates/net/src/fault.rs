@@ -23,9 +23,9 @@ use rand::{RngCore, SeedableRng};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Crash {
     /// Index of the party that crashes.
-    pub party: usize,
+    pub(crate) party: usize,
     /// Number of successful sends before the crash takes effect.
-    pub after_sends: u64,
+    pub(crate) after_sends: u64,
 }
 
 /// What the simulated environment does to messages in flight.
@@ -34,7 +34,7 @@ pub struct Crash {
 /// seeded RNG, so a failing test can be replayed exactly. Construct with
 /// [`FaultPlan::reliable`] and the `with_*` builders (which validate
 /// eagerly), or as a struct literal — in which case
-/// [`FaultPlan::validate`] runs when the plan is installed into a network.
+/// `FaultPlan::validate` runs when the plan is installed into a network.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Probability in `[0, 1]` that a message is silently dropped.
@@ -156,7 +156,7 @@ impl FaultPlan {
     /// Describes the first violated constraint: a probability outside
     /// `[0, 1]` (or non-finite), a combined per-message fault probability
     /// above 1, or a positive `delay_prob` with a zero `max_delay`.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for (name, p) in [
             ("drop_prob", self.drop_prob),
             ("duplicate_prob", self.duplicate_prob),
@@ -178,7 +178,7 @@ impl FaultPlan {
 
     /// Returns `true` if the plan can never interfere with delivery.
     #[must_use]
-    pub fn is_reliable(&self) -> bool {
+    pub(crate) fn is_reliable(&self) -> bool {
         self.drop_prob == 0.0
             && self.duplicate_prob == 0.0
             && self.delay_prob == 0.0

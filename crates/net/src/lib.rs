@@ -14,7 +14,7 @@
 //!   and statistics inspection.
 //! * Each [`Endpoint`] can [`send`](Endpoint::send),
 //!   [`broadcast`](Endpoint::broadcast), and receive either in arrival order
-//!   ([`recv`](Endpoint::recv)) or per-sender ([`recv_from`](Endpoint::recv_from),
+//!   ([`recv_timeout`](Endpoint::recv_timeout)) or per-sender ([`recv_from`](Endpoint::recv_from),
 //!   which buffers out-of-order arrivals).
 //! * [`run_parties`] runs one closure per party on scoped threads and
 //!   collects the results in party order — the standard harness for an MPC
@@ -24,13 +24,14 @@
 //!
 //! ```
 //! use jaap_net::{Network, run_parties};
+//! use std::time::Duration;
 //!
 //! let (endpoints, handle) = Network::<u64>::mesh(3);
 //! let sums = run_parties(endpoints, |mut ep| {
 //!     assert_eq!(ep.broadcast(ep.id().0 as u64 + 1), 2);
 //!     let mut sum = ep.id().0 as u64 + 1;
 //!     for _ in 0..ep.n() - 1 {
-//!         sum += ep.recv().unwrap().payload;
+//!         sum += ep.recv_timeout(Duration::from_secs(5)).unwrap().payload;
 //!     }
 //!     sum
 //! });
@@ -48,7 +49,7 @@ mod transcript;
 
 pub use endpoint::{Endpoint, Envelope, NetError};
 pub use fault::{Crash, FaultPlan};
-pub use network::{run_parties, Network, NetworkHandle, NetworkStats, DEFAULT_TRANSCRIPT_CAPACITY};
+pub use network::{run_parties, Network, NetworkHandle, NetworkStats};
 pub use repl::{RejectReason, ReplMessage};
 pub use transcript::{TranscriptEntry, TranscriptEvent};
 

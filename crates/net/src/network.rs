@@ -16,7 +16,7 @@ use crate::transcript::TranscriptEntry;
 /// used to grow the transcript without limit; now the oldest entries are
 /// evicted past this capacity and counted, matching the bounded-cache
 /// convention used by the verify and replay caches.
-pub const DEFAULT_TRANSCRIPT_CAPACITY: usize = 4096;
+pub(crate) const DEFAULT_TRANSCRIPT_CAPACITY: usize = 4096;
 
 /// Aggregate statistics for a network.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -32,10 +32,10 @@ pub struct NetworkStats {
     /// Messages delivered late because of an injected delay.
     pub messages_delayed: u64,
     /// Messages suppressed by a severed link or a crashed sender.
-    pub messages_blocked: u64,
+    pub(crate) messages_blocked: u64,
     /// Parties that have crash-stopped (exhausted their send budget).
-    pub parties_crashed: u64,
-    /// Timed receives (`recv_timeout`, `recv_from_timeout`) that expired
+    pub(crate) parties_crashed: u64,
+    /// Timed receives (`recv_timeout`) that expired
     /// with nothing to return: the idle waits a protocol spent on loss.
     /// A `try_recv` that finds nothing is not counted.
     pub receive_timeouts: u64,
@@ -96,9 +96,8 @@ impl NetworkHandle {
     }
 
     /// Snapshot of the transcript so far (empty unless recording was enabled
-    /// via [`Network::mesh_with`]). Only the newest entries up to the
-    /// buffer's capacity are retained; see
-    /// [`NetworkHandle::transcript_dropped`].
+    /// via [`Network::try_mesh_with`]). Only the newest 4 096 entries are
+    /// retained; older ones are evicted first.
     #[must_use]
     pub fn transcript(&self) -> Vec<TranscriptEntry> {
         self.shared.transcript.lock().as_deque().clone().into()
@@ -107,13 +106,15 @@ impl NetworkHandle {
     /// Entries evicted (or refused, at capacity 0) from the bounded
     /// transcript buffer so far.
     #[must_use]
-    pub fn transcript_dropped(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn transcript_dropped(&self) -> u64 {
         self.shared.transcript.lock().evictions()
     }
 
     /// Re-bounds the transcript buffer, evicting oldest entries
     /// immediately if the new capacity is smaller than the current length.
-    pub fn set_transcript_capacity(&self, capacity: usize) {
+    #[cfg(test)]
+    pub(crate) fn set_transcript_capacity(&self, capacity: usize) {
         self.shared.transcript.lock().set_capacity(capacity);
     }
 }
@@ -150,7 +151,7 @@ impl<M: Clone + Debug + Send + 'static> Network<M> {
     /// (e.g. a probability outside `[0, 1]`), or if a crash or partition
     /// entry names a party outside `0..n`.
     #[must_use]
-    pub fn mesh_with(
+    pub(crate) fn mesh_with(
         n: usize,
         faults: FaultPlan,
         record_transcript: bool,
@@ -168,7 +169,7 @@ impl<M: Clone + Debug + Send + 'static> Network<M> {
     /// # Errors
     ///
     /// [`NetError::InvalidMesh`] when `n == 0`, when
-    /// [`FaultPlan::validate`] rejects the plan (e.g. a probability outside
+    /// `FaultPlan::validate` rejects the plan (e.g. a probability outside
     /// `[0, 1]`), or when a crash or partition entry names a party outside
     /// `0..n`.
     pub fn try_mesh_with(

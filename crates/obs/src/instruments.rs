@@ -2,7 +2,6 @@
 //! span timers. Everything here is lock-free after construction.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::time::Instant;
 
 /// A monotone event counter.
 #[derive(Debug, Default)]
@@ -43,7 +42,7 @@ pub struct Gauge {
 impl Gauge {
     /// Creates a gauge at zero.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Gauge::default()
     }
 
@@ -52,21 +51,16 @@ impl Gauge {
         self.value.store(v, Ordering::Relaxed);
     }
 
-    /// Adds `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
     /// Current value.
     #[must_use]
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
     }
 }
 
 /// Number of histogram buckets: one per `u64` bit length, so the buckets
 /// cover `[0, u64::MAX]` on a log₂ scale with no configuration.
-pub const BUCKETS: usize = 65;
+pub(crate) const BUCKETS: usize = 65;
 
 /// A latency/size distribution over fixed log₂-scale buckets.
 ///
@@ -133,21 +127,6 @@ impl Histogram {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// Starts a span-style timer that records the elapsed nanoseconds into
-    /// this histogram when dropped (or explicitly [`Span::finish`]ed).
-    pub fn span(&self) -> Span<'_> {
-        Span {
-            histogram: self,
-            started: Instant::now(),
-        }
-    }
-
-    /// Number of observations.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
     /// A consistent-enough snapshot of the distribution. (Individual loads
     /// are relaxed; a snapshot taken while writers are active can be off by
     /// the in-flight events, which is the usual histogram contract.)
@@ -206,13 +185,13 @@ pub struct HistogramSnapshot {
     /// Sum of all observations.
     pub sum: u64,
     /// Smallest observation (0 when empty).
-    pub min: u64,
+    pub(crate) min: u64,
     /// Largest observation.
     pub max: u64,
     /// Median estimate (bucket upper bound).
     pub p50: u64,
     /// 90th-percentile estimate.
-    pub p90: u64,
+    pub(crate) p90: u64,
     /// 99th-percentile estimate.
     pub p99: u64,
     /// 99.9th-percentile estimate — the open-loop load experiments' tail
@@ -220,38 +199,18 @@ pub struct HistogramSnapshot {
     /// `clamp(ceil(0.999·count), 1, count)`.
     pub p999: u64,
     /// Non-empty buckets as `(inclusive upper bound, count)` pairs.
-    pub buckets: Vec<(u64, u64)>,
+    pub(crate) buckets: Vec<(u64, u64)>,
 }
 
 impl HistogramSnapshot {
     /// Mean observation (0 when empty).
     #[must_use]
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-}
-
-/// A drop-guard timing a region into a [`Histogram`].
-#[must_use = "a span records on drop; binding it to _ discards the timing immediately"]
-pub struct Span<'a> {
-    histogram: &'a Histogram,
-    started: Instant,
-}
-
-impl Span<'_> {
-    /// Stops the span now and records the elapsed time.
-    pub fn finish(self) {
-        drop(self);
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        self.histogram.record_duration(self.started.elapsed());
     }
 }
 
@@ -266,9 +225,8 @@ mod tests {
         c.add(4);
         assert_eq!(c.get(), 5);
         let g = Gauge::new();
-        g.set(7);
-        g.add(-3);
-        assert_eq!(g.get(), 4);
+        g.set(-7);
+        assert_eq!(g.get(), -7);
     }
 
     #[test]
@@ -341,19 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn span_records_elapsed_time() {
-        let h = Histogram::new();
-        {
-            let _span = h.span();
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        h.span().finish();
-        let s = h.snapshot();
-        assert_eq!(s.count, 2);
-        assert!(s.max >= 1_000_000, "slept ≥ 1ms, got {} ns", s.max);
-    }
-
-    #[test]
     fn histogram_is_shareable_across_threads() {
         let h = std::sync::Arc::new(Histogram::new());
         std::thread::scope(|scope| {
@@ -366,6 +311,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(h.count(), 400);
+        assert_eq!(h.snapshot().count, 400);
     }
 }

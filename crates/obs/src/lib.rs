@@ -14,8 +14,6 @@
 //! * [`Histogram`] — latency distributions over **fixed log₂-scale
 //!   buckets**: recording is two atomic adds and one atomic increment, with
 //!   no allocation and no lock, so it is safe on the hottest path.
-//! * [`Span`] — a drop-guard that times a region and records the elapsed
-//!   nanoseconds into a histogram (span-style timed events).
 //! * [`MetricsRegistry`] — a cheap-to-clone shared handle owning all named
 //!   instruments, exporting a deterministic JSON snapshot
 //!   ([`MetricsRegistry::to_json`]) with no external dependencies.
@@ -40,10 +38,7 @@
 //! let latency = registry.histogram("server.decision_ns");
 //!
 //! decisions.inc();
-//! {
-//!     let _span = latency.span(); // records on drop
-//! }
-//! latency.record(1_500); // or record nanoseconds directly
+//! latency.record(1_500); // nanoseconds
 //!
 //! let json = registry.to_json();
 //! assert!(json.contains("\"server.decisions\":1"));
@@ -55,5 +50,5 @@ pub mod bounded;
 mod instruments;
 mod registry;
 
-pub use instruments::{Counter, Gauge, Histogram, HistogramSnapshot, Span, BUCKETS};
+pub use instruments::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::MetricsRegistry;

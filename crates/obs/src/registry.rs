@@ -62,12 +62,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// This handle's scope prefix (empty at the root).
-    #[must_use]
-    pub fn prefix(&self) -> &str {
-        &self.prefix
-    }
-
     fn full_name<'a>(&self, name: &'a str) -> std::borrow::Cow<'a, str> {
         if self.prefix.is_empty() {
             std::borrow::Cow::Borrowed(name)
@@ -281,7 +275,6 @@ mod tests {
         assert_eq!(root.counter_value("server.decisions"), None);
         // Scopes nest.
         let nested = shard0.scoped("inner.");
-        assert_eq!(nested.prefix(), "shard.0.inner.");
         nested.gauge("depth").set(2);
         assert_eq!(root.gauge_value("shard.0.inner.depth"), Some(2));
         // The root JSON export contains every scoped instrument.

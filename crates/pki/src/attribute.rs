@@ -43,7 +43,7 @@ impl ThresholdSubject {
 
     /// The logic-level subject: `{P1|K1, …, Pn|Kn}_{m,n}`.
     #[must_use]
-    pub fn to_logic(&self) -> Subject {
+    pub(crate) fn to_logic(&self) -> Subject {
         Subject::threshold(
             self.members
                 .iter()
@@ -51,12 +51,6 @@ impl ThresholdSubject {
                 .collect(),
             self.m,
         )
-    }
-
-    /// Looks up the bound key for a member name.
-    #[must_use]
-    pub fn key_of(&self, name: &str) -> Option<&RsaPublicKey> {
-        self.members.iter().find(|(n, _)| n == name).map(|(_, k)| k)
     }
 }
 
@@ -105,13 +99,6 @@ impl ThresholdAttributeCertificate {
     pub fn verify(&self, aa_key: &SharedPublicKey) -> Result<(), PkiError> {
         PresentedCert::Threshold(self).verify(aa_key.rsa(), None)
     }
-
-    /// The idealized certificate:
-    /// `⟨AA says_tAA (CP_{m,n} ⇒ [tb,te] G)⟩_{K_AA⁻¹}`.
-    #[must_use]
-    pub fn idealize(&self, aa_key: &SharedPublicKey) -> Message {
-        PresentedCert::Threshold(self).idealize(aa_key.rsa())
-    }
 }
 
 /// A single-subject attribute certificate (`P|K ⇒ G`), also jointly signed
@@ -153,21 +140,6 @@ impl AttributeCertificate {
             .put_validity(&validity)
             .put_i64(timestamp.0);
         e.finish()
-    }
-
-    /// Verifies the joint signature.
-    ///
-    /// # Errors
-    ///
-    /// [`PkiError::BadSignature`] if verification fails.
-    pub fn verify(&self, aa_key: &SharedPublicKey) -> Result<(), PkiError> {
-        PresentedCert::Attribute(self).verify(aa_key.rsa(), None)
-    }
-
-    /// The idealized certificate: `⟨AA says_t (P|K ⇒ [tb,te] G)⟩_{K_AA⁻¹}`.
-    #[must_use]
-    pub fn idealize(&self, aa_key: &SharedPublicKey) -> Message {
-        PresentedCert::Attribute(self).idealize(aa_key.rsa())
     }
 }
 
@@ -242,14 +214,14 @@ impl CompoundAttributeCertificate {
 
     /// The logic-level subject `{P1, …, Pn}|K_cp`.
     #[must_use]
-    pub fn to_logic_subject(&self) -> Subject {
+    pub(crate) fn to_logic_subject(&self) -> Subject {
         Subject::compound(self.member_names.iter().map(Subject::principal).collect())
             .bound(key_name(&self.shared_key))
     }
 
     /// The idealized certificate: `⟨AA says_t (CP|K ⇒ [tb,te] G)⟩_{K_AA⁻¹}`.
     #[must_use]
-    pub fn idealize(&self, aa_key: &SharedPublicKey) -> Message {
+    pub(crate) fn idealize(&self, aa_key: &SharedPublicKey) -> Message {
         Certs::attribute(
             self.issuer.as_str(),
             key_name(aa_key.rsa()),
@@ -282,7 +254,7 @@ pub struct AttributeRevocation {
 impl AttributeRevocation {
     /// The canonical signed bytes.
     #[must_use]
-    pub fn body_bytes(
+    pub(crate) fn body_bytes(
         issuer: &str,
         subject: &ThresholdSubject,
         group: &GroupId,
@@ -303,7 +275,7 @@ impl AttributeRevocation {
     /// # Errors
     ///
     /// [`PkiError::BadSignature`] if verification fails.
-    pub fn verify(&self, ra_key: &RsaPublicKey) -> Result<(), PkiError> {
+    pub(crate) fn verify(&self, ra_key: &RsaPublicKey) -> Result<(), PkiError> {
         let body = Self::body_bytes(
             &self.issuer,
             &self.subject,
@@ -324,7 +296,7 @@ impl AttributeRevocation {
     /// The idealized revocation:
     /// `⟨RA says_tRA ¬(CP_{m,n} ⇒ t' G)⟩_{K_RA⁻¹}`.
     #[must_use]
-    pub fn idealize(&self, ra_key: &RsaPublicKey) -> Message {
+    pub(crate) fn idealize(&self, ra_key: &RsaPublicKey) -> Message {
         Certs::attribute_revocation(
             self.issuer.as_str(),
             key_name(ra_key),
@@ -416,19 +388,11 @@ mod tests {
             timestamp: Time(6),
             signature,
         };
-        let msg = cert.idealize(&aa_key);
+        let msg = PresentedCert::Threshold(&cert).idealize(aa_key.rsa());
         let view = jaap_core::certs::CertView::parse(&msg).expect("parse");
         assert!(matches!(
             view,
             jaap_core::certs::CertView::Attribute { negated: false, .. }
         ));
-    }
-
-    #[test]
-    fn key_of_lookup() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let s = subject(&mut rng, 2);
-        assert!(s.key_of("User_D1").is_some());
-        assert!(s.key_of("Nobody").is_none());
     }
 }

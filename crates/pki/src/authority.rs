@@ -121,39 +121,31 @@ impl CertificateAuthority {
 #[derive(Debug, Clone)]
 pub struct RevocationAuthority {
     name: String,
-    on_behalf_of: String,
     keypair: RsaKeyPair,
 }
 
 impl RevocationAuthority {
-    /// Creates an RA acting for authority `on_behalf_of`.
+    /// Creates an RA. Which authority it speaks for is recorded where it
+    /// is trusted, by [`crate::TrustStore::trust_ra`].
     ///
     /// # Errors
     ///
     /// Propagates key generation failures.
     pub fn new(
         name: impl Into<String>,
-        on_behalf_of: impl Into<String>,
         rng: &mut dyn RngCore,
         bits: usize,
     ) -> Result<Self, CryptoError> {
         Ok(RevocationAuthority {
             name: name.into(),
-            on_behalf_of: on_behalf_of.into(),
             keypair: RsaKeyPair::generate(rng, bits)?,
         })
     }
 
     /// The RA's name.
     #[must_use]
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The authority this RA speaks for.
-    #[must_use]
-    pub fn on_behalf_of(&self) -> &str {
-        &self.on_behalf_of
     }
 
     /// The RA's verification key.
@@ -213,13 +205,5 @@ mod tests {
         let ca = CertificateAuthority::new("CA1", &mut rng, 128).expect("ca");
         assert_eq!(ca.name(), "CA1");
         assert!(!ca.public().key_id().is_empty());
-    }
-
-    #[test]
-    fn ra_acts_on_behalf_of_aa() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let ra = RevocationAuthority::new("RA", "AA", &mut rng, 128).expect("ra");
-        assert_eq!(ra.name(), "RA");
-        assert_eq!(ra.on_behalf_of(), "AA");
     }
 }

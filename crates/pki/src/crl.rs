@@ -37,14 +37,14 @@ pub struct Crl {
     pub timestamp: Time,
     /// The revocations.
     pub entries: Vec<CrlEntry>,
-    /// RA signature over [`Crl::body_bytes`].
+    /// RA signature over `Crl::body_bytes`.
     pub signature: RsaSignature,
 }
 
 impl Crl {
     /// The canonical signed bytes.
     #[must_use]
-    pub fn body_bytes(
+    pub(crate) fn body_bytes(
         issuer: &str,
         sequence: u64,
         timestamp: Time,
@@ -66,7 +66,7 @@ impl Crl {
     /// # Errors
     ///
     /// [`PkiError::BadSignature`] if verification fails.
-    pub fn verify(&self, ra_key: &RsaPublicKey) -> Result<(), PkiError> {
+    pub(crate) fn verify(&self, ra_key: &RsaPublicKey) -> Result<(), PkiError> {
         let body = Self::body_bytes(&self.issuer, self.sequence, self.timestamp, &self.entries);
         if ra_key.verify(&body, &self.signature) {
             Ok(())
@@ -115,7 +115,7 @@ mod tests {
 
     fn fixture() -> (RevocationAuthority, Vec<CrlEntry>) {
         let mut rng = StdRng::seed_from_u64(1);
-        let ra = RevocationAuthority::new("RA", "AA", &mut rng, 192).expect("ra");
+        let ra = RevocationAuthority::new("RA", &mut rng, 192).expect("ra");
         let user = RsaKeyPair::generate(&mut rng, 128).expect("user");
         let subject = ThresholdSubject::new(vec![("User_D1".into(), user.public().clone())], 1)
             .expect("subject");
@@ -159,7 +159,7 @@ mod tests {
     fn wrong_ra_key_rejected() {
         let (ra, entries) = fixture();
         let mut rng = StdRng::seed_from_u64(9);
-        let other = RevocationAuthority::new("RA2", "AA", &mut rng, 192).expect("ra2");
+        let other = RevocationAuthority::new("RA2", &mut rng, 192).expect("ra2");
         let crl = ra.issue_crl(1, Time(20), entries).expect("crl");
         assert!(crl.verify(other.public()).is_err());
     }

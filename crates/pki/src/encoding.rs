@@ -32,7 +32,7 @@ const MAX_PREALLOC: usize = 1024;
 /// Field tags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
-pub enum Tag {
+pub(crate) enum Tag {
     /// UTF-8 string.
     Str = 1,
     /// Unsigned 64-bit integer.
@@ -183,7 +183,7 @@ impl<'a> Decoder<'a> {
     ///
     /// [`PkiError::Malformed`] on tag/length mismatch or a count that
     /// cannot fit in `usize`.
-    pub fn take_list(&mut self) -> Result<usize, PkiError> {
+    pub(crate) fn take_list(&mut self) -> Result<usize, PkiError> {
         let raw = self.take(Tag::List)?;
         let arr: [u8; 8] = raw
             .try_into()
@@ -257,24 +257,24 @@ impl<'a> Decoder<'a> {
 impl Encoder {
     /// Appends an RSA public key: modulus, then exponent, as big-endian
     /// bytes.
-    pub fn put_key(&mut self, key: &RsaPublicKey) -> &mut Self {
+    pub(crate) fn put_key(&mut self, key: &RsaPublicKey) -> &mut Self {
         self.put_bytes(&key.modulus().to_bytes_be())
             .put_bytes(&key.exponent().to_bytes_be())
     }
 
     /// Appends an RSA signature value.
-    pub fn put_sig(&mut self, sig: &RsaSignature) -> &mut Self {
+    pub(crate) fn put_sig(&mut self, sig: &RsaSignature) -> &mut Self {
         self.put_bytes(&sig.value().to_bytes_be())
     }
 
     /// Appends a validity window: begin, then end.
-    pub fn put_validity(&mut self, v: &Validity) -> &mut Self {
+    pub(crate) fn put_validity(&mut self, v: &Validity) -> &mut Self {
         self.put_i64(v.begin.0).put_i64(v.end.0)
     }
 
     /// Appends a threshold subject: `m`, then each `(name, key)` member.
     /// Signed bodies embed subjects in this same form.
-    pub fn put_subject(&mut self, subject: &ThresholdSubject) -> &mut Self {
+    pub(crate) fn put_subject(&mut self, subject: &ThresholdSubject) -> &mut Self {
         self.put_u64(subject.m as u64)
             .put_list(subject.members.len());
         for (name, key) in &subject.members {
@@ -364,7 +364,7 @@ impl Decoder<'_> {
     /// # Errors
     ///
     /// [`PkiError::Malformed`] on any field mismatch.
-    pub fn take_key(&mut self) -> Result<RsaPublicKey, PkiError> {
+    pub(crate) fn take_key(&mut self) -> Result<RsaPublicKey, PkiError> {
         let n = Nat::from_bytes_be(self.take_bytes()?);
         let e = Nat::from_bytes_be(self.take_bytes()?);
         Ok(RsaPublicKey::new(n, e))
@@ -375,7 +375,7 @@ impl Decoder<'_> {
     /// # Errors
     ///
     /// [`PkiError::Malformed`] on any field mismatch.
-    pub fn take_sig(&mut self) -> Result<RsaSignature, PkiError> {
+    pub(crate) fn take_sig(&mut self) -> Result<RsaSignature, PkiError> {
         Ok(RsaSignature::from_value(Nat::from_bytes_be(
             self.take_bytes()?,
         )))
@@ -386,7 +386,7 @@ impl Decoder<'_> {
     /// # Errors
     ///
     /// [`PkiError::Malformed`] on any field mismatch or an inverted window.
-    pub fn take_validity(&mut self) -> Result<Validity, PkiError> {
+    pub(crate) fn take_validity(&mut self) -> Result<Validity, PkiError> {
         let begin = Time(self.take_i64()?);
         let end = Time(self.take_i64()?);
         if begin > end {
@@ -403,7 +403,7 @@ impl Decoder<'_> {
     ///
     /// [`PkiError::Malformed`] on any field mismatch or an invalid
     /// threshold.
-    pub fn take_subject(&mut self) -> Result<ThresholdSubject, PkiError> {
+    pub(crate) fn take_subject(&mut self) -> Result<ThresholdSubject, PkiError> {
         let m = usize::try_from(self.take_u64()?)
             .map_err(|_| PkiError::Malformed("threshold overflows usize".into()))?;
         let members = self.take_list_of(|d| Ok((d.take_str()?.to_owned(), d.take_key()?)))?;

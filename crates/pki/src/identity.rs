@@ -23,14 +23,14 @@ pub struct IdentityCertificate {
     /// CA timestamp `t_CA` ("time when the certificate information was
     /// deemed accurate by the CA").
     pub timestamp: Time,
-    /// CA signature over [`IdentityCertificate::body_bytes`].
+    /// CA signature over `IdentityCertificate::body_bytes`.
     pub signature: RsaSignature,
 }
 
 impl IdentityCertificate {
     /// The canonical signed bytes.
     #[must_use]
-    pub fn body_bytes(
+    pub(crate) fn body_bytes(
         issuer: &str,
         subject: &str,
         subject_key: &RsaPublicKey,
@@ -54,13 +54,6 @@ impl IdentityCertificate {
     pub fn verify(&self, issuer_key: &RsaPublicKey) -> Result<(), PkiError> {
         PresentedCert::Identity(self).verify(issuer_key, None)
     }
-
-    /// The idealized certificate (paper §4.2):
-    /// `⟨CA says_tCA (K_P ⇒ [tb,te] P)⟩_{K_CA⁻¹}`.
-    #[must_use]
-    pub fn idealize(&self, issuer_key: &RsaPublicKey) -> Message {
-        PresentedCert::Identity(self).idealize(issuer_key)
-    }
 }
 
 /// Revocation of an identity certificate.
@@ -83,7 +76,7 @@ pub struct IdentityRevocation {
 impl IdentityRevocation {
     /// The canonical signed bytes.
     #[must_use]
-    pub fn body_bytes(
+    pub(crate) fn body_bytes(
         issuer: &str,
         subject: &str,
         subject_key: &RsaPublicKey,
@@ -104,7 +97,7 @@ impl IdentityRevocation {
     /// # Errors
     ///
     /// [`PkiError::BadSignature`] if verification fails.
-    pub fn verify(&self, issuer_key: &RsaPublicKey) -> Result<(), PkiError> {
+    pub(crate) fn verify(&self, issuer_key: &RsaPublicKey) -> Result<(), PkiError> {
         let body = Self::body_bytes(
             &self.issuer,
             &self.subject,
@@ -125,7 +118,7 @@ impl IdentityRevocation {
     /// The idealized revocation:
     /// `⟨CA says_tCA ¬(K_P ⇒ t' P)⟩_{K_CA⁻¹}`.
     #[must_use]
-    pub fn idealize(&self, issuer_key: &RsaPublicKey) -> Message {
+    pub(crate) fn idealize(&self, issuer_key: &RsaPublicKey) -> Message {
         Certs::identity_revocation(
             self.issuer.as_str(),
             key_name(issuer_key),
@@ -212,7 +205,7 @@ mod tests {
                 Time(5),
             )
             .expect("issue");
-        let msg = cert.idealize(ca.public());
+        let msg = PresentedCert::Identity(&cert).idealize(ca.public());
         let CertView::Identity {
             issuer,
             subject,

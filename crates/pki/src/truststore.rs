@@ -109,7 +109,7 @@ impl TrustStore {
 
     /// The CA key for `name`, if trusted.
     #[must_use]
-    pub fn ca_key(&self, name: &str) -> Option<&RsaPublicKey> {
+    pub(crate) fn ca_key(&self, name: &str) -> Option<&RsaPublicKey> {
         self.cas.iter().find(|(n, _)| n == name).map(|(_, k)| k)
     }
 
@@ -289,7 +289,7 @@ mod tests {
     fn fixture() -> Fixture {
         let mut rng = StdRng::seed_from_u64(7);
         let ca = CertificateAuthority::new("CA1", &mut rng, 192).expect("ca");
-        let ra = RevocationAuthority::new("RA", "AA", &mut rng, 192).expect("ra");
+        let ra = RevocationAuthority::new("RA", &mut rng, 192).expect("ra");
         let (aa_key, shares) = SharedRsaKey::deal(&mut rng, 192, 3).expect("deal");
         let user = RsaKeyPair::generate(&mut rng, 192).expect("user");
         let mut store = TrustStore::new(Time(0));

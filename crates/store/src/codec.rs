@@ -1,6 +1,6 @@
 //! Canonical byte encoding for store records.
 //!
-//! Every row the store persists is one [`StoreRecord`]: a container with
+//! Every row the store persists is one `StoreRecord`: a container with
 //! the store's *own* domain string (`jaap-store-record-v1`, so store bytes
 //! can never be confused with journal bytes even though both live in
 //! `jaap-wal` frames), a column tag, and then one artifact written by the
@@ -23,7 +23,7 @@ const DOMAIN: &str = "jaap-store-record-v1";
 /// each variant lands in exactly one column family (see
 /// [`crate::Column`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StoreRecord {
+pub(crate) enum StoreRecord {
     /// A CA-signed identity certificate (certs-by-subject column, with a
     /// certs-by-issuer secondary index).
     IdentityCert(IdentityCertificate),
@@ -50,7 +50,7 @@ pub enum StoreRecord {
 impl StoreRecord {
     /// The canonical encoding.
     #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new(DOMAIN);
         match self {
             StoreRecord::IdentityCert(cert) => e.put_u64(1).put_identity_cert(cert),
@@ -69,7 +69,7 @@ impl StoreRecord {
     /// # Errors
     ///
     /// [`StoreError::Corrupt`] on any malformed encoding.
-    pub fn decode(bytes: &[u8]) -> Result<StoreRecord, StoreError> {
+    pub(crate) fn decode(bytes: &[u8]) -> Result<StoreRecord, StoreError> {
         Self::decode_fields(bytes)
             .map_err(|e| StoreError::Corrupt(format!("undecodable record: {e}")))
     }

@@ -5,7 +5,7 @@
 //! in in-memory maps, which caps the population a server can hold. This
 //! crate gives them a durable home sized for millions of principals:
 //!
-//! - **One log, many columns.** Every row is a [`StoreRecord`] encoded
+//! - **One log, many columns.** Every row is a `StoreRecord` encoded
 //!   under its own domain string and appended to a [`JournalStore`] as a
 //!   `jaap-wal` frame (checksummed, torn-tail detectable). The enum tag
 //!   is the column discriminant: certs-by-subject, threshold groups,
@@ -25,15 +25,10 @@
 //!   applying belief changes, composing with its WAL-before-effect
 //!   journal discipline; recovery rebuilds every index from snapshot +
 //!   log tail ([`CertStore::open`]).
-//! - **Epoch publishing.** Every mutation bumps a lock-free epoch
-//!   counter ([`CertStore::epoch`]), published the same way engine
-//!   versions are: decision snapshots capture the epoch and readers
-//!   revalidate without taking the store lock.
 
 #![forbid(unsafe_code)]
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use jaap_core::protocol::Acl;
@@ -47,10 +42,10 @@ use jaap_wal::{
 };
 use parking_lot::Mutex;
 
-pub mod codec;
+mod codec;
 mod pager;
 
-pub use codec::StoreRecord;
+pub(crate) use codec::StoreRecord;
 use pager::Pager;
 
 /// Errors from the store.
@@ -79,7 +74,7 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// The store's logical column families. One [`StoreRecord`] variant maps
+/// The store's logical column families. One `StoreRecord` variant maps
 /// to exactly one column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Column {
@@ -101,7 +96,7 @@ pub enum Column {
 
 impl Column {
     /// Every column, in persistent tag order.
-    pub const ALL: [Column; 7] = [
+    pub(crate) const ALL: [Column; 7] = [
         Column::IdentitySubject,
         Column::ThresholdGroup,
         Column::AttributeGrant,
@@ -125,7 +120,7 @@ impl Column {
 
     /// Short stable name (metrics, diagnostics).
     #[must_use]
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Column::IdentitySubject => "identity_subject",
             Column::ThresholdGroup => "threshold_group",
@@ -414,11 +409,10 @@ impl Inner {
 }
 
 /// A cloneable handle on the persistent store. All handles share one
-/// index and one epoch counter; reads of the epoch are lock-free.
+/// index.
 #[derive(Debug, Clone)]
 pub struct CertStore {
     inner: Arc<Mutex<Inner>>,
-    epoch: Arc<AtomicU64>,
 }
 
 impl CertStore {
@@ -466,7 +460,6 @@ impl CertStore {
         }
         Ok(CertStore {
             inner: Arc::new(Mutex::new(inner)),
-            epoch: Arc::new(AtomicU64::new(0)),
         })
     }
 
@@ -476,36 +469,16 @@ impl CertStore {
         CertStore::open(Box::new(MemStore::new()), config).expect("in-memory open cannot fail")
     }
 
-    /// The current store epoch. Bumped on every mutation; lock-free, so
-    /// snapshot publication can read it the way engine versions are read.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
     /// Rows indexed in `column` (live keys, not log records).
     #[must_use]
     pub fn len(&self, column: Column) -> usize {
         self.inner.lock().columns[column.idx()].len()
     }
 
-    /// `true` when every column is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        let inner = self.inner.lock();
-        inner.columns.iter().all(|c| c.len() == 0)
-    }
-
     /// Current resident footprint in bytes (pages + unflushed tail).
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
         self.inner.lock().resident_bytes()
-    }
-
-    /// Resident cold-tier page count.
-    #[must_use]
-    pub fn resident_pages(&self) -> usize {
-        self.inner.lock().pager.resident_pages()
     }
 
     /// Re-bounds the cold-tier page cache, evicting immediately.
@@ -561,13 +534,13 @@ impl CertStore {
     }
 
     /// Appends one row (store-before-effect write path): encodes, frames,
-    /// indexes, bumps the epoch, and flushes when the tail buffer crosses
+    /// indexes, and flushes when the tail buffer crosses
     /// the configured threshold.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] if an automatic flush hits the medium and fails.
-    pub fn put(&self, record: &StoreRecord) -> Result<(), StoreError> {
+    pub(crate) fn put(&self, record: &StoreRecord) -> Result<(), StoreError> {
         let mut inner = self.inner.lock();
         let framed = frame_record(&record.encode());
         let loc = Loc {
@@ -583,7 +556,6 @@ impl CertStore {
             m.writes.inc();
             m.resident_bytes.set(inner.resident_bytes() as i64);
         }
-        self.epoch.fetch_add(1, Ordering::Release);
         Ok(())
     }
 
@@ -591,7 +563,7 @@ impl CertStore {
     ///
     /// # Errors
     ///
-    /// See [`CertStore::put`].
+    /// [`StoreError::Io`] if an automatic flush hits the medium and fails.
     pub fn put_identity_cert(&self, cert: &IdentityCertificate) -> Result<(), StoreError> {
         self.put(&StoreRecord::IdentityCert(cert.clone()))
     }
@@ -600,7 +572,7 @@ impl CertStore {
     ///
     /// # Errors
     ///
-    /// See [`CertStore::put`].
+    /// [`StoreError::Io`] if an automatic flush hits the medium and fails.
     pub fn put_threshold_cert(
         &self,
         cert: &ThresholdAttributeCertificate,
@@ -612,7 +584,7 @@ impl CertStore {
     ///
     /// # Errors
     ///
-    /// See [`CertStore::put`].
+    /// [`StoreError::Io`] if an automatic flush hits the medium and fails.
     pub fn put_attribute_cert(&self, cert: &AttributeCertificate) -> Result<(), StoreError> {
         self.put(&StoreRecord::AttributeCert(cert.clone()))
     }
@@ -621,7 +593,7 @@ impl CertStore {
     ///
     /// # Errors
     ///
-    /// See [`CertStore::put`].
+    /// [`StoreError::Io`] if an automatic flush hits the medium and fails.
     pub fn put_identity_revocation(&self, rev: &IdentityRevocation) -> Result<(), StoreError> {
         self.put(&StoreRecord::IdentityRevocation(rev.clone()))
     }
@@ -630,7 +602,7 @@ impl CertStore {
     ///
     /// # Errors
     ///
-    /// See [`CertStore::put`].
+    /// [`StoreError::Io`] if an automatic flush hits the medium and fails.
     pub fn put_attribute_revocation(&self, rev: &AttributeRevocation) -> Result<(), StoreError> {
         self.put(&StoreRecord::AttributeRevocation(rev.clone()))
     }
@@ -639,7 +611,7 @@ impl CertStore {
     ///
     /// # Errors
     ///
-    /// See [`CertStore::put`].
+    /// [`StoreError::Io`] if an automatic flush hits the medium and fails.
     pub fn put_crl(&self, crl: &Crl) -> Result<(), StoreError> {
         self.put(&StoreRecord::CrlAnchor(crl.clone()))
     }
@@ -648,7 +620,7 @@ impl CertStore {
     ///
     /// # Errors
     ///
-    /// See [`CertStore::put`].
+    /// [`StoreError::Io`] if an automatic flush hits the medium and fails.
     pub fn put_acl(&self, object: &str, acl: &Acl) -> Result<(), StoreError> {
         self.put(&StoreRecord::AclRow {
             object: object.to_string(),
@@ -767,30 +739,6 @@ impl CertStore {
         }
     }
 
-    /// Latest attribute revocation for the member set `members` in
-    /// `group`, if any.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError`] if the span cannot be read or decoded.
-    pub fn attribute_revocation(
-        &self,
-        members: &[String],
-        group: &str,
-    ) -> Result<Option<AttributeRevocation>, StoreError> {
-        let mut inner = self.inner.lock();
-        let key = members_key(members.iter().map(String::as_str), group);
-        let Some(loc) = inner.columns[Column::AttributeRevocation.idx()].get(&key) else {
-            return Ok(None);
-        };
-        match inner.fetch(loc)? {
-            StoreRecord::AttributeRevocation(rev) => Ok(Some(rev)),
-            _ => Err(StoreError::Corrupt(
-                "revocation index points off-column".into(),
-            )),
-        }
-    }
-
     /// The CRL anchored at `sequence`, if stored.
     ///
     /// # Errors
@@ -847,59 +795,6 @@ impl CertStore {
         if let Some(m) = &inner.metrics {
             m.resident_bytes.set(inner.resident_bytes() as i64);
         }
-        Ok(())
-    }
-
-    /// Rewrites the log to contain only the latest record per live key
-    /// (dropping superseded versions), atomically via the medium's
-    /// `reset` — the snapshot half of snapshot + log. Indexes are rebuilt
-    /// on the compacted image and the page cache is dropped.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError`] if reading a live row or rewriting the log fails.
-    pub fn snapshot_compact(&self) -> Result<(), StoreError> {
-        let mut inner = self.inner.lock();
-        inner.flush()?;
-        // Collect the latest image of every live row, column by column.
-        let mut live: Vec<StoreRecord> = Vec::new();
-        for column in Column::ALL {
-            let locs = inner.columns[column.idx()].locs.clone();
-            for loc in locs {
-                live.push(inner.fetch(loc)?);
-            }
-        }
-        let mut image = Vec::new();
-        let mut rows = Vec::with_capacity(live.len());
-        for record in &live {
-            let framed = frame_record(&record.encode());
-            let loc = Loc {
-                offset: image.len() as u64,
-                len: framed.len() as u32,
-            };
-            image.extend_from_slice(&framed);
-            rows.push((record.clone(), loc));
-        }
-        inner
-            .store
-            .reset(&image)
-            .map_err(|e| StoreError::Io(e.to_string()))?;
-        inner.flushed_len = image.len() as u64;
-        inner.tail_buf.clear();
-        inner.pager.clear();
-        inner.columns = Default::default();
-        inner.by_issuer.clear();
-        inner.issuer_of.clear();
-        inner.by_group.clear();
-        inner.group_of.clear();
-        inner.latest_crl_seq = None;
-        for (record, loc) in &rows {
-            inner.index_record(record, *loc);
-        }
-        if let Some(m) = &inner.metrics {
-            m.resident_bytes.set(inner.resident_bytes() as i64);
-        }
-        self.epoch.fetch_add(1, Ordering::Release);
         Ok(())
     }
 
@@ -1107,7 +1002,6 @@ mod tests {
         assert_eq!(store.latest_crl().expect("get"), Some(crl(1)));
         assert_eq!(store.acl("Object O").expect("get"), Some(acl));
         assert_eq!(store.len(Column::IdentitySubject), 1);
-        assert!(!store.is_empty());
         store.verify_integrity().expect("consistent");
     }
 
@@ -1195,35 +1089,6 @@ mod tests {
     }
 
     #[test]
-    fn compaction_drops_superseded_rows_and_preserves_reads() {
-        let medium = MemStore::new();
-        let store = CertStore::open(Box::new(medium.clone()), tiny_config()).expect("open");
-        for round in 0..5u8 {
-            for i in 0..4u8 {
-                store
-                    .put_identity_cert(&identity(&format!("U{i}"), "CA_D1", round * 4 + i))
-                    .expect("put");
-            }
-        }
-        store.flush().expect("flush");
-        let before = medium.snapshot().len();
-        store.snapshot_compact().expect("compact");
-        let after = medium.snapshot().len();
-        assert!(after < before, "compaction must shrink the log");
-        for i in 0..4u8 {
-            assert_eq!(
-                store.identity_by_subject(&format!("U{i}")).expect("get"),
-                Some(identity(&format!("U{i}"), "CA_D1", 16 + i)),
-                "latest version must survive compaction"
-            );
-        }
-        store.verify_integrity().expect("consistent");
-        // A fresh open over the compacted medium agrees.
-        let reopened = CertStore::open(Box::new(medium), tiny_config()).expect("reopen");
-        assert_eq!(reopened.len(Column::IdentitySubject), 4);
-    }
-
-    #[test]
     fn cold_reads_stay_within_the_page_budget() {
         let store = CertStore::in_memory(StoreConfig {
             page_size: 512,
@@ -1245,7 +1110,6 @@ mod tests {
                 .expect("get")
                 .is_some());
         }
-        assert!(store.resident_pages() <= 2);
         assert!(store.resident_bytes() <= 2 * 512);
         assert_eq!(registry.counter_value("store.reads"), Some(64));
         assert!(registry.counter_value("store.misses").unwrap_or(0) > 0);
@@ -1303,18 +1167,5 @@ mod tests {
         // The very next cold reads re-trip (medium still "slow"), which is
         // exactly the fail-fast behaviour a degraded disk should get.
         assert!(store.identity_by_subject("U7").expect("probe").is_some());
-    }
-
-    #[test]
-    fn epoch_bumps_on_every_mutation() {
-        let store = CertStore::in_memory(tiny_config());
-        let e0 = store.epoch();
-        store
-            .put_identity_cert(&identity("U1", "CA_D1", 1))
-            .expect("put");
-        let e1 = store.epoch();
-        assert!(e1 > e0);
-        store.snapshot_compact().expect("compact");
-        assert!(store.epoch() > e1);
     }
 }

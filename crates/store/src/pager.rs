@@ -21,7 +21,7 @@ pub(crate) struct Pager {
     /// Resident full pages by page number, bounded oldest-first.
     pages: FifoMap<u64, Vec<u8>>,
     /// Cache misses (pages fetched from the store).
-    pub misses: u64,
+    pub(crate) misses: u64,
 }
 
 impl Pager {
@@ -44,6 +44,7 @@ impl Pager {
     }
 
     /// Resident page count.
+    #[cfg(test)]
     pub(crate) fn resident_pages(&self) -> usize {
         self.pages.len()
     }
@@ -51,11 +52,6 @@ impl Pager {
     /// Shrinks (or grows) the page budget, evicting immediately if over.
     pub(crate) fn set_capacity(&mut self, capacity: usize) {
         self.pages.set_capacity(Some(capacity.max(1)));
-    }
-
-    /// Drops every resident page (after a compaction rewrites the log).
-    pub(crate) fn clear(&mut self) {
-        self.pages.clear();
     }
 
     /// Reads `[offset, offset+len)` from the flushed log through the page

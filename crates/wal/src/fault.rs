@@ -8,47 +8,33 @@ use rand::{RngCore, SeedableRng};
 use crate::store::JournalStore;
 use crate::WalError;
 
-/// The kinds of storage fault [`FaultyStore`] can inject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// An append loses a random suffix (crash-mid-write).
-    TornWrite,
-    /// An append lands with one random bit flipped.
-    BitFlip,
-    /// A read loses a random suffix.
-    ShortRead,
-    /// A reset's rename never becomes durable (old log resurrected).
-    LostReset,
-    /// The append's fsync fails *after* a short write reached the medium:
-    /// durability is indeterminate, so the store wedges itself and refuses
-    /// every later append — the fsyncgate-correct response (retrying the
-    /// fsync could report success over silently-dropped dirty pages).
-    SyncFail,
-}
-
 /// What can go wrong between the journal and its medium.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreFaultPlan {
     /// Seed for the fault PRNG.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Probability an append is torn: only a strict prefix reaches the
     /// medium (the classic crash-mid-write).
-    pub torn_write_prob: f64,
+    pub(crate) torn_write_prob: f64,
     /// Probability an append lands with one random bit flipped.
-    pub bit_flip_prob: f64,
+    pub(crate) bit_flip_prob: f64,
     /// Probability a read returns the log minus a random suffix.
-    pub short_read_prob: f64,
+    pub(crate) short_read_prob: f64,
     /// Probability a `reset` (tmp-write + rename) is lost wholesale: the
     /// crash lands after the rename but before the parent directory entry
     /// reaches the medium, so recovery sees the *old* log resurrected.
-    pub reset_lost_prob: f64,
-    /// Probability an append's fsync fails ([`FaultKind::SyncFail`]),
-    /// rolled on the seeded PRNG like every other fault.
-    pub sync_fail_prob: f64,
+    pub(crate) reset_lost_prob: f64,
+    /// Probability an append's fsync fails *after* a short write reached
+    /// the medium, rolled on the seeded PRNG like every other fault.
+    /// Durability is then indeterminate, so the store wedges itself and
+    /// refuses every later append — the fsyncgate-correct response
+    /// (retrying the fsync could report success over silently-dropped
+    /// dirty pages).
+    pub(crate) sync_fail_prob: f64,
     /// Deterministic schedule: fail the fsync of the append with this
     /// 0-based index (counted across the store's lifetime), regardless of
     /// probability. Composes with `sync_fail_prob`.
-    pub sync_fail_after: Option<u64>,
+    pub(crate) sync_fail_after: Option<u64>,
 }
 
 impl StoreFaultPlan {
@@ -80,7 +66,7 @@ impl StoreFaultPlan {
         self
     }
 
-    /// Sets the short-read probability.
+    /// Sets the short-read probability (seen by [`FaultyStore::read_faulty`]).
     #[must_use]
     pub fn with_short_read(mut self, p: f64) -> Self {
         self.short_read_prob = p;
@@ -94,15 +80,15 @@ impl StoreFaultPlan {
         self
     }
 
-    /// Sets the fsync-failure probability ([`FaultKind::SyncFail`]).
+    /// Sets the fsync-failure probability.
     #[must_use]
     pub fn with_sync_fail(mut self, p: f64) -> Self {
         self.sync_fail_prob = p;
         self
     }
 
-    /// Schedules a deterministic [`FaultKind::SyncFail`] on the append
-    /// with 0-based index `n`.
+    /// Schedules a deterministic fsync failure on the append with 0-based
+    /// index `n`.
     #[must_use]
     pub fn with_sync_fail_after(mut self, n: u64) -> Self {
         self.sync_fail_after = Some(n);
@@ -114,7 +100,7 @@ impl StoreFaultPlan {
     /// # Errors
     ///
     /// [`WalError::InvalidPlan`] otherwise.
-    pub fn validate(&self) -> Result<(), WalError> {
+    pub(crate) fn validate(&self) -> Result<(), WalError> {
         for (name, p) in [
             ("torn_write_prob", self.torn_write_prob),
             ("bit_flip_prob", self.bit_flip_prob),
@@ -132,17 +118,17 @@ impl StoreFaultPlan {
 
 /// Count of injected faults.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
+pub(crate) struct FaultStats {
     /// Appends that lost a suffix.
-    pub torn_writes: u64,
+    pub(crate) torn_writes: u64,
     /// Appends that landed with a flipped bit.
-    pub bit_flips: u64,
+    pub(crate) bit_flips: u64,
     /// Reads that lost a suffix.
-    pub short_reads: u64,
+    pub(crate) short_reads: u64,
     /// Resets whose rename never became durable (old log resurrected).
-    pub lost_resets: u64,
+    pub(crate) lost_resets: u64,
     /// Appends whose fsync failed after a short write (store wedged).
-    pub sync_fails: u64,
+    pub(crate) sync_fails: u64,
 }
 
 /// A store wrapper that injects the planned faults.
@@ -153,7 +139,8 @@ pub struct FaultyStore<S: JournalStore> {
     rng: StdRng,
     stats: FaultStats,
     appends: u64,
-    wedged_by: Option<FaultKind>,
+    /// Set by a failed fsync; a wedged store refuses every further write.
+    wedged: bool,
 }
 
 impl<S: JournalStore> FaultyStore<S> {
@@ -170,27 +157,19 @@ impl<S: JournalStore> FaultyStore<S> {
             rng: StdRng::seed_from_u64(plan.seed),
             stats: FaultStats::default(),
             appends: 0,
-            wedged_by: None,
+            wedged: false,
         })
     }
 
     /// Faults injected so far.
-    #[must_use]
-    pub fn stats(&self) -> FaultStats {
+    #[cfg(test)]
+    fn stats(&self) -> FaultStats {
         self.stats
     }
 
-    /// The fault that wedged this store, if any. A wedged store refuses
-    /// every further append; only recovery over the inner medium's
-    /// durable prefix yields a usable store again.
-    #[must_use]
-    pub fn wedged(&self) -> Option<FaultKind> {
-        self.wedged_by
-    }
-
     /// Unwraps the inner store.
-    #[must_use]
-    pub fn into_inner(self) -> S {
+    #[cfg(test)]
+    fn into_inner(self) -> S {
         self.inner
     }
 
@@ -209,10 +188,11 @@ impl<S: JournalStore> JournalStore for FaultyStore<S> {
     }
 
     fn append(&mut self, bytes: &[u8]) -> Result<(), WalError> {
-        if let Some(kind) = self.wedged_by {
-            return Err(WalError::Io(format!(
-                "store wedged after {kind:?}: durability indeterminate, reopen to recover"
-            )));
+        if self.wedged {
+            return Err(WalError::Io(
+                "store wedged after a failed fsync: durability indeterminate, reopen to recover"
+                    .into(),
+            ));
         }
         let index = self.appends;
         self.appends += 1;
@@ -226,7 +206,7 @@ impl<S: JournalStore> JournalStore for FaultyStore<S> {
             let keep = (self.rng.next_u64() as usize) % bytes.len().max(1);
             self.inner.append(&bytes[..keep])?;
             self.stats.sync_fails += 1;
-            self.wedged_by = Some(FaultKind::SyncFail);
+            self.wedged = true;
             return Err(WalError::Io(format!(
                 "simulated fsync failure on append {index}: {keep}/{} bytes reached the medium",
                 bytes.len()
@@ -247,10 +227,11 @@ impl<S: JournalStore> JournalStore for FaultyStore<S> {
     }
 
     fn reset(&mut self, bytes: &[u8]) -> Result<(), WalError> {
-        if let Some(kind) = self.wedged_by {
-            return Err(WalError::Io(format!(
-                "store wedged after {kind:?}: durability indeterminate, reopen to recover"
-            )));
+        if self.wedged {
+            return Err(WalError::Io(
+                "store wedged after a failed fsync: durability indeterminate, reopen to recover"
+                    .into(),
+            ));
         }
         if self.plan.reset_lost_prob > 0.0 && self.roll() < self.plan.reset_lost_prob {
             // Crash window after rename, before the directory fsync: the
@@ -389,7 +370,7 @@ mod tests {
         let err = store.append(&frame_record(&[9; 16]));
         assert!(matches!(err, Err(WalError::Io(_))));
         assert_eq!(store.stats().sync_fails, 1);
-        assert_eq!(store.wedged(), Some(FaultKind::SyncFail));
+        assert!(store.wedged);
         // ...and the store refuses everything after it: no fsync retry.
         assert!(store.append(&frame_record(&[10; 16])).is_err());
         assert!(store.reset(&frame_record(b"snapshot")).is_err());

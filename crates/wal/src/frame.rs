@@ -26,7 +26,7 @@
 use crate::WalError;
 
 /// Marks the start of every record ("JW").
-pub const MAGIC: [u8; 2] = [0x4A, 0x57];
+pub(crate) const MAGIC: [u8; 2] = [0x4A, 0x57];
 
 /// Current frame format version. A replica rejects frames whose version
 /// byte differs — an incompatible primary must not be able to corrupt a
@@ -44,7 +44,7 @@ pub const HEADER_LEN: usize = 2 + 1 + 8 + 4 + 8;
 
 /// Upper bound on a single record's payload; a length field above this is
 /// treated as corruption rather than an instruction to wait for 4 GiB.
-pub const MAX_RECORD_LEN: usize = 16 * 1024 * 1024;
+pub(crate) const MAX_RECORD_LEN: usize = 16 * 1024 * 1024;
 
 const P1: u64 = 0x9E37_79B1_85EB_CA87;
 const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
@@ -173,7 +173,7 @@ pub struct ParsedLog {
 impl ParsedLog {
     /// Bytes of unreplayable tail, 0 when clean.
     #[must_use]
-    pub fn truncated_bytes(&self, total_len: usize) -> usize {
+    pub(crate) fn truncated_bytes(&self, total_len: usize) -> usize {
         match &self.tail {
             Tail::Clean => 0,
             Tail::Truncated { offset, .. } => total_len.saturating_sub(*offset),

@@ -9,13 +9,13 @@ use crate::WalError;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JournalStats {
     /// Records appended.
-    pub appends: u64,
+    pub(crate) appends: u64,
     /// Framed bytes appended.
-    pub bytes_appended: u64,
+    pub(crate) bytes_appended: u64,
     /// Snapshot rewrites.
     pub rewrites: u64,
     /// Records written by rewrites.
-    pub records_rewritten: u64,
+    pub(crate) records_rewritten: u64,
 }
 
 /// A replayed log.
@@ -23,10 +23,6 @@ pub struct JournalStats {
 pub struct Replay {
     /// Valid payloads in append order.
     pub records: Vec<Vec<u8>>,
-    /// Primary term each valid record was written under.
-    pub terms: Vec<u64>,
-    /// Byte offset just past each valid record.
-    pub boundaries: Vec<usize>,
     /// Total bytes scanned.
     pub bytes_scanned: u64,
     /// Why (and where) the tail was cut, `None` for a clean log.
@@ -118,8 +114,6 @@ impl Journal {
         };
         Ok(Replay {
             records: parsed.records,
-            terms: parsed.terms,
-            boundaries: parsed.boundaries,
             bytes_scanned: bytes.len() as u64,
             truncation,
             truncated_bytes,
@@ -160,15 +154,15 @@ mod tests {
 
     #[test]
     fn term_is_stamped_into_frames() {
-        let mut j = Journal::new(Box::new(MemStore::new()));
+        let store = MemStore::new();
+        let mut j = Journal::new(Box::new(store.clone()));
         j.append(b"old-regime").expect("append");
         j.set_term(4);
         j.append(b"new-regime").expect("append");
-        let replay = j.replay().expect("replay");
-        assert_eq!(replay.terms, vec![0, 4]);
+        let terms = || frame::parse_log(&store.read().expect("read")).terms;
+        assert_eq!(terms(), vec![0, 4]);
         j.rewrite(&[b"compacted".to_vec()]).expect("rewrite");
-        let replay = j.replay().expect("replay");
-        assert_eq!(replay.terms, vec![4]);
+        assert_eq!(terms(), vec![4]);
     }
 
     #[test]

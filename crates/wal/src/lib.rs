@@ -27,7 +27,7 @@ pub mod frame;
 pub mod journal;
 pub mod store;
 
-pub use fault::{FaultKind, FaultStats, FaultyStore, StoreFaultPlan};
+pub use fault::{FaultyStore, StoreFaultPlan};
 pub use frame::{
     check_log_version, decode_frames, frame_record, frame_record_with_term, parse_log, Frame,
     Frames, ParsedLog, Tail, FORMAT_VERSION,

@@ -182,16 +182,6 @@ pub struct FileStore {
 }
 
 impl FileStore {
-    /// Opens (creating if absent) a file-backed log at `path`, syncing
-    /// every append ([`SyncPolicy::EveryAppend`]).
-    ///
-    /// # Errors
-    ///
-    /// [`WalError::Io`] if the file cannot be created.
-    pub fn new(path: impl AsRef<Path>) -> Result<Self, WalError> {
-        FileStore::with_sync_policy(path, SyncPolicy::EveryAppend)
-    }
-
     /// Opens (creating if absent) a file-backed log with an explicit sync
     /// policy.
     ///
@@ -216,23 +206,11 @@ impl FileStore {
         Ok(store)
     }
 
-    /// The log's path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The store's sync policy.
-    #[must_use]
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.sync
-    }
-
     /// How many times the parent directory has been fsynced (file
     /// creation and every durable `reset`) — observable evidence for the
     /// crash-after-rename tests.
-    #[must_use]
-    pub fn dir_syncs(&self) -> u64 {
+    #[cfg(test)]
+    fn dir_syncs(&self) -> u64 {
         self.dir_syncs
     }
 
@@ -241,8 +219,8 @@ impl FileStore {
     /// left durability indeterminate. A successful [`FileStore::reset`]
     /// clears the wedge because it rewrites the whole log through a fresh
     /// temp file.
-    #[must_use]
-    pub fn wedged(&self) -> bool {
+    #[cfg(test)]
+    fn wedged(&self) -> bool {
         self.wedged
     }
 
@@ -517,12 +495,6 @@ impl<S: JournalStore> TeeStore<S> {
     pub fn new(inner: S, outbox: LogOutbox) -> Self {
         TeeStore { inner, outbox }
     }
-
-    /// The wrapped store.
-    #[must_use]
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
 }
 
 impl<S: JournalStore> JournalStore for TeeStore<S> {
@@ -577,9 +549,8 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("log.wal");
         let _ = std::fs::remove_file(&path);
-        let mut s = FileStore::new(&path).expect("open");
+        let mut s = FileStore::with_sync_policy(&path, SyncPolicy::EveryAppend).expect("open");
         assert!(s.is_empty().expect("empty"));
-        assert_eq!(s.sync_policy(), SyncPolicy::EveryAppend);
         s.append(b"abc").expect("append");
         s.append(b"def").expect("append");
         assert_eq!(s.read().expect("read"), b"abcdef");
@@ -623,7 +594,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("log.wal");
         let _ = std::fs::remove_file(&path);
-        let mut s = FileStore::new(&path).expect("open");
+        let mut s = FileStore::with_sync_policy(&path, SyncPolicy::EveryAppend).expect("open");
         s.append(b"0123456789").expect("append");
         assert_eq!(s.read_range(2, 4).expect("range"), b"2345");
         assert_eq!(s.read_range(8, 10).expect("range"), b"89");
@@ -637,13 +608,13 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("log.wal");
         let _ = std::fs::remove_file(&path);
-        let mut s = FileStore::new(&path).expect("open");
+        let mut s = FileStore::with_sync_policy(&path, SyncPolicy::EveryAppend).expect("open");
         assert_eq!(s.dir_syncs(), 1, "creation must make the entry durable");
         s.append(b"abc").expect("append");
         s.reset(b"zz").expect("reset");
         assert_eq!(s.dir_syncs(), 2, "rename must be followed by a dir fsync");
         // Re-opening an existing log needs no directory work.
-        let reopened = FileStore::new(&path).expect("reopen");
+        let reopened = FileStore::with_sync_policy(&path, SyncPolicy::EveryAppend).expect("reopen");
         assert_eq!(reopened.dir_syncs(), 0);
         // `Never` opts out of directory durability along with file fsyncs.
         let lazy_path = dir.join("lazy.wal");
@@ -661,7 +632,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("log.wal");
         let _ = std::fs::remove_file(&path);
-        let mut s = FileStore::new(&path).expect("open");
+        let mut s = FileStore::with_sync_policy(&path, SyncPolicy::EveryAppend).expect("open");
         s.append(b"abc").expect("append");
         assert!(!s.wedged());
         // Yank the file out from under the store: the next append fails.

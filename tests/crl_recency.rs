@@ -91,7 +91,7 @@ fn forged_crl_rejected() {
 
     let mut c = coalition(9005);
     let mut rng = StdRng::seed_from_u64(1);
-    let rogue = RevocationAuthority::new("RogueRA", "AA", &mut rng, 192).expect("rogue");
+    let rogue = RevocationAuthority::new("RogueRA", &mut rng, 192).expect("rogue");
     let crl = rogue.issue_crl(1, Time(10), vec![]).expect("crl");
     assert!(c.server_mut().admit_crl(&crl).is_err());
 }

@@ -55,7 +55,7 @@ fn revocation_from_untrusted_ra_is_rejected() {
 
     let mut c = coalition(3004);
     let mut rng = StdRng::seed_from_u64(99);
-    let rogue = RevocationAuthority::new("RogueRA", "AA", &mut rng, 192).expect("rogue");
+    let rogue = RevocationAuthority::new("RogueRA", &mut rng, 192).expect("rogue");
     let rev = rogue
         .revoke_attribute(
             &c.write_ac().subject.clone(),

@@ -21,32 +21,69 @@ fn subject(rng: &mut StdRng) -> ThresholdSubject {
     ThresholdSubject::new(members, 2).expect("subject")
 }
 
+/// One operator credential per member domain.
+fn operators() -> Vec<(String, String)> {
+    (1..=3)
+        .map(|i| (format!("admin_D{i}"), format!("pw{i}")))
+        .collect()
+}
+
+/// The body of a write-group threshold attribute certificate the AA issues.
+fn write_grant_body(rng: &mut StdRng) -> Vec<u8> {
+    ThresholdAttributeCertificate::body_bytes(
+        "AA",
+        &subject(rng),
+        &GroupId::new("G_write"),
+        Validity::new(Time(0), Time(100)),
+        Time(5),
+    )
+}
+
 #[test]
 fn case1_single_penetration_forges_valid_certificates() {
     // Case I: stealing the lockbox key with ONE compromise yields
     // certificates indistinguishable from legitimate ones.
     let mut rng = StdRng::seed_from_u64(5001);
-    let ops = vec![
-        ("admin_D1".to_string(), "pw1".to_string()),
-        ("admin_D2".to_string(), "pw2".to_string()),
-        ("admin_D3".to_string(), "pw3".to_string()),
-    ];
-    let aa = LockboxAa::establish("AA", ops, &mut rng, 192).expect("aa");
+    let aa = LockboxAa::establish(operators(), &mut rng, 192).expect("aa");
     let stolen = aa.external_penetration();
 
-    let s = subject(&mut rng);
-    let validity = Validity::new(Time(0), Time(100));
-    let body = ThresholdAttributeCertificate::body_bytes(
-        "AA",
-        &s,
-        &GroupId::new("G_write"),
-        validity,
-        Time(5),
-    );
+    let body = write_grant_body(&mut rng);
     let forged_sig = stolen.sign(&body).expect("sign with stolen key");
     // The forgery verifies against the AA's public key: unilateral policy
     // modification achieved with one compromise.
     assert!(aa.public().verify(&body, &forged_sig));
+}
+
+#[test]
+fn case1_lockbox_signs_only_with_every_operator_credential() {
+    // Case I's "joint cryptographic request": the lockbox itself signs a
+    // certificate only when every domain's operator presents a credential.
+    let mut rng = StdRng::seed_from_u64(5004);
+    let ops = operators();
+    let aa = LockboxAa::establish(ops.clone(), &mut rng, 192).expect("aa");
+    let body = write_grant_body(&mut rng);
+    let sig = aa.sign_with_credentials(&body, &ops).expect("sign");
+    assert!(aa.public().verify(&body, &sig));
+    // One credential missing, or one wrong: refused.
+    assert!(aa.sign_with_credentials(&body, &ops[..2]).is_err());
+    let mut wrong = ops;
+    wrong[0].1 = "wrong".into();
+    assert!(aa.sign_with_credentials(&body, &wrong).is_err());
+}
+
+#[test]
+fn case1_single_insider_forges_valid_certificates() {
+    // Case I's other single point of failure: one privileged insider with
+    // ONE operator credential extracts the whole key, bypassing the
+    // all-operators rule, and forges a certificate that verifies.
+    let mut rng = StdRng::seed_from_u64(5005);
+    let aa = LockboxAa::establish(operators(), &mut rng, 192).expect("aa");
+    let extracted = aa.insider_extraction("admin_D2", "pw2").expect("insider");
+    let body = write_grant_body(&mut rng);
+    let forged_sig = extracted.sign(&body).expect("sign with extracted key");
+    assert!(aa.public().verify(&body, &forged_sig));
+    // Someone who is not an operator has no insider path.
+    assert!(aa.insider_extraction("mallory", "guess").is_err());
 }
 
 #[test]
